@@ -268,6 +268,7 @@ def _cmd_report(args) -> int:
     thresholds = [float(t) for t in args.thresholds.split(",")]
     losses = args.losses.split(",")
     weightings = args.weightings.split(",")
+    init = spanning_tree_init(g, "auto")
     rows = []
     for loss in losses:
         for weighting in weightings:
@@ -276,7 +277,6 @@ def _cmd_report(args) -> int:
                 magsac_nu=args.magsac_nu, magsac_alpha=args.magsac_alpha,
             )
             config = _solver_config(ns)
-            init = spanning_tree_init(g, "auto")
             result = solve(g, init, config)
             alignment = align_rotations(result.rotations, gt)
             errors = list(alignment.per_view_errors.values())

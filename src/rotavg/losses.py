@@ -223,9 +223,15 @@ def classic_loss(spec: LossSpec, s: float) -> LossEval:
     raise ValueError(f"{kind!r} is not a classic loss")
 
 
-def _magsac_amplitude(spec: LossSpec) -> float:
+@lru_cache(maxsize=128)
+def _magsac_constants(spec: LossSpec) -> tuple[float, float, float, float]:
+    """(amplitude, tail Gamma((nu-1)/2, k^2/2), w(0), cutoff) of a magsac spec."""
     # (1/sigma_max) * 2^((nu-1)/2) / (2^(nu/2) Gamma(nu/2))
-    return 1.0 / (spec.scale * math.sqrt(2.0) * math.gamma(0.5 * spec.nu))
+    amplitude = 1.0 / (spec.scale * math.sqrt(2.0) * math.gamma(0.5 * spec.nu))
+    a = 0.5 * (spec.nu - 1)
+    tail = upper_incomplete_gamma(a, 0.5 * spec.k * spec.k)
+    w0 = amplitude * (upper_incomplete_gamma(a, 0.0) - tail)
+    return amplitude, tail, w0, spec.cutoff
 
 
 def magsac_weight(spec: LossSpec, r: float) -> float:
@@ -234,20 +240,22 @@ def magsac_weight(spec: LossSpec, r: float) -> float:
         raise ValueError("magsac_weight requires a magsac LossSpec")
     if r < 0.0:
         raise ValueError("residual norm must be non-negative")
-    if r >= spec.cutoff:
+    amplitude, tail, _, cutoff = _magsac_constants(spec)
+    if r >= cutoff:
         return 0.0
     a = 0.5 * (spec.nu - 1)
     x = r * r / (2.0 * spec.scale * spec.scale)
-    tail = upper_incomplete_gamma(a, 0.5 * spec.k * spec.k)
-    return _magsac_amplitude(spec) * (upper_incomplete_gamma(a, x) - tail)
+    return amplitude * (upper_incomplete_gamma(a, x) - tail)
 
 
 def magsac_loss(spec: LossSpec, r: float) -> LossEval:
     """rho(r) = w(0) - w(r); IRLS weight = d(rho)/ds at s = r^2."""
     if r < 0.0:
         raise ValueError("residual norm must be non-negative")
-    value = magsac_weight(spec, 0.0) - magsac_weight(spec, r)
-    if r >= spec.cutoff:
+    w_r = magsac_weight(spec, r)
+    amplitude, _, w0, cutoff = _magsac_constants(spec)
+    value = w0 - w_r
+    if r >= cutoff:
         return LossEval(value, 0.0)
     # d(rho)/ds = A x^(a-1) e^(-x) / (2 sigma_max^2),  x = s / (2 sigma_max^2)
     a = 0.5 * (spec.nu - 1)
@@ -264,7 +272,7 @@ def magsac_loss(spec: LossSpec, r: float) -> LossEval:
             grad = x_floor ** (a - 1.0) * math.exp(-x_floor)
     else:
         grad = x ** (a - 1.0) * math.exp(-x)
-    weight = _magsac_amplitude(spec) * grad / (2.0 * sig2)
+    weight = amplitude * grad / (2.0 * sig2)
     return LossEval(value, max(0.0, weight))
 
 

@@ -17,6 +17,21 @@ guarantees the robust cost never increases across outer iterations.
 
 All traversal and summation is in sorted edge-key order, so identical
 inputs produce bit-identical results.
+
+The inner loop is array code over a sparsity pattern built once per solve
+(:func:`_normal_pattern`): every per-edge 3x3 block entry and gradient
+entry has a fixed slot in the CSC data of the gauge-reduced normal matrix,
+and each inner iteration computes the blocks of all edges at once and
+scatters them with ``np.bincount``, which sums in input order.  Each
+diagonal slot therefore sums its edges in edge order, the i-row before the
+j-row, and each off-diagonal slot takes exactly one edge (``ViewGraph``
+rejects duplicate pairs).  A damping retry only adds lambda to the
+diagonal entries of that data.  The batched arithmetic is chosen to round
+exactly like the per-edge and per-node formulas it replaced: block
+products use batched ``np.matmul`` (not ``einsum``), squared norms use
+``np.vecdot`` (the same dot kernel as a 1-D ``x @ x``), and the retraction
+evaluates ``sin``/``cos`` with :mod:`math` and the Hamilton product term by
+term, as :class:`~rotavg.so3.Rotation` does.
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -32,7 +48,7 @@ import scipy.sparse.linalg
 from . import kernels
 from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
-from .so3 import Rotation, exp_so3, relative_residual
+from .so3 import Rotation, relative_residual
 from .viewgraph import EdgeMeasurement, ViewGraph, connected_components
 
 logger = logging.getLogger(__name__)
@@ -91,7 +107,6 @@ def _edge_transform(e: EdgeMeasurement, weighting: str, mean_inliers: float,
                 raise ConfigurationError(
                     f"edge ({e.i}, {e.j}) has no inlier count for inlier_count weighting"
                 )
-            logger.warning("edge (%d, %d): missing inlier count, using unit weight", e.i, e.j)
             return None
         return math.sqrt(e.inlier_count / mean_inliers) * np.eye(3)
     if missing_cov:
@@ -99,7 +114,6 @@ def _edge_transform(e: EdgeMeasurement, weighting: str, mean_inliers: float,
             raise ConfigurationError(
                 f"edge ({e.i}, {e.j}) has no covariance for {weighting} weighting"
             )
-        logger.warning("edge (%d, %d): missing covariance, using unit weight", e.i, e.j)
         return None
     if weighting == "cov_full":
         return e.whitener.T.copy()
@@ -125,7 +139,10 @@ def edge_weighted_residual(e: EdgeMeasurement, ri: Rotation, rj: Rotation,
 
 
 def _transform_stack(g: ViewGraph, config: SolverConfig):
-    """(E, 3, 3) weighting transforms plus the unit-fallback count."""
+    """(E, 3, 3) weighting transforms plus the unit-fallback count.
+
+    Edges that fall back to a unit weight are reported in one warning.
+    """
     mean_inl = _mean_inliers(g)
     mats = np.empty((len(g.edges), 3, 3))
     fallbacks = 0
@@ -137,20 +154,29 @@ def _transform_stack(g: ViewGraph, config: SolverConfig):
                 fallbacks += 1
         else:
             mats[idx] = w
+    if fallbacks:
+        what = "inlier count" if config.weighting == "inlier_count" else "covariance"
+        logger.warning("%d of %d edges have a missing %s; using unit weight for them",
+                       fallbacks, len(g.edges), what)
     return mats, fallbacks
 
 
-def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> float:
-    """Robust objective sum_e rho(||W_e r_e||^2), summed in edge-key order."""
-    transforms, _ = _transform_stack(g, config)
+def _robust_cost(g: ViewGraph, rotations: dict[int, Rotation], transforms,
+                 loss: LossSpec) -> float:
     total = 0.0
     for idx, e in enumerate(g.edges):
         r = transforms[idx] @ relative_residual(rotations[e.i], rotations[e.j], e.rotation)
         s = float(r @ r)
         if not math.isfinite(s):
             raise NumericalError(f"non-finite residual on edge ({e.i}, {e.j})")
-        total += evaluate_loss(config.loss, s).value
+        total += evaluate_loss(loss, s).value
     return total
+
+
+def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> float:
+    """Robust objective sum_e rho(||W_e r_e||^2), summed in edge-key order."""
+    transforms, _ = _transform_stack(g, config)
+    return _robust_cost(g, rotations, transforms, config.loss)
 
 
 def chordal_cost(g: ViewGraph, rotations: dict[int, Rotation]) -> float:
@@ -169,15 +195,45 @@ def _quats_from_init(node_ids, init):
     return quats
 
 
+def _canonical_quats(q):
+    """Row-wise :class:`Rotation` normalization: unit norm, then w >= 0."""
+    n = np.sqrt(np.vecdot(q, q))
+    # skip the division when already normalized, as Rotation does
+    q = np.where((np.abs(n - 1.0) > 1e-12)[:, None], q / n[:, None], q)
+    v = q[:, 1:]
+    nonzero = v != 0.0
+    first = v[np.arange(len(v)), np.argmax(nonzero, axis=1)]
+    flip = (q[:, 0] < 0.0) | ((q[:, 0] == 0.0) & nonzero.any(axis=1) & (first < 0.0))
+    return np.where(flip[:, None], -q, q)
+
+
 def _apply_step(quats, delta):
-    """Right-multiplicative update R_i <- R_i exp(delta_i), per node."""
+    """Right-multiplicative update R_i <- R_i exp(delta_i), batched over nodes.
+
+    Each updated row equals ``Rotation(q).compose(exp_so3(d)).quaternion``
+    bit for bit; rows with a zero step are copied unchanged.
+    """
     out = quats.copy()
-    for row in range(quats.shape[0]):
-        d = delta[row]
-        if d[0] == 0.0 and d[1] == 0.0 and d[2] == 0.0:
-            continue
-        q = Rotation(quats[row]).compose(exp_so3(d)).quaternion
-        out[row] = q
+    rows = np.flatnonzero(np.any(delta != 0.0, axis=1))
+    d = delta[rows]
+    theta = np.sqrt(np.vecdot(d, d))
+    half = 0.5 * theta
+    # exp_so3: sin(t/2)/t = 1/2 - t^2/48 + O(t^4) below 1e-8
+    s = 0.5 - theta * theta / 48.0
+    w = 1.0 - half * half / 2.0
+    big = np.flatnonzero(theta >= 1e-8)
+    half_big = half[big].tolist()
+    s[big] = np.array([math.sin(h) for h in half_big]) / theta[big]
+    w[big] = [math.cos(h) for h in half_big]
+    w2, x2, y2, z2 = _canonical_quats(
+        np.column_stack([w, s * d[:, 0], s * d[:, 1], s * d[:, 2]])).T
+    w1, x1, y1, z1 = _canonical_quats(quats[rows]).T
+    out[rows] = _canonical_quats(np.column_stack([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ]))
     return out
 
 
@@ -185,34 +241,87 @@ def _weighted_ls_cost(rw, lw):
     return float(np.sum(lw * np.sum(rw * rw, axis=1)))
 
 
-def _solve_normal_equations(h_blocks, grad, free_index, n_free, lam, dense):
-    """Solve (H + lam I) delta = -grad over the gauge-reduced system."""
-    if dense:
-        h = np.zeros((3 * n_free, 3 * n_free))
-        for (a, b), block in h_blocks.items():
-            h[3 * a:3 * a + 3, 3 * b:3 * b + 3] += block
-            if a != b:
-                h[3 * b:3 * b + 3, 3 * a:3 * a + 3] += block.T
-        h[np.arange(3 * n_free), np.arange(3 * n_free)] += lam
-        return np.linalg.solve(h, -grad)
-    rows, cols, vals = [], [], []
-    for (a, b), block in h_blocks.items():
-        for u in range(3):
-            for v in range(3):
-                rows.append(3 * a + u)
-                cols.append(3 * b + v)
-                vals.append(block[u, v])
-                if a != b:
-                    rows.append(3 * b + v)
-                    cols.append(3 * a + u)
-                    vals.append(block[u, v])
-    for d in range(3 * n_free):
-        rows.append(d)
-        cols.append(d)
-        vals.append(lam)
-    h = scipy.sparse.csc_matrix(
-        (vals, (rows, cols)), shape=(3 * n_free, 3 * n_free)
+class _Pattern(NamedTuple):
+    """Fixed sparsity of the gauge-reduced normal equations, in CSC order.
+
+    Node row ``r`` has free index ``r - 1``; row 0 is the gauge.  A slot
+    equal to ``len(rows)`` (``h_slot``) or ``3 * n_free`` (``g_slot``)
+    drops an entry that belongs to the gauge node.
+    """
+
+    h_slot: np.ndarray  # (36 E,) CSC position of each per-edge block entry
+    g_slot: np.ndarray  # (6 E,) gradient position of each per-edge entry
+    rows: np.ndarray    # (nnz,) row of each CSC entry
+    cols: np.ndarray    # (nnz,) column of each CSC entry
+    indptr: np.ndarray  # (3 n_free + 1,) CSC column pointers
+    diag: np.ndarray    # (3 n_free,) positions of the diagonal entries
+
+
+def _normal_pattern(edges_idx, n) -> _Pattern:
+    """Slots for the blocks of :func:`_edge_blocks`, built once per solve.
+
+    Per edge the 36 entries are, row-major over (u, v): B^T B into the
+    i-diagonal block (3a+u, 3a+v), B^T B into the j-diagonal block
+    (3c+u, 3c+v), and -B^T B into (3a+u, 3c+v) and its mirror (3c+v, 3a+u),
+    with a, c the free indices of the edge's i- and j-node.
+    """
+    m = 3 * (n - 1)
+    a = edges_idx[:, 0, None] - 1
+    c = edges_idx[:, 1, None] - 1
+    u, v = np.divmod(np.arange(9), 3)
+    rows = np.stack([3 * a + u, 3 * c + u, 3 * a + u, 3 * c + v], axis=1)
+    cols = np.stack([3 * a + v, 3 * c + v, 3 * c + v, 3 * a + u], axis=1)
+    both = (a >= 0) & (c >= 0)
+    keep = np.broadcast_to(np.stack([a >= 0, c >= 0, both, both], axis=1), rows.shape)
+    # np.unique sorts by column, then row: canonical CSC order
+    slots, where = np.unique(cols[keep] * m + rows[keep], return_inverse=True)
+    h_slot = np.full(rows.shape, len(slots))
+    h_slot[keep] = where
+    csc_cols, csc_rows = np.divmod(slots, m)
+    k = np.arange(3)
+    g_slot = np.concatenate([np.where(a >= 0, 3 * a + k, m), np.where(c >= 0, 3 * c + k, m)],
+                            axis=1)
+    return _Pattern(
+        h_slot=h_slot.ravel(),
+        g_slot=g_slot.ravel(),
+        rows=csc_rows,
+        cols=csc_cols,
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(csc_cols, minlength=m))]),
+        diag=np.flatnonzero(csc_rows == csc_cols),
     )
+
+
+def _edge_blocks(b, rw, lw, pattern: _Pattern):
+    """CSC data of sum_e w_e J_e^T J_e and the gradient sum_e w_e J_e^T r_e.
+
+    ``b`` holds B_e = W_e A_e; the edge Jacobians are J_i = -B_e, J_j = +B_e.
+    """
+    bt = np.swapaxes(b, 1, 2)
+    btb = (lw[:, None, None] * np.matmul(bt, b)).reshape(-1, 9)
+    btr = lw[:, None] * np.matmul(bt, rw[:, :, None])[:, :, 0]
+    nnz, m = len(pattern.rows), len(pattern.indptr) - 1
+    h_data = np.bincount(pattern.h_slot, np.concatenate([btb, btb, -btb, -btb], axis=1).ravel(),
+                         minlength=nnz + 1)[:nnz]
+    grad = np.bincount(pattern.g_slot, np.concatenate([-btr, btr], axis=1).ravel(),
+                       minlength=m + 1)[:m]
+    return h_data, grad
+
+
+def _solve_normal_equations(h_data, grad, pattern, n_free, lam, dense):
+    """Solve (H + lam I) delta = -grad over the gauge-reduced system.
+
+    ``h_data`` is H in the CSC order of ``pattern``; lam goes on the
+    diagonal entries only, so H itself is never rebuilt for a retry.
+    """
+    m = 3 * n_free
+    if dense:
+        h = np.zeros((m, m))
+        h[pattern.rows, pattern.cols] = h_data
+        h[np.arange(m), np.arange(m)] += lam
+        return np.linalg.solve(h, -grad)
+    data = h_data.copy()
+    data[pattern.diag] += lam
+    h = scipy.sparse.csc_matrix((data, pattern.rows, pattern.indptr), shape=(m, m))
     return scipy.sparse.linalg.spsolve(h, -grad)
 
 
@@ -231,9 +340,8 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
     transforms, fallbacks = _transform_stack(g, config)
     quats = _quats_from_init(node_ids, init)
 
-    gauge_row = 0  # smallest node id is pinned to its initial rotation
-    free_rows = np.array([r for r in range(n) if r != gauge_row])
-    free_index = {row: k for k, row in enumerate(free_rows)}
+    # the smallest node id (row 0) is pinned to its initial rotation
+    pattern = _normal_pattern(edges_idx, n)
     dense = n <= DENSE_NODE_LIMIT
 
     def residuals(q):
@@ -244,8 +352,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
     def robust_cost_of(rw):
         total = 0.0
         weights = np.empty(len(g.edges))
-        for idx in range(len(g.edges)):
-            s = float(rw[idx] @ rw[idx])
+        for idx, s in enumerate(np.vecdot(rw, rw).tolist()):
             ev = evaluate_loss(config.loss, s)
             total += ev.value
             weights[idx] = ev.weight
@@ -274,39 +381,18 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         lam = config.damping_init
         ls_cost = _weighted_ls_cost(rw, lw)
         for _ in range(config.max_inner_gn):
-            # B_e = W_e A_e; J_i = -B_e, J_j = +B_e
-            b = transforms @ amat
-            grad = np.zeros(3 * (n - 1))
-            h_blocks: dict[tuple[int, int], np.ndarray] = {}
-            for idx in range(len(g.edges)):
-                i_row, j_row = int(edges_idx[idx, 0]), int(edges_idx[idx, 1])
-                be = b[idx]
-                btb = lw[idx] * (be.T @ be)
-                btr = lw[idx] * (be.T @ rw[idx])
-                for row, sign in ((i_row, -1.0), (j_row, 1.0)):
-                    if row == gauge_row:
-                        continue
-                    a = free_index[row]
-                    grad[3 * a:3 * a + 3] += sign * btr
-                    key = (a, a)
-                    h_blocks[key] = h_blocks.get(key, 0.0) + btb
-                if i_row != gauge_row and j_row != gauge_row:
-                    a, c = free_index[i_row], free_index[j_row]
-                    key = (min(a, c), max(a, c))
-                    h_blocks[key] = h_blocks.get(key, 0.0) - (btb if a < c else btb.T)
+            h_data, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
             if np.max(np.abs(grad)) < config.gradient_tol:
                 break
 
             accepted = False
             for _ in range(12):
-                delta_free = _solve_normal_equations(
-                    h_blocks, grad, free_index, n - 1, lam, dense
-                )
+                delta_free = _solve_normal_equations(h_data, grad, pattern, n - 1, lam, dense)
                 if not np.all(np.isfinite(delta_free)):
                     lam *= 10.0
                     continue
                 delta = np.zeros((n, 3))
-                delta[free_rows] = delta_free.reshape(-1, 3)
+                delta[1:] = delta_free.reshape(-1, 3)
                 trial = _apply_step(quats, delta)
                 _, _, rw_trial = residuals(trial)
                 ls_trial = _weighted_ls_cost(rw_trial, lw)
@@ -341,7 +427,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             break
 
     rotations = {nid: Rotation(quats[index[nid]]) for nid in node_ids}
-    final_cost = cost(g, rotations, config)
+    final_cost = _robust_cost(g, rotations, transforms, config.loss)
     edge_weights = {}
     edge_residual_norms = {}
     for idx, e in enumerate(g.edges):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .so3 import Rotation, exp_so3
 from .twoview import CameraIntrinsics, TwoViewGeometry
 from .viewgraph import EdgeMeasurement, ViewGraph, ViewNode, connected_components
@@ -71,7 +72,11 @@ def _random_rotation(rng) -> Rotation:
 
 
 def generate_graph(config: SynthConfig) -> SynthScene:
-    """Sample a connected heteroscedastic view graph with ground truth."""
+    """Sample a connected heteroscedastic view graph with ground truth.
+
+    Raises ConfigurationError when 64 draws give no connected graph, which
+    happens when ``edge_density`` is too low for ``n_cameras``.
+    """
     rng = np.random.Generator(np.random.Philox(config.seed))
     fractions = np.array([f for f, _ in config.noise_sigmas_deg])
     sigmas_rad = np.radians([s for _, s in config.noise_sigmas_deg])
@@ -112,7 +117,7 @@ def generate_graph(config: SynthConfig) -> SynthScene:
                 outlier_edge_ids=tuple(outliers),
                 edge_sigmas_rad=edge_sigmas,
             )
-    raise RuntimeError(
+    raise ConfigurationError(
         "failed to sample a connected graph; increase edge_density or n_cameras"
     )
 

@@ -40,6 +40,9 @@ def test_usage_errors_exit_1(tmp_path):
     assert cli.main(["synth", "--cameras", "5", "--out", str(tmp_path / "g.json"),
                      "--threads", "0"]) == 1
     assert cli.main(["synth", "--cameras", "1", "--out", str(tmp_path / "g.json")]) == 1
+    # too sparse to sample a connected graph
+    assert cli.main(["synth", "--cameras", "30", "--density", "0.01",
+                     "--out", str(tmp_path / "g.json")]) == 1
 
 
 def test_data_errors_exit_2(tmp_path):

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 import rotavg.solver as solver_mod
+from rotavg import kernels
 from rotavg.errors import ConfigurationError
 from rotavg.evaluate import align_rotations
 from rotavg.losses import LossSpec, evaluate_loss
@@ -249,6 +252,123 @@ def test_damping_restarts_every_outer_iteration(monkeypatch):
     assert first_trial_lams == [config.damping_init] * result.outer_iterations
 
 
+def test_apply_step_matches_rotation_compose():
+    """The batched retraction rounds exactly like the per-node Rotation path."""
+    rng = np.random.default_rng(12)
+    n = 400
+    quats = rng.normal(size=(n, 4))
+    quats[:200] /= np.linalg.norm(quats[:200], axis=1)[:, None]  # unit, some with w < 0
+    delta = rng.normal(size=(n, 3)) * 0.3
+    delta[0:4] = 0.0
+    delta[4:10] *= 1e-9 / np.linalg.norm(delta[4:10], axis=1)[:, None] * rng.random((6, 1))
+    delta[10:12] *= 5.0  # angles beyond pi
+    # the product has w = 0 and a negative first nonzero entry: sign flip
+    quats[12], delta[12] = [0.0, 0.0, 0.0, 1.0], [-0.3, 0.0, 0.0]
+    out = solver_mod._apply_step(quats, delta)
+    for row in range(n):
+        if not np.any(delta[row]):
+            expected = quats[row]
+        else:
+            expected = Rotation(quats[row]).compose(exp_so3(delta[row])).quaternion
+        assert np.array_equal(out[row], expected), row
+
+
+def _reference_normal_equations(g, init, config, lam, dense):
+    """Gauge-reduced (H + lam I, grad) at the init by a per-edge loop over block dicts."""
+    node_ids = g.node_ids
+    index = {nid: row for row, nid in enumerate(node_ids)}
+    n = len(node_ids)
+    quats = np.array([init[nid].quaternion for nid in node_ids])
+    edges_idx = np.array([[index[e.i], index[e.j]] for e in g.edges])
+    meas = np.array([e.rotation.quaternion for e in g.edges])
+    transforms, _ = solver_mod._transform_stack(g, config)
+    res, amat = kernels.edge_terms(quats, edges_idx, meas)
+    rw = np.einsum("eab,eb->ea", transforms, res)
+    grad = np.zeros(3 * (n - 1))
+    blocks = {}
+    for idx in range(len(g.edges)):
+        be = transforms[idx] @ amat[idx]
+        lw = evaluate_loss(config.loss, float(rw[idx] @ rw[idx])).weight
+        btb = lw * (be.T @ be)
+        btr = lw * (be.T @ rw[idx])
+        i_row, j_row = edges_idx[idx]
+        for row, sign in ((i_row, -1.0), (j_row, 1.0)):
+            if row != 0:
+                a = row - 1
+                grad[3 * a:3 * a + 3] += sign * btr
+                blocks[(a, a)] = blocks.get((a, a), 0.0) + btb
+        if i_row != 0 and j_row != 0:
+            a, c = i_row - 1, j_row - 1
+            key = (min(a, c), max(a, c))
+            blocks[key] = blocks.get(key, 0.0) - (btb if a < c else btb.T)
+    m = 3 * (n - 1)
+    if dense:
+        h = np.zeros((m, m))
+        for (a, c), block in blocks.items():
+            h[3 * a:3 * a + 3, 3 * c:3 * c + 3] += block
+            if a != c:
+                h[3 * c:3 * c + 3, 3 * a:3 * a + 3] += block.T
+        h[np.arange(m), np.arange(m)] += lam
+        return h, grad
+    rows, cols, vals = [], [], []
+    for (a, c), block in blocks.items():
+        for u in range(3):
+            for v in range(3):
+                rows.append(3 * a + u)
+                cols.append(3 * c + v)
+                vals.append(block[u, v])
+                if a != c:
+                    rows.append(3 * c + v)
+                    cols.append(3 * a + u)
+                    vals.append(block[u, v])
+    rows += list(range(m))
+    cols += list(range(m))
+    vals += [lam] * m
+    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(m, m)), grad
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_normal_equations_match_per_edge_reference(monkeypatch, dense):
+    """The first linear solve sees exactly the system a per-edge loop builds."""
+    scene = _noisy_scene(8, n=14)
+    g = scene.graph
+    init = spanning_tree_init(g, "auto")
+    config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02), weighting="cov_full")
+    if not dense:
+        monkeypatch.setattr(solver_mod, "DENSE_NODE_LIMIT", 0)
+    calls, matrices = [], []
+    real_solve = solver_mod._solve_normal_equations
+
+    def solve_spy(*args):
+        calls.append(args)
+        return real_solve(*args)
+
+    def factor_spy(real):
+        def spy(h, rhs):
+            matrices.append(h.copy())
+            return real(h, rhs)
+        return spy
+
+    monkeypatch.setattr(solver_mod, "_solve_normal_equations", solve_spy)
+    if dense:
+        monkeypatch.setattr(np.linalg, "solve", factor_spy(np.linalg.solve))
+    else:
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
+                            factor_spy(scipy.sparse.linalg.spsolve))
+    solve(g, init, config)
+    _, grad, _, _, lam, used_dense = calls[0]
+    assert used_dense is dense
+    ref_h, ref_grad = _reference_normal_equations(g, init, config, lam, dense)
+    assert np.array_equal(grad, ref_grad)
+    if dense:
+        assert np.array_equal(matrices[0], ref_h)
+    else:
+        # same canonical CSC arrays, explicit zeros included, as SuperLU input
+        assert matrices[0].has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrices[0], name), getattr(ref_h, name)), name
+
+
 def test_stationarity_matches_finite_difference_gradient():
     """At convergence the unweighted GN objective has a vanishing gradient."""
     scene = generate_graph(SynthConfig(6, 0.9, ((1.0, 1.5),), seed=9))
@@ -295,6 +415,21 @@ def test_missing_metadata_fallback_and_strict_mode(caplog):
                           fallback_to_unit=False)
     with pytest.raises(ConfigurationError):
         solve(g, init, strict)
+
+
+def test_missing_metadata_warns_once_per_solve(caplog):
+    rng = np.random.default_rng(10)
+    gt = [random_rotation(rng) for _ in range(4)]
+    edges = [EdgeMeasurement(i, j, gt[i].compose(gt[j].inverse()),
+                             covariance=1e-4 * np.eye(3) if (i + j) % 2 else None)
+             for i, j in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3))]
+    g = ViewGraph([ViewNode(i, gt[i]) for i in range(4)], edges)
+    config = SolverConfig(loss=LossSpec("trivial"), weighting="cov_full")
+    with caplog.at_level("WARNING", logger="rotavg.solver"):
+        result = solve(g, spanning_tree_init(g, "unit"), config)
+    assert result.unit_fallback_edges == 2
+    assert [rec.message for rec in caplog.records] == [
+        "2 of 5 edges have a missing covariance; using unit weight for them"]
 
 
 def test_solve_rejects_bad_inputs():
