@@ -23,8 +23,8 @@ from .errors import (
     SchemaError,
 )
 from .evaluate import align_rotations, auc, export_cdf
-from .losses import LossSpec
-from .solver import SolverConfig, load_result_rotations, save_result, solve
+from .losses import ALL_KINDS, LossSpec
+from .solver import WEIGHTING_MODES, SolverConfig, load_result_rotations, save_result, solve
 from .synth import SynthConfig, generate_graph
 from .twoview import covariance_of_rotation
 from .viewgraph import (
@@ -41,9 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-LOSS_CHOICES = ("trivial", "huber", "soft_l1", "cauchy", "tukey", "gm", "l_half", "magsac")
-WEIGHTING_CHOICES = ("none", "inlier_count", "cov_trace", "cov_fro", "cov_full")
 
 # residual-norm scale defaults: raw residuals are radians, whitened
 # residuals (cov_* modes) are unitless with sigma ~ 1 for true inliers;
@@ -87,17 +84,12 @@ def _loss_spec(args) -> LossSpec:
 
 
 def _add_loss_flags(p):
-    p.add_argument("--loss", choices=LOSS_CHOICES, default="magsac")
+    p.add_argument("--loss", choices=ALL_KINDS, default="magsac")
     p.add_argument("--loss-scale", type=float, default=None,
                    help="residual-norm scale / sigma_max (default depends on weighting)")
     p.add_argument("--magsac-nu", type=int, default=3)
     p.add_argument("--magsac-alpha", type=float, default=0.99)
-    p.add_argument("--weighting", choices=WEIGHTING_CHOICES, default="cov_full")
-
-
-def _add_threads_flag(p):
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker-parallelism cap; execution is deterministic for any value")
+    p.add_argument("--weighting", choices=WEIGHTING_MODES, default="cov_full")
 
 
 def _build_parser() -> _Parser:
@@ -116,7 +108,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--honest-outlier-covariance", action="store_true",
                    help="report a large covariance on outlier edges instead of a confident one")
     p.add_argument("--out", required=True)
-    _add_threads_flag(p)
 
     p = sub.add_parser("weigh", help="fill edge covariances from two-view correspondences")
     p.add_argument("--pairs", required=True, help="correspondence-set JSON")
@@ -126,7 +117,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=1.0, help="pixel residual sigma")
     p.add_argument("--mode", choices=("rotation_only", "marginalize_translation"),
                    default="rotation_only")
-    _add_threads_flag(p)
 
     p = sub.add_parser("average", help="run rotation averaging on a view graph")
     p.add_argument("--in", dest="infile", required=True)
@@ -137,14 +127,12 @@ def _build_parser() -> _Parser:
                    default="auto")
     p.add_argument("--max-outer", type=int, default=32)
     p.add_argument("--max-inner", type=int, default=10)
-    _add_threads_flag(p)
 
     p = sub.add_parser("evaluate", help="compare a result against ground truth")
     p.add_argument("--est", required=True, help="result JSON from 'average'")
     p.add_argument("--gt", required=True, help="view-graph JSON with gt_qwxyz nodes")
     p.add_argument("--thresholds", default="2,5,10,20")
     p.add_argument("--cdf", default=None, help="optional CSV path for the error CDF")
-    _add_threads_flag(p)
 
     p = sub.add_parser("report", help="AUC table over loss x weighting combinations")
     p.add_argument("--in", dest="infile", required=True,
@@ -156,20 +144,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--magsac-nu", type=int, default=3)
     p.add_argument("--magsac-alpha", type=float, default=0.99)
     p.add_argument("--csv", default=None)
-    _add_threads_flag(p)
 
-    p = sub.add_parser("bench", help="time the averaging kernels and solver")
+    p = sub.add_parser("bench", help="time the per-edge kernel and a full solve")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--repeats", type=int, default=50)
     _add_loss_flags(p)
-    _add_threads_flag(p)
 
     return parser
-
-
-def _check_threads(args):
-    if getattr(args, "threads", 1) < 1:
-        raise _UsageError("--threads must be >= 1")
 
 
 def _solver_config(args) -> SolverConfig:
@@ -296,35 +277,28 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise _UsageError("--repeats must be >= 1")
     g = load_graph(args.infile)
     node_ids = g.node_ids
     index = {nid: row for row, nid in enumerate(node_ids)}
     init = spanning_tree_init(g, "auto")
     quats = np.array([init[nid].quaternion for nid in node_ids])
-    edges = np.array([[index[e.i], index[e.j]] for e in g.edges], dtype=np.int64)
-    meas = np.array([e.rotation.quaternion for e in g.edges])
+    edges = np.array([[index[e.i], index[e.j]] for e in g.edges], dtype=np.int64).reshape(-1, 2)
+    meas = np.array([e.rotation.quaternion for e in g.edges]).reshape(-1, 4)
 
-    def time_fn(fn, repeats):
-        fn(quats, edges, meas)  # warm-up (jit compilation)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn(quats, edges, meas)
-        return (time.perf_counter() - start) / repeats
-
+    kernels.edge_terms(quats, edges, meas)  # warm-up
+    start = time.perf_counter()
+    for _ in range(args.repeats):
+        kernels.edge_terms(quats, edges, meas)
+    per_call = (time.perf_counter() - start) / args.repeats
     print(f"graph: {len(node_ids)} nodes, {len(g.edges)} edges")
-    t_np = time_fn(kernels.edge_terms_numpy, args.repeats)
-    print(f"edge_terms numpy : {t_np * 1e6:10.1f} us/call")
-    if kernels.USING_NUMBA:
-        t_nb = time_fn(kernels.edge_terms_numba, args.repeats)
-        print(f"edge_terms numba : {t_nb * 1e6:10.1f} us/call  (speedup x{t_np / t_nb:.2f})")
-    else:
-        print("edge_terms numba : unavailable (ROTAVG_DISABLE_NUMBA set or numba missing)")
+    print(f"edge_terms numpy : {per_call * 1e6:10.1f} us/call")
     config = _solver_config(args)
     start = time.perf_counter()
     result = solve(g, init, config)
     elapsed = time.perf_counter() - start
-    print(f"full solve ({kernels.backend_name()} backend): {elapsed:.3f} s, "
-          f"{result.outer_iterations} outer iterations")
+    print(f"full solve: {elapsed:.3f} s, {result.outer_iterations} outer iterations")
     return EXIT_OK
 
 
@@ -342,7 +316,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_threads(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, exp_so3, log_so3
 
@@ -43,20 +44,6 @@ def _chordal_mean_quat(quats: np.ndarray) -> Rotation:
     return Rotation(vecs[:, -1])
 
 
-def _jr_inv(phi: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(phi))
-    k = np.array([
-        [0.0, -phi[2], phi[1]],
-        [phi[2], 0.0, -phi[0]],
-        [-phi[1], phi[0], 0.0],
-    ])
-    if theta < 1e-4:
-        c = 1.0 / 12.0 + theta ** 2 / 720.0
-    else:
-        c = 1.0 / theta ** 2 - (np.cos(theta / 2.0) / np.sin(theta / 2.0)) / (2.0 * theta)
-    return np.eye(3) + 0.5 * k + c * (k @ k)
-
-
 def fit_alignment_rotation(discrepancies: list[Rotation], loss: LossSpec) -> Rotation:
     """Robust mean of the per-node discrepancies m_i (IRLS + damped GN)."""
     quats = np.array([m.quaternion for m in discrepancies])
@@ -78,13 +65,10 @@ def fit_alignment_rotation(discrepancies: list[Rotation], loss: LossSpec) -> Rot
         prev_cost = cost
         w = np.array([ev.weight for ev in evals])
         # residual r_i = Log(m_i R^T); for R <- R exp(d): dr/dd = -Jr_inv(r_i) R
-        rmat = r_align.matrix
-        h = np.zeros((3, 3))
-        grad = np.zeros(3)
-        for i in range(len(discrepancies)):
-            j = -_jr_inv(res[i]) @ rmat
-            h += w[i] * (j.T @ j)
-            grad += w[i] * (j.T @ res[i])
+        jac = -kernels.jr_inv(res) @ r_align.matrix
+        jac_t = np.swapaxes(jac, 1, 2)
+        h = np.sum(w[:, None, None] * np.matmul(jac_t, jac), axis=0)
+        grad = np.sum(w[:, None] * np.matmul(jac_t, res[:, :, None])[:, :, 0], axis=0)
         if np.max(np.abs(grad)) < 1e-14:
             break
         accepted = False

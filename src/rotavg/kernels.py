@@ -1,14 +1,8 @@
 """Hot numeric kernels for the averaging solver.
 
-Two interchangeable backends compute the per-edge residuals and Jacobian
-blocks of the view-graph objective:
-
-* a numba ``@njit`` backend (default when numba is importable), and
-* a pure-numpy vectorized fallback.
-
-Set ``ROTAVG_DISABLE_NUMBA=1`` in the environment to force the numpy path.
-Both backends implement the same contract and agree to ~1e-12; the CLI
-``bench`` subcommand compares their throughput.
+Batched numpy code for the per-edge residuals and Jacobian blocks of the
+view-graph objective, and the batched inverse right Jacobian of the SO(3)
+logarithm that the gauge alignment in :mod:`rotavg.evaluate` reuses.
 
 Conventions (shared with :mod:`rotavg.so3`):
 
@@ -21,27 +15,12 @@ Conventions (shared with :mod:`rotavg.so3`):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("ROTAVG_DISABLE_NUMBA", "") not in ("", "0")
-
-try:  # pragma: no cover - import guard
-    if _DISABLE:
-        raise ImportError("numba disabled by ROTAVG_DISABLE_NUMBA")
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+__all__ = ["edge_terms", "jr_inv"]
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-# ---------------------------------------------------------------------------
-
-def _np_quat_mul(a, b):
+def _quat_mul(a, b):
     """Hamilton product of quaternion batches (..., 4)."""
     w1, v1 = a[..., 0], a[..., 1:]
     w2, v2 = b[..., 0], b[..., 1:]
@@ -50,13 +29,13 @@ def _np_quat_mul(a, b):
     return np.concatenate([w[..., None], v], axis=-1)
 
 
-def _np_quat_conj(q):
+def _quat_conj(q):
     out = q.copy()
     out[..., 1:] = -out[..., 1:]
     return out
 
 
-def _np_quat_to_mat(q):
+def _quat_to_mat(q):
     """Rotation matrices (..., 3, 3) from unit quaternions (..., 4)."""
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     out = np.empty(q.shape[:-1] + (3, 3))
@@ -72,7 +51,7 @@ def _np_quat_to_mat(q):
     return out
 
 
-def _np_quat_log(q):
+def _quat_log(q):
     """Axis-angle vectors (..., 3); output norm <= pi for w >= 0 inputs."""
     q = np.where(q[..., :1] < 0.0, -q, q)
     w = q[..., 0]
@@ -85,7 +64,7 @@ def _np_quat_log(q):
     return scale[..., None] * v
 
 
-def _np_hat(v):
+def _hat(v):
     out = np.zeros(v.shape[:-1] + (3, 3))
     out[..., 0, 1] = -v[..., 2]
     out[..., 0, 2] = v[..., 1]
@@ -96,7 +75,7 @@ def _np_hat(v):
     return out
 
 
-def _np_jr_inv(phi):
+def jr_inv(phi):
     """Inverse right Jacobian of the SO(3) logarithm, batched (..., 3)."""
     theta = np.linalg.norm(phi, axis=-1)
     small = theta < 1e-4
@@ -106,12 +85,12 @@ def _np_jr_inv(phi):
     with np.errstate(invalid="ignore", divide="ignore"):
         c_closed = 1.0 / t ** 2 - (np.cos(t / 2.0) / np.sin(t / 2.0)) / (2.0 * t)
     c = np.where(small, c_series, c_closed)
-    K = _np_hat(phi)
+    K = _hat(phi)
     eye = np.broadcast_to(np.eye(3), K.shape)
     return eye + 0.5 * K + c[..., None, None] * (K @ K)
 
 
-def _np_edge_terms(quats, edges, meas):
+def edge_terms(quats: np.ndarray, edges: np.ndarray, meas: np.ndarray):
     """Residuals and Jacobian blocks for every edge.
 
     Args:
@@ -123,143 +102,12 @@ def _np_edge_terms(quats, edges, meas):
         res: (E, 3) residuals Log(R_ij R_j R_i^T).
         amat: (E, 3, 3) blocks A_e = Jr_inv(res_e) R_i.
     """
+    quats = np.asarray(quats, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.int64)
+    meas = np.asarray(meas, dtype=np.float64)
     qi = quats[edges[:, 0]]
     qj = quats[edges[:, 1]]
-    qe = _np_quat_mul(_np_quat_mul(meas, qj), _np_quat_conj(qi))
-    res = _np_quat_log(qe)
-    amat = _np_jr_inv(res) @ _np_quat_to_mat(qi)
+    qe = _quat_mul(_quat_mul(meas, qj), _quat_conj(qi))
+    res = _quat_log(qe)
+    amat = jr_inv(res) @ _quat_to_mat(qi)
     return res, amat
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _nb_quat_mul(a, b, out):
-        out[0] = a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
-        out[1] = a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
-        out[2] = a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1]
-        out[3] = a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]
-
-    @numba.njit(cache=True)
-    def _nb_quat_to_mat(q, out):
-        w, x, y, z = q[0], q[1], q[2], q[3]
-        out[0, 0] = 1.0 - 2.0 * (y * y + z * z)
-        out[0, 1] = 2.0 * (x * y - w * z)
-        out[0, 2] = 2.0 * (x * z + w * y)
-        out[1, 0] = 2.0 * (x * y + w * z)
-        out[1, 1] = 1.0 - 2.0 * (x * x + z * z)
-        out[1, 2] = 2.0 * (y * z - w * x)
-        out[2, 0] = 2.0 * (x * z - w * y)
-        out[2, 1] = 2.0 * (y * z + w * x)
-        out[2, 2] = 1.0 - 2.0 * (x * x + y * y)
-
-    @numba.njit(cache=True)
-    def _nb_quat_log(q, out):
-        w, x, y, z = q[0], q[1], q[2], q[3]
-        if w < 0.0:
-            w, x, y, z = -w, -x, -y, -z
-        s = np.sqrt(x * x + y * y + z * z)
-        if s < 1e-12:
-            out[0] = 2.0 * x
-            out[1] = 2.0 * y
-            out[2] = 2.0 * z
-        else:
-            scale = 2.0 * np.arctan2(s, w) / s
-            out[0] = scale * x
-            out[1] = scale * y
-            out[2] = scale * z
-
-    @numba.njit(cache=True)
-    def _nb_edge_terms(quats, edges, meas):
-        n_edges = edges.shape[0]
-        res = np.empty((n_edges, 3))
-        amat = np.empty((n_edges, 3, 3))
-        tmp1 = np.empty(4)
-        tmp2 = np.empty(4)
-        conj = np.empty(4)
-        ri = np.empty((3, 3))
-        jri = np.empty((3, 3))
-        for e in range(n_edges):
-            i = edges[e, 0]
-            j = edges[e, 1]
-            _nb_quat_mul(meas[e], quats[j], tmp1)
-            conj[0] = quats[i, 0]
-            conj[1] = -quats[i, 1]
-            conj[2] = -quats[i, 2]
-            conj[3] = -quats[i, 3]
-            _nb_quat_mul(tmp1, conj, tmp2)
-            _nb_quat_log(tmp2, res[e])
-            rx, ry, rz = res[e, 0], res[e, 1], res[e, 2]
-            theta = np.sqrt(rx * rx + ry * ry + rz * rz)
-            if theta < 1e-4:
-                c = 1.0 / 12.0 + theta ** 2 / 720.0 + theta ** 4 / 30240.0
-            else:
-                c = 1.0 / theta ** 2 - (np.cos(theta / 2.0) / np.sin(theta / 2.0)) / (2.0 * theta)
-            # Jr_inv = I + 0.5 K + c K^2, K = hat(res)
-            jri[0, 0] = 1.0 + c * (-ry * ry - rz * rz)
-            jri[0, 1] = -0.5 * rz + c * (rx * ry)
-            jri[0, 2] = 0.5 * ry + c * (rx * rz)
-            jri[1, 0] = 0.5 * rz + c * (rx * ry)
-            jri[1, 1] = 1.0 + c * (-rx * rx - rz * rz)
-            jri[1, 2] = -0.5 * rx + c * (ry * rz)
-            jri[2, 0] = -0.5 * ry + c * (rx * rz)
-            jri[2, 1] = 0.5 * rx + c * (ry * rz)
-            jri[2, 2] = 1.0 + c * (-rx * rx - ry * ry)
-            _nb_quat_to_mat(quats[i], ri)
-            for a in range(3):
-                for b in range(3):
-                    acc = 0.0
-                    for k in range(3):
-                        acc += jri[a, k] * ri[k, b]
-                    amat[e, a, b] = acc
-        return res, amat
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-USING_NUMBA = _HAVE_NUMBA
-
-
-def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
-
-
-def edge_terms(quats: np.ndarray, edges: np.ndarray, meas: np.ndarray):
-    """Per-edge residuals and Jacobian blocks (active backend)."""
-    if USING_NUMBA:
-        return _nb_edge_terms(
-            np.ascontiguousarray(quats, dtype=np.float64),
-            np.ascontiguousarray(edges, dtype=np.int64),
-            np.ascontiguousarray(meas, dtype=np.float64),
-        )
-    return _np_edge_terms(
-        np.asarray(quats, dtype=np.float64),
-        np.asarray(edges, dtype=np.int64),
-        np.asarray(meas, dtype=np.float64),
-    )
-
-
-def edge_terms_numpy(quats, edges, meas):
-    """Pure-numpy path, kept callable for tests and benchmarking."""
-    return _np_edge_terms(
-        np.asarray(quats, dtype=np.float64),
-        np.asarray(edges, dtype=np.int64),
-        np.asarray(meas, dtype=np.float64),
-    )
-
-
-def edge_terms_numba(quats, edges, meas):
-    """Numba path; raises if numba is unavailable or disabled."""
-    if not _HAVE_NUMBA:
-        raise RuntimeError("numba backend unavailable (missing or disabled)")
-    return _nb_edge_terms(
-        np.ascontiguousarray(quats, dtype=np.float64),
-        np.ascontiguousarray(edges, dtype=np.int64),
-        np.ascontiguousarray(meas, dtype=np.float64),
-    )

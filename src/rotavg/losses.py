@@ -13,6 +13,9 @@ for ``0 <= r < k sigma_max`` and ``w(r) = 0`` beyond, where ``k`` is the
 alpha-quantile of the chi distribution with ``nu`` degrees of freedom.  The
 loss itself is ``rho(r) = w(0) - w(r)``: zero at zero, strictly increasing
 up to the cutoff, constant after it.
+
+The incomplete gamma functions and the chi quantile come from
+:mod:`scipy.special` (``gammaincc``, ``gammainc``, ``gammaincinv``).
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+from scipy import special
 
 __all__ = [
     "LossSpec",
@@ -38,104 +43,37 @@ ALL_KINDS = CLASSIC_KINDS + ("magsac",)
 
 
 # ---------------------------------------------------------------------------
-# special functions (series for x < a+1, continued fraction otherwise)
+# special functions (scipy.special, with the input checks of the loss model)
 # ---------------------------------------------------------------------------
 
-_GAMMA_EPS = 1e-15
-_GAMMA_ITMAX = 500
 
-
-def _lower_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series."""
-    if x <= 0.0:
-        return 0.0
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _upper_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by Lentz continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) = gamma(a, x) / Gamma(a), accurate to ~1e-14."""
+def _check_gamma_args(a: float, x: float) -> None:
     if a <= 0.0:
         raise ValueError("a must be positive")
     if x < 0.0:
         raise ValueError("x must be non-negative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_series(a, x)
-    return 1.0 - _upper_cf(a, x)
+
+
+def regularized_lower_gamma(a: float, x: float) -> float:
+    """P(a, x) = gamma(a, x) / Gamma(a)."""
+    _check_gamma_args(a, x)
+    return float(special.gammainc(a, x))
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:
     """Gamma(a, x) = integral_x^inf t^(a-1) e^(-t) dt."""
-    if a <= 0.0:
-        raise ValueError("a must be positive")
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
-    gamma_a = math.gamma(a)
-    if x == 0.0:
-        return gamma_a
-    if x < a + 1.0:
-        return gamma_a * (1.0 - _lower_series(a, x))
-    return gamma_a * _upper_cf(a, x)
+    _check_gamma_args(a, x)
+    return float(special.gammaincc(a, x) * special.gamma(a))
 
 
 @lru_cache(maxsize=None)
 def chi_quantile(nu: int, alpha: float) -> float:
-    """k with CDF_chi(nu)(k) = alpha, by bisection on the chi-squared CDF."""
+    """k with CDF_chi(nu)(k) = alpha, from the inverse regularized gamma."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-
-    def cdf(k: float) -> float:
-        return regularized_lower_gamma(0.5 * nu, 0.5 * k * k)
-
-    lo, hi = 0.0, 1.0
-    while cdf(hi) < alpha:
-        hi *= 2.0
-        if hi > 1e8:  # pragma: no cover
-            raise ArithmeticError("chi quantile bracket failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return math.sqrt(2.0 * float(special.gammaincinv(0.5 * nu, alpha)))
 
 
 # ---------------------------------------------------------------------------

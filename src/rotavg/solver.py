@@ -49,7 +49,7 @@ from . import kernels
 from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, relative_residual
-from .viewgraph import EdgeMeasurement, ViewGraph, connected_components
+from .viewgraph import EdgeMeasurement, ViewGraph, is_connected
 
 logger = logging.getLogger(__name__)
 
@@ -327,12 +327,23 @@ def _solve_normal_equations(h_data, grad, pattern, n_free, lam, dense):
 
 def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> AveragingResult:
     """Run IRLS + damped Gauss-Newton rotation averaging."""
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise ValueError("graph is disconnected; solve each component separately")
     node_ids = g.node_ids
     missing = [nid for nid in node_ids if nid not in init]
     if missing:
         raise ValueError(f"initialization missing nodes {missing}")
+    if not g.edges:
+        # a connected graph without edges is one node: nothing to average
+        return AveragingResult(
+            rotations={nid: init[nid] for nid in node_ids},
+            final_cost=0.0,
+            outer_iterations=0,
+            converged=True,
+            edge_weights={},
+            edge_residual_norms={},
+            termination="no_edges",
+        )
     index = {nid: row for row, nid in enumerate(node_ids)}
     n = len(node_ids)
     edges_idx = np.array([[index[e.i], index[e.j]] for e in g.edges], dtype=np.int64)

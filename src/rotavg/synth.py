@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .so3 import Rotation, exp_so3
 from .twoview import CameraIntrinsics, TwoViewGeometry
-from .viewgraph import EdgeMeasurement, ViewGraph, ViewNode, connected_components
+from .viewgraph import EdgeMeasurement, ViewGraph, ViewNode, is_connected
 
 __all__ = ["SynthConfig", "SynthScene", "generate_graph", "generate_two_view_scene"]
 
@@ -111,7 +111,7 @@ def generate_graph(config: SynthConfig) -> SynthScene:
                 edges.append(EdgeMeasurement(i, j, rot, covariance=cov, inlier_count=count))
                 edge_sigmas[(i, j)] = sigma_meta
         graph = ViewGraph(nodes, edges)
-        if len(connected_components(graph)) == 1:
+        if is_connected(graph):
             return SynthScene(
                 graph=graph,
                 outlier_edge_ids=tuple(outliers),

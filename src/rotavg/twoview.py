@@ -193,7 +193,7 @@ def _sampson_gradient_wrt_f(f, matches):
     return dnum / den[:, None, None] - (num / (2.0 * den2 * den))[:, None, None] * dden2
 
 
-def _rotation_generators(geom, f_left_of_t=None):
+def _rotation_generators(geom):
     """dF/d(delta_k) for R_ij <- R_ij exp(delta), k = 0..2."""
     ki_inv = geom.intrinsics_i.inverse
     kj_inv = geom.intrinsics_j.inverse

@@ -40,6 +40,7 @@ __all__ = [
     "save_graph",
     "load_pairs",
     "connected_components",
+    "is_connected",
     "spanning_tree_init",
 ]
 
@@ -221,32 +222,47 @@ def save_pairs(pairs, path) -> None:
         fh.write("\n")
 
 
+def _find(parent: dict[int, int], a: int) -> int:
+    """Root of ``a`` in the union-find forest ``parent`` (path halving)."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _union(parent: dict[int, int], a: int, b: int) -> bool:
+    """Join the sets of a and b under the smaller root; False if already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[max(ra, rb)] = min(ra, rb)
+    return True
+
+
+def _component_forest(g: ViewGraph) -> dict[int, int]:
+    """Union-find forest over all edges; each root is its component's smallest id."""
+    parent = {nid: nid for nid in g.nodes}
+    for e in g.edges:
+        _union(parent, e.i, e.j)
+    return parent
+
+
+def is_connected(g: ViewGraph) -> bool:
+    """True when the graph has exactly one connected component."""
+    parent = _component_forest(g)
+    return len({_find(parent, nid) for nid in g.nodes}) == 1
+
+
 def connected_components(g: ViewGraph) -> list[ViewGraph]:
     """Partition into connected components, ordered by smallest node id."""
-    parent = {nid: nid for nid in g.nodes}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in g.edges:
-        ra, rb = find(e.i), find(e.j)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[int, list[int]] = {}
+    parent = _component_forest(g)
+    nodes: dict[int, list[ViewNode]] = {}
     for nid in g.node_ids:
-        groups.setdefault(find(nid), []).append(nid)
-    comps = []
-    for root in sorted(groups):
-        members = set(groups[root])
-        comps.append(ViewGraph(
-            [g.nodes[nid] for nid in sorted(members)],
-            [e for e in g.edges if e.i in members],
-        ))
-    return comps
+        nodes.setdefault(_find(parent, nid), []).append(g.nodes[nid])
+    edges: dict[int, list[EdgeMeasurement]] = {root: [] for root in nodes}
+    for e in g.edges:
+        edges[_find(parent, e.i)].append(e)
+    return [ViewGraph(nodes[root], edges[root]) for root in sorted(nodes)]
 
 
 def _edge_weight(e: EdgeMeasurement, criterion: str) -> float:
@@ -275,21 +291,8 @@ def default_tree_criterion(g: ViewGraph) -> str:
 def maximum_spanning_tree(g: ViewGraph, criterion: str) -> list[EdgeMeasurement]:
     """Kruskal maximum spanning tree; deterministic tie-break on (i, j)."""
     parent = {nid: nid for nid in g.nodes}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     ranked = sorted(g.edges, key=lambda e: (-_edge_weight(e, criterion), e.key))
-    tree = []
-    for e in ranked:
-        ra, rb = find(e.i), find(e.j)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            tree.append(e)
-    return tree
+    return [e for e in ranked if _union(parent, e.i, e.j)]
 
 
 def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotation]:
@@ -327,19 +330,5 @@ def enumerate_spanning_trees(g: ViewGraph):
     n = len(g.nodes)
     for combo in itertools.combinations(g.edges, n - 1):
         parent = {nid: nid for nid in g.nodes}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        ok = True
-        for e in combo:
-            ra, rb = find(e.i), find(e.j)
-            if ra == rb:
-                ok = False
-                break
-            parent[ra] = rb
-        if ok:
+        if all(_union(parent, e.i, e.j) for e in combo):
             yield combo

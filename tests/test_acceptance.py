@@ -399,13 +399,13 @@ def test_criterion_12_determinism(tmp_path):
     g1, g2 = tmp_path / "g1.json", tmp_path / "g2.json"
     for out in (g1, g2):
         rc = cli_main(["synth", "--cameras", "20", "--density", "0.4",
-                       "--outliers", "0.1", "--seed", "3", "--threads", "1",
+                       "--outliers", "0.1", "--seed", "3",
                        "--out", str(out)])
         assert rc == 0
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (r1, r2):
         rc = cli_main(["average", "--in", str(g1), "--loss", "magsac",
-                       "--weighting", "cov_full", "--threads", "1",
+                       "--weighting", "cov_full",
                        "--out", str(out)])
         assert rc == 0
     ok = g1.read_bytes() == g2.read_bytes() and r1.read_bytes() == r2.read_bytes()

@@ -40,6 +40,7 @@ def test_usage_errors_exit_1(tmp_path):
     assert cli.main(["synth", "--cameras", "5", "--out", str(tmp_path / "g.json"),
                      "--threads", "0"]) == 1
     assert cli.main(["synth", "--cameras", "1", "--out", str(tmp_path / "g.json")]) == 1
+    assert cli.main(["bench", "--in", "g.json", "--repeats", "0"]) == 1
     # too sparse to sample a connected graph
     assert cli.main(["synth", "--cameras", "30", "--density", "0.01",
                      "--out", str(tmp_path / "g.json")]) == 1
@@ -92,8 +93,7 @@ def test_synth_is_idempotent_bytewise(tmp_path):
 def test_average_and_evaluate_pipeline(tmp_path, capsys):
     g = _synth(tmp_path)
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    args = ["average", "--in", str(g), "--loss", "magsac", "--weighting", "cov_full",
-            "--threads", "1"]
+    args = ["average", "--in", str(g), "--loss", "magsac", "--weighting", "cov_full"]
     assert cli.main(args + ["--out", str(r1)]) == 0
     assert cli.main(args + ["--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()  # deterministic, byte-identical
@@ -107,6 +107,20 @@ def test_average_and_evaluate_pipeline(tmp_path, capsys):
     aucs = [float(v) for v in out.strip().splitlines()[-1].split()]
     assert all(b >= a for a, b in zip(aucs, aucs[1:]))  # monotone thresholds
     assert cdf.exists() and cdf.read_text().startswith("error_deg,cdf")
+
+
+def test_average_single_node_without_edges(tmp_path):
+    g = tmp_path / "one.json"
+    g.write_text(json.dumps({"nodes": [{"id": 0}], "edges": []}))
+    r = tmp_path / "r.json"
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 0
+    doc = json.loads(r.read_text())
+    assert doc["iterations"] == 0
+    assert doc["final_cost"] == 0.0
+    assert doc["converged"] is True
+    assert doc["edge_weights"] == []
+    assert doc["rotations"] == [{"id": 0, "qwxyz": [1.0, 0.0, 0.0, 0.0]}]
+    assert cli.main(["bench", "--in", str(g), "--repeats", "2"]) == 0
 
 
 def test_weigh_pipeline(tmp_path):
@@ -174,15 +188,15 @@ def test_bench_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,flags", [
     ("synth", ["--cameras", "--density", "--noise", "--outliers", "--seed",
-               "--no-covariance", "--honest-outlier-covariance", "--out", "--threads"]),
-    ("weigh", ["--pairs", "--out", "--base", "--sigma", "--mode", "--threads"]),
+               "--no-covariance", "--honest-outlier-covariance", "--out"]),
+    ("weigh", ["--pairs", "--out", "--base", "--sigma", "--mode"]),
     ("average", ["--in", "--out", "--loss", "--loss-scale", "--magsac-nu",
                  "--magsac-alpha", "--weighting", "--init-criterion",
-                 "--max-outer", "--max-inner", "--threads"]),
-    ("evaluate", ["--est", "--gt", "--thresholds", "--cdf", "--threads"]),
+                 "--max-outer", "--max-inner"]),
+    ("evaluate", ["--est", "--gt", "--thresholds", "--cdf"]),
     ("report", ["--in", "--losses", "--weightings", "--thresholds",
-                "--loss-scale", "--csv", "--threads"]),
-    ("bench", ["--in", "--repeats", "--loss", "--weighting", "--threads"]),
+                "--loss-scale", "--csv"]),
+    ("bench", ["--in", "--repeats", "--loss", "--weighting"]),
 ])
 def test_help_documents_every_flag(command, flags, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,14 +1,9 @@
-"""Kernel backends: numpy/numba agreement and the fallback switch."""
-
-import os
-import subprocess
-import sys
+"""Per-edge kernels: residuals against so3, Jacobian blocks against finite differences."""
 
 import numpy as np
-import pytest
 
 from rotavg import kernels
-from rotavg.so3 import Rotation, exp_so3, relative_residual
+from rotavg.so3 import Rotation, exp_so3, log_so3, relative_residual
 
 from conftest import random_rotation
 
@@ -28,7 +23,7 @@ def _random_problem(rng, n_nodes=15, n_edges=40):
 def test_numpy_residuals_match_reference_implementation():
     rng = np.random.default_rng(0)
     quats, edges, meas = _random_problem(rng)
-    res, _ = kernels.edge_terms_numpy(quats, edges, meas)
+    res, _ = kernels.edge_terms(quats, edges, meas)
     for idx, (i, j) in enumerate(edges):
         expected = relative_residual(Rotation(quats[i]), Rotation(quats[j]),
                                      Rotation(meas[idx]))
@@ -38,7 +33,7 @@ def test_numpy_residuals_match_reference_implementation():
 def test_jacobian_blocks_match_finite_differences():
     rng = np.random.default_rng(1)
     quats, edges, meas = _random_problem(rng, n_nodes=6, n_edges=10)
-    res, amat = kernels.edge_terms_numpy(quats, edges, meas)
+    res, amat = kernels.edge_terms(quats, edges, meas)
     h = 1e-7
     for idx, (i, j) in enumerate(edges):
         for k in range(3):
@@ -49,8 +44,8 @@ def test_jacobian_blocks_match_finite_differences():
             qp[j] = Rotation(quats[j]).compose(exp_so3(d)).quaternion
             qm = quats.copy()
             qm[j] = Rotation(quats[j]).compose(exp_so3(-d)).quaternion
-            rp, _ = kernels.edge_terms_numpy(qp, edges, meas)
-            rm, _ = kernels.edge_terms_numpy(qm, edges, meas)
+            rp, _ = kernels.edge_terms(qp, edges, meas)
+            rm, _ = kernels.edge_terms(qm, edges, meas)
             fd = (rp[idx] - rm[idx]) / (2.0 * h)
             assert np.allclose(fd, amat[idx, :, k], atol=1e-5)
             # dr/dd_i = -A_e for R_i <- R_i Exp(d)
@@ -58,84 +53,39 @@ def test_jacobian_blocks_match_finite_differences():
             qp[i] = Rotation(quats[i]).compose(exp_so3(d)).quaternion
             qm = quats.copy()
             qm[i] = Rotation(quats[i]).compose(exp_so3(-d)).quaternion
-            rp, _ = kernels.edge_terms_numpy(qp, edges, meas)
-            rm, _ = kernels.edge_terms_numpy(qm, edges, meas)
+            rp, _ = kernels.edge_terms(qp, edges, meas)
+            rm, _ = kernels.edge_terms(qm, edges, meas)
             fd = (rp[idx] - rm[idx]) / (2.0 * h)
             assert np.allclose(fd, -amat[idx, :, k], atol=1e-5)
 
 
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba backend unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        quats, edges, meas = _random_problem(rng)
-        res_np, amat_np = kernels.edge_terms_numpy(quats, edges, meas)
-        res_nb, amat_nb = kernels.edge_terms_numba(quats, edges, meas)
-        assert np.allclose(res_np, res_nb, atol=1e-12)
-        assert np.allclose(amat_np, amat_nb, atol=1e-12)
+def _jr_series(phi, terms=40):
+    """Right Jacobian of Exp, sum_n (-K)^n / (n+1)!, no cancellation at small angles."""
+    k = np.array([[0.0, -phi[2], phi[1]], [phi[2], 0.0, -phi[0]], [-phi[1], phi[0], 0.0]])
+    out = np.zeros((3, 3))
+    term = np.eye(3)
+    for n in range(terms):
+        out += term
+        term = -term @ k / (n + 2)
+    return out
 
 
-def test_dispatch_uses_active_backend():
-    rng = np.random.default_rng(3)
-    quats, edges, meas = _random_problem(rng)
-    res, amat = kernels.edge_terms(quats, edges, meas)
-    res_np, amat_np = kernels.edge_terms_numpy(quats, edges, meas)
-    assert np.allclose(res, res_np, atol=1e-12)
-    assert np.allclose(amat, amat_np, atol=1e-12)
-    assert kernels.backend_name() in ("numba", "numpy")
-
-
-def test_disable_flag_forces_numpy_backend():
-    env = dict(os.environ, ROTAVG_DISABLE_NUMBA="1")
-    code = (
-        "from rotavg import kernels\n"
-        "assert not kernels.USING_NUMBA\n"
-        "assert kernels.backend_name() == 'numpy'\n"
-        "import numpy as np\n"
-        "q = np.array([[1.0, 0, 0, 0], [0.8, 0.6, 0, 0]])\n"
-        "e = np.array([[0, 1]], dtype=np.int64)\n"
-        "m = np.array([[1.0, 0, 0, 0]])\n"
-        "res, amat = kernels.edge_terms(q, e, m)\n"
-        "assert res.shape == (1, 3) and amat.shape == (1, 3, 3)\n"
-        "try:\n"
-        "    kernels.edge_terms_numba(q, e, m)\n"
-        "except RuntimeError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise AssertionError('numba path should be disabled')\n"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_solver_results_identical_across_backends():
-    """The numpy fallback reproduces the default backend's solve bitwise-close."""
-    env = dict(os.environ, ROTAVG_DISABLE_NUMBA="1")
-    code = (
-        "import numpy as np\n"
-        "from rotavg.synth import SynthConfig, generate_graph\n"
-        "from rotavg.solver import SolverConfig, solve\n"
-        "from rotavg.losses import LossSpec\n"
-        "from rotavg.viewgraph import spanning_tree_init\n"
-        "scene = generate_graph(SynthConfig(12, 0.5, ((0.7, 1.0), (0.3, 6.0)),"
-        " outlier_fraction=0.05, seed=21))\n"
-        "init = spanning_tree_init(scene.graph, 'auto')\n"
-        "r = solve(scene.graph, init, SolverConfig(loss=LossSpec('magsac', scale=3.0),"
-        " weighting='cov_full'))\n"
-        "print(repr(r.final_cost))\n"
-        "for nid in scene.graph.node_ids:\n"
-        "    print(' '.join(repr(float(v)) for v in r.rotations[nid].quaternion))\n"
-    )
-    out_np = subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                            capture_output=True, text=True).stdout
-    out_default = subprocess.run([sys.executable, "-c", code], check=True,
-                                 env=dict(os.environ, ROTAVG_DISABLE_NUMBA=""),
-                                 capture_output=True, text=True).stdout
-    lines_np = out_np.strip().splitlines()
-    lines_def = out_default.strip().splitlines()
-    assert len(lines_np) == len(lines_def)
-    # backends round differently (fused multiply-adds in the jit path)
-    assert abs(float(lines_np[0]) - float(lines_def[0])) < 1e-10
-    for a, b in zip(lines_np[1:], lines_def[1:]):
-        va = np.array([float(x) for x in a.split()])
-        vb = np.array([float(x) for x in b.split()])
-        assert np.max(np.abs(va - vb)) < 1e-7
+def test_jr_inv_matches_finite_differences():
+    """Log(Exp(phi) Exp(d)) = phi + Jr_inv(phi) d + O(|d|^2), both branches,
+    and Jr_inv inverts the series right Jacobian to round-off."""
+    rng = np.random.default_rng(4)
+    directions = rng.normal(size=(12, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    angles = np.array([1e-6, 5e-5, 0.01, 0.3, 1.0, 2.5] * 2)
+    phis = directions * angles[:, None]
+    blocks = kernels.jr_inv(phis)
+    h = 1e-6
+    for phi, block in zip(phis, blocks):
+        assert np.allclose(block @ _jr_series(phi), np.eye(3), rtol=0.0, atol=1e-13)
+        base = exp_so3(phi)
+        for k in range(3):
+            d = np.zeros(3)
+            d[k] = h
+            fd = (log_so3(base.compose(exp_so3(d)))
+                  - log_so3(base.compose(exp_so3(-d)))) / (2.0 * h)
+            assert np.allclose(fd, block[:, k], atol=1e-6)
