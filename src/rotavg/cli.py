@@ -321,12 +321,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
+    except (SchemaError, FileNotFoundError) as exc:
+        # before ValueError: DisconnectedGraphError is both
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (_UsageError, ConfigurationError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (NumericalError, DegenerateGeometryError, InsufficientDataError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

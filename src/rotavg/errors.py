@@ -9,6 +9,10 @@ class SchemaError(RotavgError):
     """Malformed or inconsistent input data (JSON schema, duplicate ids, ...)."""
 
 
+class DisconnectedGraphError(SchemaError, ValueError):
+    """A view graph with no nodes or more than one connected component."""
+
+
 class DegenerateGeometryError(RotavgError):
     """Numerically degenerate geometry (singular intrinsics, ill-conditioned JtJ)."""
 

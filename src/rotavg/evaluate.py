@@ -14,6 +14,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import kernels
 from .losses import LossSpec, evaluate_loss
@@ -74,10 +75,11 @@ def fit_alignment_rotation(discrepancies: list[Rotation], loss: LossSpec) -> Rot
         accepted = False
         for _ in range(10):
             try:
-                delta = np.linalg.solve(h + lam * np.eye(3), -grad)
+                factor = scipy.linalg.cho_factor(h + lam * np.eye(3), check_finite=False)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            delta = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
             trial = r_align.compose(exp_so3(delta))
             res_t = residuals(trial)
             s_t = np.sum(res_t * res_t, axis=1)

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import DisconnectedGraphError, SchemaError
 from .so3 import Rotation
 from .twoview import CameraIntrinsics, TwoViewGeometry, whitener_from_covariance
 
@@ -40,6 +40,7 @@ __all__ = [
     "save_graph",
     "load_pairs",
     "connected_components",
+    "check_connected",
     "is_connected",
     "spanning_tree_init",
 ]
@@ -253,6 +254,15 @@ def is_connected(g: ViewGraph) -> bool:
     return len({_find(parent, nid) for nid in g.nodes}) == 1
 
 
+def check_connected(g: ViewGraph) -> None:
+    """Raise :class:`DisconnectedGraphError` unless ``g`` has exactly one component."""
+    if not g.nodes:
+        raise DisconnectedGraphError("graph has no nodes")
+    if not is_connected(g):
+        raise DisconnectedGraphError(
+            "graph is disconnected; split it with connected_components() first")
+
+
 def connected_components(g: ViewGraph) -> list[ViewGraph]:
     """Partition into connected components, ordered by smallest node id."""
     parent = _component_forest(g)
@@ -299,15 +309,14 @@ def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotat
     """Initialize absolute rotations along a maximum spanning tree.
 
     The smallest node id becomes the identity root; every tree-edge residual
-    is exactly zero after initialization.  Raises on disconnected graphs.
+    is exactly zero after initialization.  Raises
+    :class:`~rotavg.errors.DisconnectedGraphError` on empty or disconnected
+    graphs.
     """
+    check_connected(g)
     if criterion == "auto":
         criterion = default_tree_criterion(g)
     tree = maximum_spanning_tree(g, criterion)
-    if len(tree) != len(g.nodes) - 1:
-        raise ValueError(
-            "graph is disconnected; split it with connected_components() first"
-        )
     adjacency: dict[int, list[tuple[int, Rotation]]] = {nid: [] for nid in g.nodes}
     for e in tree:
         # R_ij = R_i R_j^T  =>  R_j = R_ij^T R_i,  R_i = R_ij R_j

@@ -46,7 +46,7 @@ def test_usage_errors_exit_1(tmp_path):
                      "--out", str(tmp_path / "g.json")]) == 1
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(tmp_path, capsys):
     assert cli.main(["average", "--in", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "r.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -62,6 +62,15 @@ def test_data_errors_exit_2(tmp_path):
         rec.pop("gt_qwxyz", None)
     no_gt.write_text(json.dumps(doc))
     assert cli.main(["evaluate", "--est", str(r), "--gt", str(no_gt)]) == 2
+    # an empty graph and a disconnected one are data errors, not usage errors
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"nodes": [], "edges": []}))
+    assert cli.main(["average", "--in", str(empty), "--out", str(r)]) == 2
+    assert "graph has no nodes" in capsys.readouterr().err
+    apart = tmp_path / "apart.json"
+    apart.write_text(json.dumps({"nodes": [{"id": 0}, {"id": 1}], "edges": []}))
+    assert cli.main(["average", "--in", str(apart), "--out", str(r)]) == 2
+    assert "disconnected" in capsys.readouterr().err
 
 
 def test_numerical_errors_exit_3(tmp_path, monkeypatch):
