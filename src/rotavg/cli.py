@@ -24,7 +24,8 @@ from .errors import (
 )
 from .evaluate import align_rotations, auc, export_cdf
 from .losses import ALL_KINDS, LossSpec
-from .solver import WEIGHTING_MODES, SolverConfig, load_result_rotations, save_result, solve
+from .solver import (WEIGHTING_MODES, SolverConfig, _edge_arrays, load_result_rotations,
+                     save_result, solve)
 from .synth import SynthConfig, generate_graph
 from .twoview import covariance_of_rotation
 from .viewgraph import (
@@ -280,19 +281,15 @@ def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise _UsageError("--repeats must be >= 1")
     g = load_graph(args.infile)
-    node_ids = g.node_ids
-    index = {nid: row for row, nid in enumerate(node_ids)}
     init = spanning_tree_init(g, "auto")
-    quats = np.array([init[nid].quaternion for nid in node_ids])
-    edges = np.array([[index[e.i], index[e.j]] for e in g.edges], dtype=np.int64).reshape(-1, 2)
-    meas = np.array([e.rotation.quaternion for e in g.edges]).reshape(-1, 4)
+    quats, edges, meas = _edge_arrays(g, init)
 
     kernels.edge_terms(quats, edges, meas)  # warm-up
     start = time.perf_counter()
     for _ in range(args.repeats):
         kernels.edge_terms(quats, edges, meas)
     per_call = (time.perf_counter() - start) / args.repeats
-    print(f"graph: {len(node_ids)} nodes, {len(g.edges)} edges")
+    print(f"graph: {len(quats)} nodes, {len(g.edges)} edges")
     print(f"edge_terms numpy : {per_call * 1e6:10.1f} us/call")
     config = _solver_config(args)
     start = time.perf_counter()

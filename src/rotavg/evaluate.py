@@ -58,13 +58,12 @@ def fit_alignment_rotation(discrepancies: list[Rotation], loss: LossSpec) -> Rot
     prev_cost = None
     for _ in range(64):
         res = residuals(r_align)
-        s = np.sum(res * res, axis=1)
-        evals = [evaluate_loss(loss, float(si)) for si in s]
-        cost = sum(ev.value for ev in evals)
+        ev = evaluate_loss(loss, np.sum(res * res, axis=1))
+        cost = float(np.sum(ev.value))
         if prev_cost is not None and abs(prev_cost - cost) <= 1e-14 * max(1.0, prev_cost):
             break
         prev_cost = cost
-        w = np.array([ev.weight for ev in evals])
+        w = ev.weight
         # residual r_i = Log(m_i R^T); for R <- R exp(d): dr/dd = -Jr_inv(r_i) R
         jac = -kernels.jr_inv(res) @ r_align.matrix
         jac_t = np.swapaxes(jac, 1, 2)
@@ -82,8 +81,7 @@ def fit_alignment_rotation(discrepancies: list[Rotation], loss: LossSpec) -> Rot
             delta = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
             trial = r_align.compose(exp_so3(delta))
             res_t = residuals(trial)
-            s_t = np.sum(res_t * res_t, axis=1)
-            cost_t = sum(evaluate_loss(loss, float(si)).value for si in s_t)
+            cost_t = float(np.sum(evaluate_loss(loss, np.sum(res_t * res_t, axis=1)).value))
             if cost_t <= cost:
                 r_align = trial
                 lam = max(lam / 3.0, 1e-12)

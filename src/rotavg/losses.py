@@ -16,6 +16,10 @@ up to the cutoff, constant after it.
 
 The incomplete gamma functions and the chi quantile come from
 :mod:`scipy.special` (``gammaincc``, ``gammainc``, ``gammaincinv``).
+
+Every loss function takes a scalar or an array and returns fields shaped
+like its input, so a solver evaluates all edges in one call.  A negative
+entry raises ``ValueError``; a NaN entry gives a NaN value.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy import special
 
 __all__ = [
@@ -122,42 +127,68 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class LossEval:
-    value: float
-    weight: float
+    """Loss value rho(s) and IRLS weight d(rho)/ds.
+
+    Both fields are shaped like the input: floats for a scalar, arrays of
+    the same shape for an array.
+    """
+
+    value: float | np.ndarray
+    weight: float | np.ndarray
 
 
-def classic_loss(spec: LossSpec, s: float) -> LossEval:
+def _non_negative(x, what: str) -> np.ndarray:
+    """``x`` as a float array; raises on any negative entry, passes NaN through."""
+    x = np.array(x, dtype=np.float64)
+    if np.any(x < 0.0):
+        raise ValueError(f"{what} must be non-negative")
+    return x
+
+
+def _loss_eval(value, weight) -> LossEval:
+    """LossEval whose 0-d fields are unwrapped to scalars."""
+    return LossEval(value[()], weight[()])
+
+
+def classic_loss(spec: LossSpec, s) -> LossEval:
     """Classic robust losses on the squared residual; weight = d(rho)/ds."""
-    if s < 0.0:
-        raise ValueError("squared residual must be non-negative")
+    s = _non_negative(s, "squared residual")
     c = spec.scale
     c2 = c * c
     kind = spec.kind
     if kind == "trivial":
-        return LossEval(s, 1.0)
+        return _loss_eval(s, np.ones_like(s))
     if kind == "huber":
-        if s <= c2:
-            return LossEval(s, 1.0)
-        root = math.sqrt(s)
-        return LossEval(2.0 * c * root - c2, c / root)
+        inside = s <= c2
+        root = np.sqrt(s)
+        with np.errstate(divide="ignore"):
+            return _loss_eval(np.where(inside, s, 2.0 * c * root - c2),
+                              np.where(inside, 1.0, c / root))
     if kind == "soft_l1":
-        u = math.sqrt(1.0 + s / c2)
-        return LossEval(2.0 * c2 * (u - 1.0), 1.0 / u)
+        u = np.sqrt(1.0 + s / c2)
+        return _loss_eval(2.0 * c2 * (u - 1.0), 1.0 / u)
     if kind == "cauchy":
-        return LossEval(c2 * math.log1p(s / c2), 1.0 / (1.0 + s / c2))
+        return _loss_eval(c2 * np.log1p(s / c2), 1.0 / (1.0 + s / c2))
     if kind == "tukey":
-        if s >= c2:
-            return LossEval(c2 / 3.0, 0.0)
-        u = 1.0 - s / c2
-        return LossEval((c2 / 3.0) * (1.0 - u ** 3), u * u)
+        beyond = s >= c2
+        t = s / c2
+        u = 1.0 - t
+        # 1 - u^3 = t (1 + u + u^2): no cancellation near 0, and no numpy pow,
+        # which rounds differently for arrays and scalars
+        return _loss_eval(np.where(beyond, c2 / 3.0, (c2 / 3.0) * (t * (1.0 + u + u * u))),
+                          np.where(beyond, 0.0, u * u))
     if kind == "gm":
         d = c2 + s
-        return LossEval(c2 * s / d, c2 * c2 / (d * d))
+        return _loss_eval(c2 * s / d, c2 * c2 / (d * d))
     if kind == "l_half":
         # scale-normalized power family with exponent 1/2 on the residual
         # norm: rho ~ s near zero, rho ~ sqrt(||r||) for large residuals
-        u = 1.0 + s / c2
-        return LossEval(4.0 * c2 * (u ** 0.25 - 1.0), u ** -0.75)
+        # u^(1/4) - 1 = t / ((u^(1/4) + 1)(u^(1/2) + 1)), u = 1 + t: as for tukey
+        t = s / c2
+        root = np.sqrt(1.0 + t)
+        quarter = np.sqrt(root)
+        return _loss_eval(4.0 * c2 * t / ((quarter + 1.0) * (root + 1.0)),
+                          1.0 / (root * quarter))
     raise ValueError(f"{kind!r} is not a classic loss")
 
 
@@ -172,50 +203,37 @@ def _magsac_constants(spec: LossSpec) -> tuple[float, float, float, float]:
     return amplitude, tail, w0, spec.cutoff
 
 
-def magsac_weight(spec: LossSpec, r: float) -> float:
+def magsac_weight(spec: LossSpec, r) -> float | np.ndarray:
     """Marginalized inlier weight; zero at and beyond r = k * sigma_max."""
     if spec.kind != "magsac":
         raise ValueError("magsac_weight requires a magsac LossSpec")
-    if r < 0.0:
-        raise ValueError("residual norm must be non-negative")
+    r = _non_negative(r, "residual norm")
     amplitude, tail, _, cutoff = _magsac_constants(spec)
-    if r >= cutoff:
-        return 0.0
     a = 0.5 * (spec.nu - 1)
     x = r * r / (2.0 * spec.scale * spec.scale)
-    return amplitude * (upper_incomplete_gamma(a, x) - tail)
+    # Gamma(a, x) = gammaincc(a, x) Gamma(a), as in upper_incomplete_gamma
+    w = amplitude * (special.gammaincc(a, x) * special.gamma(a) - tail)
+    return np.where(r >= cutoff, 0.0, w)[()]
 
 
-def magsac_loss(spec: LossSpec, r: float) -> LossEval:
+def magsac_loss(spec: LossSpec, r) -> LossEval:
     """rho(r) = w(0) - w(r); IRLS weight = d(rho)/ds at s = r^2."""
-    if r < 0.0:
-        raise ValueError("residual norm must be non-negative")
     w_r = magsac_weight(spec, r)
+    r = np.asarray(r, dtype=np.float64)
     amplitude, _, w0, cutoff = _magsac_constants(spec)
-    value = w0 - w_r
-    if r >= cutoff:
-        return LossEval(value, 0.0)
     # d(rho)/ds = A x^(a-1) e^(-x) / (2 sigma_max^2),  x = s / (2 sigma_max^2)
     a = 0.5 * (spec.nu - 1)
     sig2 = spec.scale * spec.scale
     x = r * r / (2.0 * sig2)
-    if x == 0.0:
-        if abs(a - 1.0) < 1e-12:
-            grad = 1.0
-        elif a > 1.0:
-            grad = 0.0
-        else:
-            # nu = 2: the analytic limit diverges; evaluate at a small floor
-            x_floor = 1e-16
-            grad = x_floor ** (a - 1.0) * math.exp(-x_floor)
-    else:
-        grad = x ** (a - 1.0) * math.exp(-x)
-    weight = amplitude * grad / (2.0 * sig2)
-    return LossEval(value, max(0.0, weight))
+    if a < 1.0:
+        # nu = 2: the analytic limit at x = 0 diverges; evaluate at a small floor
+        x = np.where(x == 0.0, 1e-16, x)
+    weight = amplitude * (x ** (a - 1.0) * np.exp(-x)) / (2.0 * sig2)
+    return _loss_eval(w0 - w_r, np.where(r >= cutoff, 0.0, weight))
 
 
-def evaluate_loss(spec: LossSpec, s: float) -> LossEval:
+def evaluate_loss(spec: LossSpec, s) -> LossEval:
     """Uniform entry point on the squared residual s = ||r||^2."""
     if spec.kind == "magsac":
-        return magsac_loss(spec, math.sqrt(max(0.0, s)))
+        return magsac_loss(spec, np.sqrt(_non_negative(s, "squared residual")))
     return classic_loss(spec, s)

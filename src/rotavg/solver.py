@@ -4,9 +4,12 @@ Minimizes  sum_e rho(||W_e L_e(R_i, R_j, R_ij)||^2)  over all absolute
 rotations, where ``W_e`` is the per-edge weighting transform (identity,
 scalar, or the covariance whitener ``D_e^T``) and ``rho`` a robust loss.
 
-The outer loop freezes IRLS weights from the current residuals; the inner
-loop runs Levenberg-damped Gauss-Newton on the resulting weighted
-least-squares problem over right tangent-space updates
+The outer loop freezes IRLS weights from the current residuals: one
+array-valued :func:`~rotavg.losses.evaluate_loss` call per re-weighting (and
+one at the initialization) gives the robust cost and the weights of every
+edge, and ``final_cost`` is the last such robust cost, that of the returned
+rotations.  The inner loop runs Levenberg-damped Gauss-Newton on the
+resulting weighted least-squares problem over right tangent-space updates
 ``R_i <- R_i exp(delta_i)``, with the smallest-id node held fixed (gauge).
 Every re-weighted problem starts its Levenberg damping afresh from
 ``SolverConfig.damping_init``; no damping carries over between outer
@@ -63,7 +66,7 @@ import scipy.linalg
 from . import kernels
 from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
-from .so3 import Rotation, relative_residual
+from .so3 import Rotation
 from .viewgraph import EdgeMeasurement, ViewGraph, check_connected
 
 logger = logging.getLogger(__name__)
@@ -142,14 +145,6 @@ def _mean_inliers(g: ViewGraph) -> float:
     return float(np.mean(counts)) if counts else 1.0
 
 
-def edge_weighted_residual(e: EdgeMeasurement, ri: Rotation, rj: Rotation,
-                           weighting: str, mean_inliers: float = 1.0) -> np.ndarray:
-    """Weighted residual W_e L_e for one edge (see module docstring)."""
-    r = relative_residual(ri, rj, e.rotation)
-    w = _edge_transform(e, weighting, mean_inliers, fallback_to_unit=True)
-    return r if w is None else w @ r
-
-
 def _transform_stack(g: ViewGraph, config: SolverConfig):
     """(E, 3, 3) weighting transforms plus the unit-fallback count.
 
@@ -173,22 +168,30 @@ def _transform_stack(g: ViewGraph, config: SolverConfig):
     return mats, fallbacks
 
 
-def _robust_cost(g: ViewGraph, rotations: dict[int, Rotation], transforms,
-                 loss: LossSpec) -> float:
-    total = 0.0
-    for idx, e in enumerate(g.edges):
-        r = transforms[idx] @ relative_residual(rotations[e.i], rotations[e.j], e.rotation)
-        s = float(r @ r)
-        if not math.isfinite(s):
-            raise NumericalError(f"non-finite residual on edge ({e.i}, {e.j})")
-        total += evaluate_loss(loss, s).value
-    return total
+def _edge_arrays(g: ViewGraph, rotations: dict[int, Rotation]):
+    """(N, 4) quaternions in ``g.node_ids`` order, (E, 2) node rows, (E, 4) measurements."""
+    index = {nid: row for row, nid in enumerate(g.node_ids)}
+    quats = np.array([rotations[nid].quaternion for nid in g.node_ids]).reshape(-1, 4)
+    edges_idx = np.array([[index[e.i], index[e.j]] for e in g.edges], dtype=np.int64)
+    meas = np.array([e.rotation.quaternion for e in g.edges])
+    return quats, edges_idx.reshape(-1, 2), meas.reshape(-1, 4)
+
+
+def _robust_cost(g: ViewGraph, rw, loss: LossSpec):
+    """sum_e rho(||rw_e||^2) and the IRLS weights, from one loss evaluation."""
+    ev = evaluate_loss(loss, np.vecdot(rw, rw))
+    bad = np.flatnonzero(~np.isfinite(ev.value))
+    if bad.size:
+        e = g.edges[bad[0]]
+        raise NumericalError(f"non-finite cost contribution on edge ({e.i}, {e.j})")
+    return float(np.sum(ev.value)), ev.weight
 
 
 def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> float:
     """Robust objective sum_e rho(||W_e r_e||^2), summed in edge-key order."""
     transforms, _ = _transform_stack(g, config)
-    return _robust_cost(g, rotations, transforms, config.loss)
+    res, _ = kernels.edge_terms(*_edge_arrays(g, rotations))
+    return _robust_cost(g, np.einsum("eab,eb->ea", transforms, res), config.loss)[0]
 
 
 def chordal_cost(g: ViewGraph, rotations: dict[int, Rotation]) -> float:
@@ -198,13 +201,6 @@ def chordal_cost(g: ViewGraph, rotations: dict[int, Rotation]) -> float:
         d = e.rotation.matrix @ rotations[e.j].matrix - rotations[e.i].matrix
         total += float(np.sum(d * d))
     return total
-
-
-def _quats_from_init(node_ids, init):
-    quats = np.empty((len(node_ids), 4))
-    for row, nid in enumerate(node_ids):
-        quats[row] = init[nid].quaternion
-    return quats
 
 
 def _canonical_quats(q):
@@ -339,12 +335,9 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             edge_residual_norms={},
             termination="no_edges",
         )
-    index = {nid: row for row, nid in enumerate(node_ids)}
     n = len(node_ids)
-    edges_idx = np.array([[index[e.i], index[e.j]] for e in g.edges], dtype=np.int64)
-    meas = np.array([e.rotation.quaternion for e in g.edges])
+    quats, edges_idx, meas = _edge_arrays(g, init)
     transforms, fallbacks = _transform_stack(g, config)
-    quats = _quats_from_init(node_ids, init)
 
     # the smallest node id (row 0) is pinned to its initial rotation
     pattern = _normal_pattern(edges_idx, n)
@@ -354,21 +347,8 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         rw = np.einsum("eab,eb->ea", transforms, res)
         return res, amat, rw
 
-    def robust_cost_of(rw):
-        total = 0.0
-        weights = np.empty(len(g.edges))
-        for idx, s in enumerate(np.vecdot(rw, rw).tolist()):
-            ev = evaluate_loss(config.loss, s)
-            total += ev.value
-            weights[idx] = ev.weight
-        return total, weights
-
     res, amat, rw = residuals(quats)
-    robust_cost, lw = robust_cost_of(rw)
-    if not math.isfinite(robust_cost):
-        bad = int(np.argmax(~np.isfinite(np.sum(rw, axis=1))))
-        e = g.edges[bad]
-        raise NumericalError(f"non-finite cost contribution on edge ({e.i}, {e.j})")
+    robust_cost, lw = _robust_cost(g, rw, config.loss)
 
     converged = False
     termination = "max_outer_irls"
@@ -419,15 +399,13 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             if np.linalg.norm(delta_free) < config.step_tol:
                 break
 
-        new_cost, new_lw = robust_cost_of(rw)
-        if not math.isfinite(new_cost):
-            raise NumericalError("non-finite robust cost during optimization")
+        new_cost, new_lw = _robust_cost(g, rw, config.loss)
         if new_cost > prev_cost + 1e-12:
             # IRLS safeguard: reject and stop at the previous iterate, which is
             # not a verified optimum, so converged stays False
             quats = prev_quats
             res, amat, rw = residuals(quats)
-            robust_cost, lw = robust_cost_of(rw)
+            robust_cost, lw = _robust_cost(g, rw, config.loss)
             termination = "irls_non_decrease_guard"
             break
         robust_cost, lw = new_cost, new_lw
@@ -436,8 +414,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             termination = "cost_rel_tol"
             break
 
-    rotations = {nid: Rotation(quats[index[nid]]) for nid in node_ids}
-    final_cost = _robust_cost(g, rotations, transforms, config.loss)
+    rotations = {nid: Rotation(q) for nid, q in zip(node_ids, quats)}
     edge_weights = {}
     edge_residual_norms = {}
     for idx, e in enumerate(g.edges):
@@ -445,7 +422,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         edge_residual_norms[e.key] = float(np.linalg.norm(res[idx]))
     return AveragingResult(
         rotations=rotations,
-        final_cost=final_cost,
+        final_cost=robust_cost,
         outer_iterations=outer_done,
         converged=converged,
         edge_weights=edge_weights,

@@ -235,6 +235,54 @@ def test_evaluate_loss_dispatch():
 
 
 # ---------------------------------------------------------------------------
+# array evaluation and input checks
+# ---------------------------------------------------------------------------
+
+
+_ARRAY_SPECS = [LossSpec(kind, scale=0.5) for kind in ALL_KINDS] + [
+    LossSpec("magsac", scale=0.5, nu=2)]
+
+
+@pytest.mark.parametrize("spec", _ARRAY_SPECS, ids=lambda spec: f"{spec.kind}-nu{spec.nu}")
+def test_array_call_matches_scalar_calls(spec):
+    c2 = spec.scale ** 2
+    cut = LossSpec("magsac", scale=spec.scale, nu=spec.nu).cutoff
+    s = np.concatenate([
+        [0.0, 1e-300, 1e-12, c2 * (1.0 - 1e-15), c2, c2 * (1.0 + 1e-15)],
+        # on, just below and beyond the magsac cutoff
+        [cut * cut, (cut * (1.0 - 1e-13)) ** 2, (cut * (1.0 + 1e-13)) ** 2, 4.0 * cut * cut],
+        np.linspace(0.0, 3.0 * cut * cut, 100),
+    ]).reshape(10, 11)
+    ev = evaluate_loss(spec, s)
+    assert ev.value.shape == s.shape and ev.weight.shape == s.shape
+    for idx in np.ndindex(s.shape):
+        one = evaluate_loss(spec, float(s[idx]))
+        assert np.ndim(one.value) == 0 and np.ndim(one.weight) == 0
+        np.testing.assert_allclose(ev.value[idx], one.value, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(ev.weight[idx], one.weight, rtol=1e-15, atol=0.0)
+    if spec.kind == "magsac":
+        r = np.sqrt(s)
+        w = magsac_weight(spec, r)
+        assert w.shape == s.shape
+        assert all(w[idx] == magsac_weight(spec, float(r[idx])) for idx in np.ndindex(s.shape))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_negative_input_raises_and_nan_passes_through(kind):
+    spec = LossSpec(kind, scale=3.0)
+    for bad in (-0.1, np.array([0.5, -1e-300])):
+        with pytest.raises(ValueError):
+            evaluate_loss(spec, bad)
+    assert math.isnan(evaluate_loss(spec, float("nan")).value)
+    ev = evaluate_loss(spec, np.array([0.5, np.nan]))
+    assert math.isfinite(ev.value[0]) and math.isnan(ev.value[1])
+    if kind == "magsac":
+        assert math.isnan(evaluate_loss(spec, float("nan")).weight)
+        with pytest.raises(ValueError):
+            magsac_weight(spec, np.array([1.0, -1.0]))
+
+
+# ---------------------------------------------------------------------------
 # IRLS non-increase on a scalar location model
 # ---------------------------------------------------------------------------
 

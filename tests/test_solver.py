@@ -20,7 +20,6 @@ from rotavg.solver import (
     WEIGHTING_MODES,
     cost,
     chordal_cost,
-    edge_weighted_residual,
     load_result_rotations,
     save_result,
     solve,
@@ -63,26 +62,40 @@ def test_config_validation():
         SolverConfig(gradient_tol=0.0)
 
 
+def _weighted_residual(edges, rotations, weighting):
+    """W_e r_e of the first edge, with W_e from the solver's transform stack.
+
+    The transforms see the whole small graph, so its other edges set the mean
+    inlier count of ``inlier_count`` weighting.
+    """
+    g = ViewGraph([ViewNode(nid) for nid in sorted(rotations)], edges)
+    transforms, _ = solver_mod._transform_stack(g, SolverConfig(weighting=weighting))
+    e = g.edges[0]
+    return transforms[0] @ relative_residual(rotations[e.i], rotations[e.j], e.rotation)
+
+
 def test_edge_weighted_residual_examples():
     ri = exp_so3(np.array([-0.2, 0.0, 0.0]))
     rj = Rotation.identity()
     e_unit = EdgeMeasurement(0, 1, Rotation.identity(), covariance=np.eye(3))
-    r = edge_weighted_residual(e_unit, ri, rj, "cov_full")
+    r = _weighted_residual([e_unit], {0: ri, 1: rj}, "cov_full")
     assert np.allclose(r, [0.2, 0.0, 0.0], atol=1e-12)
     e = EdgeMeasurement(0, 1, Rotation.identity(), covariance=np.diag([4.0, 1.0, 1.0]))
-    r = edge_weighted_residual(e, ri, rj, "cov_full")
+    r = _weighted_residual([e], {0: ri, 1: rj}, "cov_full")
     assert np.allclose(r, [0.1, 0.0, 0.0], atol=1e-12)
-    # zero residual stays zero under every mode
+    # zero residual stays zero under every mode (mean inlier count 10)
     e_full = EdgeMeasurement(0, 1, Rotation.identity(),
                              covariance=np.diag([4.0, 1.0, 1.0]), inlier_count=10)
     for mode in WEIGHTING_MODES:
-        r = edge_weighted_residual(e_full, rj, rj, mode, mean_inliers=10.0)
+        r = _weighted_residual([e_full], {0: rj, 1: rj}, mode)
         assert np.linalg.norm(r) == 0.0
     # scalar modes rescale the raw residual isotropically
-    raw = edge_weighted_residual(e_full, ri, rj, "none")
-    tr = edge_weighted_residual(e_full, ri, rj, "cov_trace")
+    raw = _weighted_residual([e_full], {0: ri, 1: rj}, "none")
+    tr = _weighted_residual([e_full], {0: ri, 1: rj}, "cov_trace")
     assert np.allclose(tr, raw / math.sqrt(6.0), atol=1e-12)
-    inl = edge_weighted_residual(e_full, ri, rj, "inlier_count", mean_inliers=40.0)
+    # a second edge with 70 inliers makes the mean inlier count 40
+    e_more = EdgeMeasurement(1, 2, Rotation.identity(), inlier_count=70)
+    inl = _weighted_residual([e_full, e_more], {0: ri, 1: rj, 2: rj}, "inlier_count")
     assert np.allclose(inl, raw * 0.5, atol=1e-12)
 
 
@@ -151,6 +164,32 @@ def test_final_cost_consistency():
     assert set(result.rotations) == set(scene.graph.node_ids)
     assert set(result.edge_weights) == {e.key for e in scene.graph.edges}
     assert result.termination in ("cost_rel_tol", "max_outer_irls", "irls_non_decrease_guard")
+
+
+def test_one_loss_call_per_reweighting(monkeypatch):
+    """solve evaluates the loss once at the init and once per outer iteration."""
+    scene = _noisy_scene(3)
+    config = SolverConfig(loss=MAGSAC_RAW, weighting="inlier_count")
+    init = spanning_tree_init(scene.graph, "auto")
+    calls = []
+    real_loss = solver_mod.evaluate_loss
+
+    def loss_spy(spec, s):
+        calls.append(np.shape(s))
+        return real_loss(spec, s)
+
+    monkeypatch.setattr(solver_mod, "evaluate_loss", loss_spy)
+    result = solve(scene.graph, init, config)
+    assert result.termination == "cost_rel_tol"
+    assert len(calls) == result.outer_iterations + 1
+    assert calls == [(len(scene.graph.edges),)] * len(calls)
+
+
+def test_cost_without_edges_is_zero():
+    g = ViewGraph([ViewNode(0)], [])
+    assert cost(g, {0: Rotation.identity()}, SolverConfig(loss=MAGSAC_RAW)) == 0.0
+    quats, edges_idx, meas = solver_mod._edge_arrays(g, {0: Rotation.identity()})
+    assert (quats.shape, edges_idx.shape, meas.shape) == ((1, 4), (0, 2), (0, 4))
 
 
 def test_solve_reduces_cost_from_init():
