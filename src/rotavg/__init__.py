@@ -12,6 +12,7 @@ from .twoview import (
     TwoViewGeometry,
     covariance_of_rotation,
     fundamental_from_pose,
+    rotation_covariances,
     rotation_jacobian,
     sampson_distance,
     scalar_uncertainty,

@@ -27,7 +27,7 @@ from .losses import ALL_KINDS, LossSpec
 from .solver import (WEIGHTING_MODES, SolverConfig, _edge_arrays, load_result_rotations,
                      save_result, solve)
 from .synth import SynthConfig, generate_graph
-from .twoview import covariance_of_rotation
+from .twoview import COVARIANCE_MODES, rotation_covariances
 from .viewgraph import (
     EdgeMeasurement,
     ViewGraph,
@@ -116,8 +116,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--base", default=None,
                    help="optional existing graph supplying nodes / ground truth")
     p.add_argument("--sigma", type=float, default=1.0, help="pixel residual sigma")
-    p.add_argument("--mode", choices=("rotation_only", "marginalize_translation"),
-                   default="rotation_only")
+    p.add_argument("--mode", choices=COVARIANCE_MODES, default="rotation_only")
 
     p = sub.add_parser("average", help="run rotation averaging on a view graph")
     p.add_argument("--in", dest="infile", required=True)
@@ -192,16 +191,15 @@ def _cmd_weigh(args) -> int:
                  for nid in sorted(node_ids | set(base.nodes))]
     else:
         nodes = [ViewNode(nid) for nid in sorted(node_ids)]
+    covs, errors = rotation_covariances([geom for _, geom in pairs],
+                                        residual_sigma=args.sigma, mode=args.mode)
     edges = []
-    for (i, j), geom in pairs:
-        try:
-            cov = covariance_of_rotation(geom, residual_sigma=args.sigma, mode=args.mode)
-            covariance = cov.covariance
-        except (DegenerateGeometryError, InsufficientDataError) as exc:
+    for ((i, j), geom), cov, exc in zip(pairs, covs, errors):
+        if exc is not None:
             print(f"pair ({i}, {j}): {exc}; leaving covariance unset", file=sys.stderr)
-            covariance = None
+            cov = None
         edges.append(EdgeMeasurement(
-            i, j, geom.rotation, covariance=covariance, inlier_count=len(geom.matches),
+            i, j, geom.rotation, covariance=cov, inlier_count=len(geom.matches),
         ))
     save_graph(ViewGraph(nodes, edges), args.out)
     print(f"wrote {args.out}: {len(edges)} weighted edges", file=sys.stderr)
@@ -322,13 +320,14 @@ def main(argv=None) -> int:
         # before ValueError: DisconnectedGraphError is both
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (NumericalError, DegenerateGeometryError, InsufficientDataError,
+            np.linalg.LinAlgError) as exc:
+        # before ValueError: LinAlgError is one
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (_UsageError, ConfigurationError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, DegenerateGeometryError, InsufficientDataError,
-            np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

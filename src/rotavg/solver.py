@@ -67,7 +67,8 @@ from . import kernels
 from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation
-from .viewgraph import EdgeMeasurement, ViewGraph, check_connected
+from .twoview import whitener_from_covariance
+from .viewgraph import ViewGraph, check_connected
 
 logger = logging.getLogger(__name__)
 
@@ -110,59 +111,46 @@ class AveragingResult:
     unit_fallback_edges: int = 0
 
 
-def _edge_transform(e: EdgeMeasurement, weighting: str, mean_inliers: float,
-                    fallback_to_unit: bool):
-    """3x3 transform W_e applied to the raw residual; None means identity."""
-    if weighting == "none":
-        return None
-    missing_cov = e.covariance is None
-    if weighting == "inlier_count":
-        if e.inlier_count is None:
-            if not fallback_to_unit:
-                raise ConfigurationError(
-                    f"edge ({e.i}, {e.j}) has no inlier count for inlier_count weighting"
-                )
-            return None
-        return math.sqrt(e.inlier_count / mean_inliers) * np.eye(3)
-    if missing_cov:
-        if not fallback_to_unit:
-            raise ConfigurationError(
-                f"edge ({e.i}, {e.j}) has no covariance for {weighting} weighting"
-            )
-        return None
-    if weighting == "cov_full":
-        return e.whitener.T.copy()
-    if weighting == "cov_trace":
-        return np.eye(3) / math.sqrt(float(np.trace(e.covariance)))
-    if weighting == "cov_fro":
-        inv = e.whitener @ e.whitener.T
-        return math.sqrt(float(np.linalg.norm(inv)) / 3.0) * np.eye(3)
-    raise ConfigurationError(f"unknown weighting mode {weighting!r}")
-
-
 def _mean_inliers(g: ViewGraph) -> float:
     counts = [e.inlier_count for e in g.edges if e.inlier_count is not None]
     return float(np.mean(counts)) if counts else 1.0
 
 
 def _transform_stack(g: ViewGraph, config: SolverConfig):
-    """(E, 3, 3) weighting transforms plus the unit-fallback count.
+    """(E, 3, 3) weighting transforms W_e plus the unit-fallback count.
 
-    Edges that fall back to a unit weight are reported in one warning.
+    ``cov_full`` uses D_e^T, ``cov_trace`` and ``cov_fro`` scale the identity
+    by tr(C_e)^{-1/2} and (||C_e^{-1}||_F / 3)^{1/2}, ``inlier_count`` by
+    (n_e / mean n)^{1/2}.  The whiteners of all weighted edges come from one
+    stacked call.  Edges without the needed datum get the identity (reported
+    in one warning), or raise when ``fallback_to_unit`` is off.
     """
-    mean_inl = _mean_inliers(g)
-    mats = np.empty((len(g.edges), 3, 3))
-    fallbacks = 0
-    for idx, e in enumerate(g.edges):
-        w = _edge_transform(e, config.weighting, mean_inl, config.fallback_to_unit)
-        if w is None:
-            mats[idx] = np.eye(3)
-            if config.weighting != "none":
-                fallbacks += 1
+    weighting = config.weighting
+    mats = np.tile(np.eye(3), (len(g.edges), 1, 1))
+    if weighting == "none":
+        return mats, 0
+    attr, what = (("inlier_count", "inlier count") if weighting == "inlier_count"
+                  else ("covariance", "covariance"))
+    rows = [k for k, e in enumerate(g.edges) if getattr(e, attr) is not None]
+    fallbacks = len(g.edges) - len(rows)
+    if fallbacks and not config.fallback_to_unit:
+        e = next(e for e in g.edges if getattr(e, attr) is None)
+        raise ConfigurationError(f"edge ({e.i}, {e.j}) has no {what} for {weighting} weighting")
+    if rows:
+        data = np.array([getattr(g.edges[k], attr) for k in rows], dtype=np.float64)
+        if weighting == "cov_full":
+            mats[rows] = np.swapaxes(whitener_from_covariance(data), 1, 2)
         else:
-            mats[idx] = w
+            if weighting == "inlier_count":
+                scale = np.sqrt(data / _mean_inliers(g))
+            elif weighting == "cov_trace":
+                scale = 1.0 / np.sqrt(np.trace(data, axis1=1, axis2=2))
+            else:
+                d = whitener_from_covariance(data)
+                inv = (d @ np.swapaxes(d, 1, 2)).reshape(-1, 9)
+                scale = np.sqrt(np.sqrt(np.vecdot(inv, inv)) / 3.0)  # rounds as np.linalg.norm
+            mats[rows] *= scale[:, None, None]
     if fallbacks:
-        what = "inlier count" if config.weighting == "inlier_count" else "covariance"
         logger.warning("%d of %d edges have a missing %s; using unit weight for them",
                        fallbacks, len(g.edges), what)
     return mats, fallbacks

@@ -57,9 +57,14 @@ class ViewNode:
 
 
 class EdgeMeasurement:
-    """Relative-rotation measurement R_ij ~ R_i R_j^T with optional covariance."""
+    """Relative-rotation measurement R_ij ~ R_i R_j^T with optional covariance.
 
-    __slots__ = ("i", "j", "rotation", "covariance", "inlier_count", "whitener")
+    The covariance must be finite, symmetric and positive definite.  Its
+    whitener is computed when read, so edges that no solve weighs by their
+    full covariance never pay for it.
+    """
+
+    __slots__ = ("i", "j", "rotation", "covariance", "inlier_count")
 
     def __init__(self, i, j, rotation, covariance=None, inlier_count=None):
         if i == j:
@@ -72,17 +77,22 @@ class EdgeMeasurement:
             raise SchemaError(f"edge ({i}, {j}): negative inlier count")
         if covariance is None:
             self.covariance = None
-            self.whitener = None
         else:
             c = np.asarray(covariance, dtype=np.float64)
             if c.shape != (3, 3):
                 raise SchemaError(f"edge ({i}, {j}): covariance must be 3x3")
+            if not np.all(np.isfinite(c)):
+                raise SchemaError(f"edge ({i}, {j}): covariance has non-finite entries")
             if np.abs(c - c.T).max() > 1e-12 * max(1.0, np.abs(c).max()):
                 raise SchemaError(f"edge ({i}, {j}): covariance is not symmetric")
             if np.linalg.eigvalsh(c).min() <= 0.0:
                 raise SchemaError(f"edge ({i}, {j}): covariance is not positive definite")
             self.covariance = c
-            self.whitener = whitener_from_covariance(c)
+
+    @property
+    def whitener(self):
+        """Lower-triangular D with D D^T = C^{-1}, or None without a covariance."""
+        return None if self.covariance is None else whitener_from_covariance(self.covariance)
 
     @property
     def key(self) -> tuple[int, int]:

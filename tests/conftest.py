@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from rotavg.errors import DegenerateGeometryError, InsufficientDataError
 from rotavg.so3 import Rotation, exp_so3
+from rotavg.synth import generate_two_view_scene
+from rotavg.twoview import CameraIntrinsics, TwoViewGeometry
 
 # terminal reporter captured at configure time; lets acceptance tests emit
 # one PASS/FAIL line per criterion that survives output capture
@@ -71,3 +74,31 @@ def marginal_weight_by_quadrature(spec, r: float) -> float:
         math.log(lo), math.log(spec.scale), limit=400,
     )
     return val / spec.scale
+
+
+def bad_two_view_geometries(rng):
+    """Three pairs that cannot be weighted, with the error each must get.
+
+    A 2-match pair, a pair whose matches repeat one row (rank-one J^T J)
+    and a pair with a match at both epipoles (zero Sampson denominator).
+    """
+    geom = generate_two_view_scene(
+        n_points=10, pixel_sigma=1.0, rotation=moderate_rotation(rng),
+        translation=random_unit_vector(rng), seed=int(rng.integers(2**31)),
+    )
+    unit_k = CameraIntrinsics(np.eye(3))
+    # K = I, R = I, t = z: F = [z]x, whose epipoles are both at the origin
+    epipole = TwoViewGeometry(Rotation.identity(), np.array([0.0, 0.0, 1.0]), unit_k, unit_k,
+                              np.array([[0.1, 0.2, 0.3, 0.1], [0.0, 0.0, 0.0, 0.0],
+                                        [0.4, -0.2, 0.5, 0.3], [-0.3, 0.1, 0.2, -0.4]]))
+    return [
+        (TwoViewGeometry(geom.rotation, geom.translation, geom.intrinsics_i,
+                         geom.intrinsics_j, geom.matches[:2]),
+         InsufficientDataError, "need at least 3 inliers for covariance estimation"),
+        (TwoViewGeometry(geom.rotation, geom.translation, geom.intrinsics_i,
+                         geom.intrinsics_j, np.tile(geom.matches[:1], (5, 1))),
+         DegenerateGeometryError, "ill-conditioned JtJ (condition number > 1e+12); "
+                                  "caller should fall back to unit weighting"),
+        (epipole, DegenerateGeometryError,
+         "degenerate correspondence (zero Sampson denominator)"),
+    ]

@@ -12,7 +12,7 @@ from rotavg.solver import load_result_rotations
 from rotavg.synth import generate_two_view_scene
 from rotavg.viewgraph import load_graph, save_pairs
 
-from conftest import moderate_rotation, random_unit_vector
+from conftest import bad_two_view_geometries, moderate_rotation, random_unit_vector
 
 
 def _synth(tmp_path, name="g.json", seed=7, cameras=25, outliers=0.1, extra=()):
@@ -82,6 +82,31 @@ def test_numerical_errors_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve", boom)
     assert cli.main(["average", "--in", str(g), "--out", str(tmp_path / "r.json")]) == 3
 
+    def singular(*args, **kwargs):  # LinAlgError subclasses ValueError
+        raise np.linalg.LinAlgError("synthetic singular matrix")
+
+    monkeypatch.setattr(cli, "solve", singular)
+    assert cli.main(["average", "--in", str(g), "--out", str(tmp_path / "r.json")]) == 3
+
+
+def test_non_finite_inputs_exit_2(tmp_path, capsys):
+    pairs_path = tmp_path / "pairs.json"
+    save_pairs(_pairs(np.random.default_rng(1)), pairs_path)
+    doc = json.loads(pairs_path.read_text())
+    doc["pairs"][1]["matches"][3][0] = float("nan")
+    pairs_path.write_text(json.dumps(doc))
+    out = tmp_path / "weighted.json"
+    assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", str(out)]) == 2
+    assert "non-finite match coordinates" in capsys.readouterr().err
+    g = _synth(tmp_path)
+    doc = json.loads(g.read_text())
+    edge = doc["edges"][2]
+    edge["cov"][4] = float("nan")
+    g.write_text(json.dumps(doc))
+    assert cli.main(["average", "--in", str(g), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"edge ({edge['i']}, {edge['j']}): covariance has non-finite entries" in err
+
 
 # ---------------------------------------------------------------------------
 # subcommand behavior
@@ -132,8 +157,8 @@ def test_average_single_node_without_edges(tmp_path):
     assert cli.main(["bench", "--in", str(g), "--repeats", "2"]) == 0
 
 
-def test_weigh_pipeline(tmp_path):
-    rng = np.random.default_rng(0)
+def _pairs(rng):
+    """Five well-conditioned pairs over four views, 40 matches each."""
     rotations = [moderate_rotation(rng, 2.0, 10.0) for _ in range(4)]
     pairs = []
     for idx, (i, j) in enumerate([(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]):
@@ -142,8 +167,12 @@ def test_weigh_pipeline(tmp_path):
             n_points=40, pixel_sigma=1.0, rotation=rel,
             translation=random_unit_vector(rng), seed=idx,
         )))
+    return pairs
+
+
+def test_weigh_pipeline(tmp_path):
     pairs_path = tmp_path / "pairs.json"
-    save_pairs(pairs, pairs_path)
+    save_pairs(_pairs(np.random.default_rng(0)), pairs_path)
     out = tmp_path / "weighted.json"
     assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", str(out),
                      "--sigma", "1.0", "--mode", "rotation_only"]) == 0
@@ -154,6 +183,28 @@ def test_weigh_pipeline(tmp_path):
     r = tmp_path / "r.json"
     assert cli.main(["average", "--in", str(out), "--out", str(r),
                      "--loss", "magsac", "--weighting", "cov_full"]) == 0
+
+
+def test_weigh_leaves_bad_pairs_unweighted(tmp_path, capsys, caplog):
+    rng = np.random.default_rng(0)
+    bad_keys = [(1, 3), (3, 4), (2, 4)]
+    bad = bad_two_view_geometries(rng)
+    pairs = _pairs(rng) + [(key, geom) for key, (geom, _, _) in zip(bad_keys, bad)]
+    pairs_path = tmp_path / "pairs.json"
+    save_pairs(pairs, pairs_path)
+    out = tmp_path / "weighted.json"
+    assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    for (i, j), (_, _, message) in zip(bad_keys, bad):
+        assert f"pair ({i}, {j}): {message}; leaving covariance unset" in err
+    g = load_graph(out)
+    assert sorted(e.key for e in g.edges if e.covariance is None) == sorted(bad_keys)
+    assert sum(e.covariance is not None for e in g.edges) == 5
+    r = tmp_path / "r.json"
+    assert cli.main(["average", "--in", str(out), "--out", str(r),
+                     "--loss", "magsac", "--weighting", "cov_full"]) == 0
+    assert "3 of 8 edges have a missing covariance; using unit weight" in caplog.text
+    assert len(load_result_rotations(r)) == 5
 
 
 def test_report_ranks_covariance_weighted_magsac_first(tmp_path, capsys):

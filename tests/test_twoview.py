@@ -16,6 +16,7 @@ from rotavg.twoview import (
     TwoViewGeometry,
     covariance_of_rotation,
     fundamental_from_pose,
+    rotation_covariances,
     rotation_jacobian,
     sampson_batch,
     sampson_distance,
@@ -23,7 +24,8 @@ from rotavg.twoview import (
     whitener_from_covariance,
 )
 
-from conftest import moderate_rotation, random_pd_matrix, random_unit_vector
+from conftest import (bad_two_view_geometries, moderate_rotation, random_pd_matrix,
+                      random_unit_vector)
 
 IDENTITY_K = CameraIntrinsics(np.eye(3))
 F_TX = np.array([
@@ -69,6 +71,27 @@ def test_geometry_normalizes_translation():
     assert abs(np.linalg.norm(g.translation) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         TwoViewGeometry(Rotation.identity(), np.zeros(3), IDENTITY_K, IDENTITY_K, np.zeros((3, 4)))
+
+
+def test_geometry_rejects_non_finite_input():
+    t = np.array([0.0, 0.0, 1.0])
+    bad_matches = np.zeros((3, 4))
+    bad_matches[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite match"):
+        TwoViewGeometry(Rotation.identity(), t, IDENTITY_K, IDENTITY_K, bad_matches)
+    with pytest.raises(ValueError, match="non-finite translation"):
+        TwoViewGeometry(Rotation.identity(), np.array([np.inf, 0.0, 1.0]),
+                        IDENTITY_K, IDENTITY_K, np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        CameraIntrinsics(np.diag([np.nan, 1.0, 1.0]))
+
+
+def test_intrinsics_inverse_is_cached_and_read_only():
+    k = CameraIntrinsics(np.array([[500.0, 1.0, 320.0], [0.0, 480.0, 240.0], [0.0, 0.0, 1.0]]))
+    inv = k.inverse
+    assert k.inverse is inv
+    assert np.array_equal(inv, np.linalg.inv(k.k))
+    assert not inv.flags.writeable and not k.k.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +342,56 @@ def test_trace_ordering_well_vs_poorly_constrained_pairs():
         tr_narrow = covariance_of_rotation(narrow).trace
         wins += tr_wide < tr_narrow
     assert wins == 10
+
+
+# ---------------------------------------------------------------------------
+# batched covariance pass
+# ---------------------------------------------------------------------------
+
+
+def _batch(rng, sizes):
+    return [_random_scene(rng, n_points=n) for n in sizes]
+
+
+@pytest.mark.parametrize("mode", ["rotation_only", "marginalize_translation"])
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_rotation_covariances_match_per_pair(mode, sigma):
+    rng = np.random.default_rng(13)
+    geoms = _batch(rng, [8, 25, 60, 140, 33])
+    covs, errors = rotation_covariances(geoms, residual_sigma=sigma, mode=mode)
+    assert covs.shape == (5, 3, 3) and errors == [None] * 5
+    for geom, cov in zip(geoms, covs):
+        ref = covariance_of_rotation(geom, residual_sigma=sigma, mode=mode).covariance
+        assert np.max(np.abs(cov - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_rotation_covariances_isolate_bad_pairs():
+    rng = np.random.default_rng(14)
+    good = _batch(rng, [40, 12, 90])
+    bad = bad_two_view_geometries(rng)
+    mixed = [bad[0][0], good[0], bad[1][0], good[1], bad[2][0], good[2]]
+    for mode in ("rotation_only", "marginalize_translation"):
+        clean, clean_errors = rotation_covariances(good, mode=mode)
+        covs, errors = rotation_covariances(mixed, mode=mode)
+        assert clean_errors == [None] * 3
+        assert np.array_equal(covs[[1, 3, 5]], clean)  # bit-identical
+        assert [errors[k] for k in (1, 3, 5)] == [None] * 3
+        for k, (geom, kind, message) in zip((0, 2, 4), bad):
+            assert type(errors[k]) is kind and str(errors[k]) == message
+            assert np.all(np.isnan(covs[k]))
+            with pytest.raises(kind) as info:  # the one-pair case raises the same error
+                covariance_of_rotation(geom, mode=mode)
+            assert str(info.value) == message
+    assert rotation_covariances([])[0].shape == (0, 3, 3)
+    with pytest.raises(ValueError):
+        rotation_covariances(good, mode="nope")
+
+
+def test_whitener_of_stack_matches_per_matrix():
+    rng = np.random.default_rng(15)
+    stack = np.array([random_pd_matrix(rng) for _ in range(20)])
+    batched = whitener_from_covariance(stack)
+    assert batched.shape == (20, 3, 3)
+    assert np.array_equal(batched, np.array([whitener_from_covariance(c) for c in stack]))
+    with pytest.raises(DegenerateGeometryError):
+        whitener_from_covariance(np.array([np.eye(3), np.diag([1.0, -1.0, 1.0])]))
