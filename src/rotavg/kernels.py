@@ -21,12 +21,23 @@ __all__ = ["edge_terms", "jr_inv"]
 
 
 def _quat_mul(a, b):
-    """Hamilton product of quaternion batches (..., 4)."""
-    w1, v1 = a[..., 0], a[..., 1:]
-    w2, v2 = b[..., 0], b[..., 1:]
-    w = w1 * w2 - np.sum(v1 * v2, axis=-1)
-    v = (w1[..., None] * v2 + w2[..., None] * v1 + np.cross(v1, v2))
-    return np.concatenate([w[..., None], v], axis=-1)
+    """Hamilton product of quaternion batches (..., 4).
+
+    Written one component at a time, rounding as ``np.sum`` and
+    ``np.cross`` over the vector parts do:
+    ``w = w1 w2 - (((0 + x1 x2) + y1 y2) + z1 z2)`` and
+    ``v = (w1 v2 + w2 v1) + v1 x v2``, with each cross-product component
+    formed as one product minus the other.  ``np.sum`` starts from +0, which
+    only changes the sign of a zero sum.
+    """
+    w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([
+        w1 * w2 - (0.0 + x1 * x2 + y1 * y2 + z1 * z2),
+        w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
+        w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2),
+        w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2),
+    ], axis=-1)
 
 
 def _quat_conj(q):

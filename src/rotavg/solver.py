@@ -28,12 +28,16 @@ inner iteration computes the blocks of all edges at once and scatters them
 with ``np.bincount``, which sums in input order.  Each diagonal slot
 therefore sums its edges in edge order, the i-row before the j-row, and
 each off-diagonal slot takes exactly one edge (``ViewGraph`` rejects
-duplicate pairs).  A damping retry only adds lambda to the diagonal of a
-copy of that matrix.  The batched arithmetic is chosen to round exactly
-like the per-edge and per-node formulas it replaced: block products use
-batched ``np.matmul`` (not ``einsum``), squared norms use ``np.vecdot``
-(the same dot kernel as a 1-D ``x @ x``), and the retraction evaluates
-``sin``/``cos`` with :mod:`math` and the Hamilton product term by term, as
+duplicate pairs).  The slots lay the matrix out column by column, so it
+comes out F-contiguous, the order LAPACK reads.  A damping retry copies
+it once, adds lambda to the diagonal of the copy and factors the copy in
+place; handed over in C order, the matrix would be transposed into a
+second copy before every factorization.  The batched arithmetic is
+chosen to round exactly like the per-edge and per-node formulas it
+replaced: block products use batched ``np.matmul`` (not ``einsum``),
+squared norms use ``np.vecdot`` (the same dot kernel as a 1-D
+``x @ x``), and the retraction evaluates ``sin``/``cos`` with
+:mod:`math` and the Hamilton product term by term, as
 :class:`~rotavg.so3.Rotation` does.
 
 Every damped system ``(H + lambda I) d = -g`` is solved by one dense
@@ -43,6 +47,10 @@ hundred cameras this is several times faster than sparse LU, because these
 graphs fill in badly under every LU ordering.  A system that is not
 numerically positive definite yields a non-finite step, which the inner
 loop treats like a rejected trial (grow lambda, retry).
+
+A trial that is accepted keeps its residuals and Jacobian blocks, which
+assemble the next normal equations, so each trial costs one
+:func:`~rotavg.kernels.edge_terms` evaluation.
 
 Before a trial, the inner loop compares the decrease predicted by the
 damped Gauss-Newton model of ``1/2 sum_e w_e ||r_e||^2``,
@@ -68,7 +76,7 @@ from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation
 from .twoview import whitener_from_covariance
-from .viewgraph import ViewGraph, check_connected
+from .viewgraph import ViewGraph, check_connected, json_records
 
 logger = logging.getLogger(__name__)
 
@@ -245,7 +253,7 @@ class _Pattern(NamedTuple):
     (``g_slot``) drops an entry that belongs to the gauge node.
     """
 
-    h_slot: np.ndarray  # (36 E,) row-major position in the m x m matrix of each block entry
+    h_slot: np.ndarray  # (36 E,) column-major position in the m x m matrix of each block entry
     g_slot: np.ndarray  # (6 E,) gradient position of each per-edge entry
     m: int              # 3 * n_free unknowns
 
@@ -266,7 +274,7 @@ def _normal_pattern(edges_idx, n) -> _Pattern:
     cols = np.stack([3 * a + v, 3 * c + v, 3 * c + v, 3 * a + u], axis=1)
     both = (a >= 0) & (c >= 0)
     keep = np.stack([a >= 0, c >= 0, both, both], axis=1)
-    h_slot = np.where(keep, rows * m + cols, m * m)
+    h_slot = np.where(keep, cols * m + rows, m * m)
     k = np.arange(3)
     g_slot = np.concatenate([np.where(a >= 0, 3 * a + k, m), np.where(c >= 0, 3 * c + k, m)],
                             axis=1)
@@ -274,7 +282,7 @@ def _normal_pattern(edges_idx, n) -> _Pattern:
 
 
 def _edge_blocks(b, rw, lw, pattern: _Pattern):
-    """Dense sum_e w_e J_e^T J_e (m x m) and the gradient sum_e w_e J_e^T r_e.
+    """Dense sum_e w_e J_e^T J_e (m x m, F-contiguous) and the gradient sum_e w_e J_e^T r_e.
 
     ``b`` holds B_e = W_e A_e; the edge Jacobians are J_i = -B_e, J_j = +B_e.
     """
@@ -283,7 +291,7 @@ def _edge_blocks(b, rw, lw, pattern: _Pattern):
     btr = lw[:, None] * np.matmul(bt, rw[:, :, None])[:, :, 0]
     m = pattern.m
     h = np.bincount(pattern.h_slot, np.concatenate([btb, btb, -btb, -btb], axis=1).ravel(),
-                    minlength=m * m + 1)[:m * m].reshape(m, m)
+                    minlength=m * m + 1)[:m * m].reshape(m, m).T
     grad = np.bincount(pattern.g_slot, np.concatenate([-btr, btr], axis=1).ravel(),
                        minlength=m + 1)[:m]
     return h, grad
@@ -292,11 +300,12 @@ def _edge_blocks(b, rw, lw, pattern: _Pattern):
 def _solve_normal_equations(h, grad, lam):
     """Solve (H + lam I) delta = -grad over the gauge-reduced system.
 
-    lam goes on the diagonal of a copy of the dense H, so H itself is never
-    rebuilt for a retry.  Returns a non-finite step when H + lam I is not
-    numerically positive definite.
+    lam goes on the diagonal of an F-ordered copy of the dense H, so H itself
+    is never rebuilt for a retry, and LAPACK factors that copy in place.
+    Returns a non-finite step when H + lam I is not numerically positive
+    definite.
     """
-    h = h.copy()
+    h = h.copy(order="F")
     h[np.diag_indices_from(h)] += lam
     try:
         factor = scipy.linalg.cho_factor(h, overwrite_a=True, check_finite=False)
@@ -372,11 +381,10 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
                 delta = np.zeros((n, 3))
                 delta[1:] = delta_free.reshape(-1, 3)
                 trial = _apply_step(quats, delta)
-                _, _, rw_trial = residuals(trial)
+                res_trial, amat_trial, rw_trial = residuals(trial)
                 ls_trial = _weighted_ls_cost(rw_trial, lw)
                 if ls_trial <= ls_cost:
-                    quats = trial
-                    res, amat, rw = residuals(quats)
+                    quats, res, amat, rw = trial, res_trial, amat_trial, rw_trial
                     ls_cost = ls_trial
                     lam = max(lam / 3.0, 1e-12)
                     accepted = True
@@ -403,11 +411,10 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             break
 
     rotations = {nid: Rotation(q) for nid, q in zip(node_ids, quats)}
-    edge_weights = {}
-    edge_residual_norms = {}
-    for idx, e in enumerate(g.edges):
-        edge_weights[e.key] = float(lw[idx])
-        edge_residual_norms[e.key] = float(np.linalg.norm(res[idx]))
+    keys = [e.key for e in g.edges]
+    edge_weights = dict(zip(keys, lw.tolist()))
+    # np.vecdot rounds like the 1-D x @ x inside np.linalg.norm
+    edge_residual_norms = dict(zip(keys, np.sqrt(np.vecdot(res, res)).tolist()))
     return AveragingResult(
         rotations=rotations,
         final_cost=robust_cost,
@@ -462,6 +469,6 @@ def load_result_rotations(path) -> dict[int, Rotation]:
     if not isinstance(doc, dict) or "rotations" not in doc:
         raise SchemaError(f"{path}: expected object with 'rotations'")
     out = {}
-    for rec in doc["rotations"]:
+    for rec in json_records(doc, "rotations", ("id", "qwxyz"), path):
         out[int(rec["id"])] = Rotation(np.asarray(rec["qwxyz"], dtype=np.float64))
     return out

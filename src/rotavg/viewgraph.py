@@ -103,8 +103,10 @@ class ViewGraph:
     """Immutable view graph: nodes indexed by id, edges sorted by (i, j)."""
 
     def __init__(self, nodes, edges):
+        # each argument is read twice below; a generator would be empty the second time
+        nodes, edges = list(nodes), list(edges)
         self.nodes = {n.id: n for n in nodes}
-        if len(self.nodes) != len(list(nodes)):
+        if len(self.nodes) != len(nodes):
             raise SchemaError("duplicate node ids")
         seen_pairs = set()
         for e in edges:
@@ -131,6 +133,24 @@ def _rotation_from_qwxyz(q, where):
         raise SchemaError(f"{where}: bad quaternion {q!r}: {exc}") from exc
 
 
+def json_records(doc, key, fields, path) -> list[dict]:
+    """The list ``doc[key]``, checked to hold JSON objects that have ``fields``.
+
+    A record that is not an object or lacks a field raises
+    :class:`SchemaError` naming it by position, e.g. ``g.json: edges[3]``.
+    """
+    records = doc[key]
+    if not isinstance(records, list):
+        raise SchemaError(f"{path}: {key!r} must be a list")
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise SchemaError(f"{path}: {key}[{k}]: expected an object, got {type(rec).__name__}")
+        missing = [name for name in fields if name not in rec]
+        if missing:
+            raise SchemaError(f"{path}: {key}[{k}]: missing key {missing[0]!r}")
+    return records
+
+
 def load_graph(path) -> ViewGraph:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -140,14 +160,14 @@ def load_graph(path) -> ViewGraph:
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise SchemaError(f"{path}: expected object with 'nodes' and 'edges'")
     nodes = []
-    for rec in doc["nodes"]:
+    for rec in json_records(doc, "nodes", ("id",), path):
         gt = rec.get("gt_qwxyz")
         nodes.append(ViewNode(
             id=int(rec["id"]),
             gt_rotation=None if gt is None else _rotation_from_qwxyz(gt, f"node {rec['id']}"),
         ))
     edges = []
-    for rec in doc["edges"]:
+    for rec in json_records(doc, "edges", ("i", "j", "qwxyz"), path):
         where = f"edge ({rec.get('i')}, {rec.get('j')})"
         cov = rec.get("cov")
         if cov is not None:
@@ -199,7 +219,8 @@ def load_pairs(path) -> list[TwoViewGeometry]:
     if not isinstance(doc, dict) or "pairs" not in doc:
         raise SchemaError(f"{path}: expected object with 'pairs'")
     out = []
-    for rec in doc["pairs"]:
+    for rec in json_records(doc, "pairs", ("i", "j", "K_i", "K_j", "qwxyz", "t", "matches"),
+                            path):
         where = f"pair ({rec.get('i')}, {rec.get('j')})"
         try:
             geom = TwoViewGeometry(
@@ -209,7 +230,7 @@ def load_pairs(path) -> list[TwoViewGeometry]:
                 intrinsics_j=CameraIntrinsics(np.asarray(rec["K_j"], dtype=np.float64).reshape(3, 3)),
                 matches=np.asarray(rec["matches"], dtype=np.float64),
             )
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         out.append(((int(rec["i"]), int(rec["j"])), geom))
     return out

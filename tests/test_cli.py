@@ -73,6 +73,31 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+def test_missing_keys_exit_2(tmp_path, capsys):
+    """A record without a required key, or not an object, is a data error naming it."""
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    two_nodes = [{"id": 0}, {"id": 1}]
+    g.write_text(json.dumps({"nodes": two_nodes, "edges": [{"i": 0, "j": 1}]}))
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 2
+    assert "edges[0]: missing key 'qwxyz'" in capsys.readouterr().err
+    edge = {"i": 0, "j": 1, "qwxyz": [1.0, 0.0, 0.0, 0.0]}
+    g.write_text(json.dumps({"nodes": [{"id": 0}, {"gt_qwxyz": [1, 0, 0, 0]}],
+                             "edges": [edge]}))
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 2
+    assert "nodes[1]: missing key 'id'" in capsys.readouterr().err
+    g.write_text(json.dumps({"nodes": two_nodes, "edges": [edge, [0, 1]]}))
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 2
+    assert "edges[1]: expected an object, got list" in capsys.readouterr().err
+
+    synth = _synth(tmp_path)
+    assert cli.main(["average", "--in", str(synth), "--out", str(r)]) == 0
+    doc = json.loads(r.read_text())
+    del doc["rotations"][2]["id"]
+    r.write_text(json.dumps(doc))
+    assert cli.main(["evaluate", "--est", str(r), "--gt", str(synth)]) == 2
+    assert "rotations[2]: missing key 'id'" in capsys.readouterr().err
+
+
 def test_numerical_errors_exit_3(tmp_path, monkeypatch):
     g = _synth(tmp_path)
 

@@ -89,3 +89,27 @@ def test_jr_inv_matches_finite_differences():
             fd = (log_so3(base.compose(exp_so3(d)))
                   - log_so3(base.compose(exp_so3(-d)))) / (2.0 * h)
             assert np.allclose(fd, block[:, k], atol=1e-6)
+
+
+def _quat_mul_reference(a, b):
+    """The Hamilton product written with np.sum and np.cross over the vector parts."""
+    w1, v1 = a[..., 0], a[..., 1:]
+    w2, v2 = b[..., 0], b[..., 1:]
+    w = w1 * w2 - np.sum(v1 * v2, axis=-1)
+    v = w1[..., None] * v2 + w2[..., None] * v1 + np.cross(v1, v2)
+    return np.concatenate([w[..., None], v], axis=-1)
+
+
+def test_quat_mul_rounds_like_sum_and_cross():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(10_000, 4))
+    b = rng.normal(size=(10_000, 4))
+    a[:100, 0] = 0.0                 # w = 0
+    b[100:200, 1:] = 0.0             # zero vector part
+    a[200:300, 1] = -0.0             # signed zeros
+    b[200:300, 0] = -0.0
+    a[300:400] = -0.0
+    b[400:500, 2:] = -0.0
+    out = kernels._quat_mul(a, b)
+    assert out.shape == a.shape
+    assert out.tobytes() == _quat_mul_reference(a, b).tobytes()

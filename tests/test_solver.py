@@ -422,6 +422,86 @@ def test_normal_equations_match_per_edge_reference(monkeypatch):
     assert np.array_equal(matrices[0], ref_h)
 
 
+def _normal_equations_at_init(g, config):
+    """(H, grad) of the first inner iteration of ``solve`` on ``g``."""
+    quats, edges_idx, meas = solver_mod._edge_arrays(g, spanning_tree_init(g, "auto"))
+    transforms, _ = solver_mod._transform_stack(g, config)
+    res, amat = kernels.edge_terms(quats, edges_idx, meas)
+    rw = np.einsum("eab,eb->ea", transforms, res)
+    _, lw = solver_mod._robust_cost(g, rw, config.loss)
+    pattern = solver_mod._normal_pattern(edges_idx, len(g.nodes))
+    return solver_mod._edge_blocks(transforms @ amat, rw, lw, pattern)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1.0])
+def test_cholesky_factors_column_ordered_copy_in_place(monkeypatch, lam):
+    """LAPACK gets H + lam I in column order and factors it without a further copy.
+
+    The step is bit-identical to factoring a C-ordered copy, which f2py
+    transposes into column order before calling potrf.
+    """
+    scene = _noisy_scene(8, n=14)
+    config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02), weighting="cov_full")
+    h, grad = _normal_equations_at_init(scene.graph, config)
+    h_before = h.copy()
+    seen = []
+    real_factor = scipy.linalg.cho_factor
+
+    def factor_spy(a, *args, **kwargs):
+        factor = real_factor(a, *args, **kwargs)
+        seen.append((a, factor[0]))
+        return factor
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", factor_spy)
+    step = solver_mod._solve_normal_equations(h, grad, lam)
+    (a, c), = seen
+    assert a.flags.f_contiguous
+    assert np.shares_memory(a, c)
+    assert np.array_equal(h, h_before)  # the retry copy, not H, is overwritten
+
+    damped = np.array(h, order="C")
+    damped[np.diag_indices_from(damped)] += lam
+    expected = scipy.linalg.cho_solve(real_factor(damped, check_finite=False), -grad)
+    assert step.tobytes() == expected.tobytes()
+
+
+def test_one_kernel_evaluation_per_trial(monkeypatch):
+    """An accepted trial's residuals are kept, not evaluated again.
+
+    ``solve`` evaluates the init and every trial once, plus the previous
+    iterate when the IRLS guard rejects an outer iteration.
+    """
+    scene = _noisy_scene(8, n=14)
+    config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02))
+    counts = {"edge_terms": 0, "apply_step": 0}
+    real_terms, real_step = kernels.edge_terms, solver_mod._apply_step
+
+    def terms_spy(*args):
+        counts["edge_terms"] += 1
+        return real_terms(*args)
+
+    def step_spy(*args):
+        counts["apply_step"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(kernels, "edge_terms", terms_spy)
+    monkeypatch.setattr(solver_mod, "_apply_step", step_spy)
+    result = solve(scene.graph, spanning_tree_init(scene.graph, "auto"), config)
+    assert counts["apply_step"] > 0
+    guard = result.termination == "irls_non_decrease_guard"
+    assert counts["edge_terms"] == counts["apply_step"] + 1 + guard
+
+
+def test_edge_residual_norms_match_linalg_norm():
+    scene = _noisy_scene(8, n=14)
+    g = scene.graph
+    result = solve(g, spanning_tree_init(g, "auto"),
+                   SolverConfig(loss=MAGSAC_RAW, weighting="cov_full"))
+    res, _ = kernels.edge_terms(*solver_mod._edge_arrays(g, result.rotations))
+    for k, e in enumerate(g.edges):
+        assert result.edge_residual_norms[e.key] == float(np.linalg.norm(res[k])), e.key
+
+
 def test_stationarity_matches_finite_difference_gradient():
     """At convergence the unweighted GN objective has a vanishing gradient."""
     scene = generate_graph(SynthConfig(6, 0.9, ((1.0, 1.5),), seed=9))

@@ -71,6 +71,15 @@ def test_graph_rejects_duplicates_and_dangling_edges():
         ViewGraph(nodes, [EdgeMeasurement(0, 5, Rotation.identity())])
 
 
+def test_graph_accepts_generators():
+    edges = [EdgeMeasurement(0, 1, Rotation.identity()), EdgeMeasurement(1, 2, Rotation.identity())]
+    g = ViewGraph((ViewNode(i) for i in range(3)), (e for e in edges))
+    assert g.node_ids == [0, 1, 2]
+    assert [e.key for e in g.edges] == [(0, 1), (1, 2)]
+    with pytest.raises(SchemaError, match="duplicate node ids"):
+        ViewGraph((ViewNode(i) for i in (0, 1, 0)), iter([]))
+
+
 def test_edge_whitener_cache():
     e = EdgeMeasurement(0, 1, Rotation.identity(), covariance=np.diag([4.0, 1.0, 1.0]))
     assert np.allclose(e.whitener, np.diag([0.5, 1.0, 1.0]), atol=1e-12)
