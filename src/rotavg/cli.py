@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 
@@ -29,9 +30,9 @@ from .solver import (WEIGHTING_MODES, SolverConfig, _edge_arrays, load_result_ro
 from .synth import SynthConfig, generate_graph
 from .twoview import COVARIANCE_MODES, rotation_covariances
 from .viewgraph import (
-    EdgeMeasurement,
     ViewGraph,
     ViewNode,
+    checked_edges,
     load_graph,
     load_pairs,
     save_graph,
@@ -93,6 +94,7 @@ def _add_loss_flags(p):
     p.add_argument("--weighting", choices=WEIGHTING_MODES, default="cov_full")
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rotavg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -191,16 +193,15 @@ def _cmd_weigh(args) -> int:
                  for nid in sorted(node_ids | set(base.nodes))]
     else:
         nodes = [ViewNode(nid) for nid in sorted(node_ids)]
-    covs, errors = rotation_covariances([geom for _, geom in pairs],
-                                        residual_sigma=args.sigma, mode=args.mode)
-    edges = []
-    for ((i, j), geom), cov, exc in zip(pairs, covs, errors):
+    geoms = [geom for _, geom in pairs]
+    covs, errors = rotation_covariances(geoms, residual_sigma=args.sigma, mode=args.mode)
+    for ((i, j), _), exc in zip(pairs, errors):
         if exc is not None:
             print(f"pair ({i}, {j}): {exc}; leaving covariance unset", file=sys.stderr)
-            cov = None
-        edges.append(EdgeMeasurement(
-            i, j, geom.rotation, covariance=cov, inlier_count=len(geom.matches),
-        ))
+    edges = checked_edges([i for (i, _), _ in pairs], [j for (_, j), _ in pairs],
+                          [geom.rotation for geom in geoms],
+                          [len(geom.matches) for geom in geoms],
+                          covs, [exc is None for exc in errors])
     save_graph(ViewGraph(nodes, edges), args.out)
     print(f"wrote {args.out}: {len(edges)} weighted edges", file=sys.stderr)
     return EXIT_OK

@@ -6,6 +6,8 @@ fits one rotation ``R_align`` minimizing a robust (Cauchy) cost over the
 per-node discrepancies ``m_i = R_i^T R_i'`` (ground truth vs. estimate) and
 reports ``error_i = ||Log(m_i R_align^T)||``, the geodesic angle between
 the ground truth and the gauge-corrected estimate ``R_i' R_align^T``.
+The per-node discrepancies and residuals are (N, 4) quaternion arrays
+handled by the :mod:`rotavg.kernels` quaternion ops.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import scipy.linalg
 
 from . import kernels
 from .losses import LossSpec, evaluate_loss
-from .so3 import Rotation, exp_so3, log_so3
+from .so3 import Rotation, canonical_quats, exp_so3
 
 __all__ = ["AlignmentResult", "align_rotations", "auc", "export_cdf"]
 
@@ -35,29 +37,26 @@ class AlignmentResult:
 
 def _chordal_mean_quat(quats: np.ndarray) -> Rotation:
     """Single-rotation chordal mean via the quaternion eigenvector method."""
-    m = np.zeros((4, 4))
-    ref = quats[0]
-    for q in quats:
-        if float(q @ ref) < 0.0:
-            q = -q
-        m += np.outer(q, q)
-    _, vecs = np.linalg.eigh(m)
+    q = np.where((quats @ quats[0] < 0.0)[:, None], -quats, quats)
+    _, vecs = np.linalg.eigh(q.T @ q)
     return Rotation(vecs[:, -1])
 
 
-def fit_alignment_rotation(discrepancies: list[Rotation], loss: LossSpec) -> Rotation:
-    """Robust mean of the per-node discrepancies m_i (IRLS + damped GN)."""
-    quats = np.array([m.quaternion for m in discrepancies])
+def _residuals(quats: np.ndarray, r: Rotation) -> np.ndarray:
+    """Log(m_i R^T) for every row m_i of ``quats``, as (N, 3)."""
+    return kernels._quat_log(kernels._quat_mul(quats, kernels._quat_conj(r.quaternion)))
+
+
+def fit_alignment_rotation(quats: np.ndarray, loss: LossSpec) -> Rotation:
+    """Robust mean of the per-node discrepancies m_i, rows of (N, 4) quaternions.
+
+    IRLS + damped Gauss-Newton on the residuals ``Log(m_i R^T)``.
+    """
     r_align = _chordal_mean_quat(quats)
-
-    def residuals(r):
-        rt = r.inverse()
-        return np.array([log_so3(m.compose(rt)) for m in discrepancies])
-
     lam = 1e-6
     prev_cost = None
     for _ in range(64):
-        res = residuals(r_align)
+        res = _residuals(quats, r_align)
         ev = evaluate_loss(loss, np.sum(res * res, axis=1))
         cost = float(np.sum(ev.value))
         if prev_cost is not None and abs(prev_cost - cost) <= 1e-14 * max(1.0, prev_cost):
@@ -80,7 +79,7 @@ def fit_alignment_rotation(discrepancies: list[Rotation], loss: LossSpec) -> Rot
                 continue
             delta = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
             trial = r_align.compose(exp_so3(delta))
-            res_t = residuals(trial)
+            res_t = _residuals(quats, trial)
             cost_t = float(np.sum(evaluate_loss(loss, np.sum(res_t * res_t, axis=1)).value))
             if cost_t <= cost:
                 r_align = trial
@@ -104,17 +103,15 @@ def align_rotations(
         raise ValueError("estimate and ground truth share no node ids")
     if loss is None:
         loss = LossSpec("cauchy", scale=ALIGN_CAUCHY_SCALE)
-    discrepancies = [gt[nid].inverse().compose(est[nid]) for nid in common]
+    q_gt = np.array([gt[nid].quaternion for nid in common])
+    q_est = np.array([est[nid].quaternion for nid in common])
+    discrepancies = canonical_quats(kernels._quat_mul(kernels._quat_conj(q_gt), q_est))
     r_align = fit_alignment_rotation(discrepancies, loss)
-    errors = {}
-    for nid, m in zip(common, discrepancies):
-        ang = float(np.linalg.norm(log_so3(m.compose(r_align.inverse()))))
-        errors[nid] = np.degrees(ang)
-    under5 = sum(1 for e in errors.values() if e < 5.0) / len(errors)
+    errors = np.degrees(np.linalg.norm(_residuals(discrepancies, r_align), axis=1))
     return AlignmentResult(
         r_align=r_align,
-        per_view_errors=errors,
-        inlier_fraction_under_5deg=under5,
+        per_view_errors=dict(zip(common, errors.tolist())),
+        inlier_fraction_under_5deg=np.count_nonzero(errors < 5.0) / len(common),
     )
 
 

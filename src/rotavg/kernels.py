@@ -1,8 +1,9 @@
 """Hot numeric kernels for the averaging solver.
 
 Batched numpy code for the per-edge residuals and Jacobian blocks of the
-view-graph objective, and the batched inverse right Jacobian of the SO(3)
-logarithm that the gauge alignment in :mod:`rotavg.evaluate` reuses.
+view-graph objective.  The gauge alignment in :mod:`rotavg.evaluate` reuses
+the quaternion product, conjugate and logarithm and the batched inverse
+right Jacobian of the SO(3) logarithm.
 
 Conventions (shared with :mod:`rotavg.so3`):
 

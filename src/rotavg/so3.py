@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "Rotation",
+    "canonical_quats",
     "exp_so3",
     "log_so3",
     "geodesic_angle",
@@ -39,11 +40,10 @@ class Rotation:
         q = np.asarray(wxyz, dtype=np.float64)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have 4 entries, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("non-finite quaternion entries")
         n = math.sqrt(float(q @ q))
-        if n < 1e-12:
-            raise ValueError("zero-norm quaternion")
+        for message, passed in _quaternion_checks(q, n):
+            if not passed:
+                raise ValueError(message)
         # skip division when already normalized so round-trips stay bit-exact
         if abs(n - 1.0) > 1e-12:
             q = q / n
@@ -51,6 +51,13 @@ class Rotation:
             q = -q
         q.setflags(write=False)
         self._q = q
+
+    @classmethod
+    def _trusted(cls, q) -> "Rotation":
+        """Wrap a canonical read-only quaternion unchecked (for :func:`checked_rotations`)."""
+        r = object.__new__(cls)
+        r._q = q
+        return r
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -145,6 +152,44 @@ class Rotation:
 
     def allclose(self, other: "Rotation", atol: float = 1e-12) -> bool:
         return geodesic_angle(self, other) <= atol
+
+
+def _quaternion_checks(q, norm):
+    """(message, passed) for each rule a quaternion must pass, in check order.
+
+    ``q`` is one quaternion (4,) with its norm, or an (N, 4) stack with
+    an (N,) array of norms; ``passed`` is a bool or an (N,) mask.
+    """
+    return (("non-finite quaternion entries", np.isfinite(q).all(axis=-1)),
+            ("zero-norm quaternion", norm >= 1e-12))
+
+
+def canonical_quats(q):
+    """Row-wise :class:`Rotation` normalization of an (N, 4) stack: unit norm, then w >= 0.
+
+    Each row of a valid stack equals ``Rotation(row).quaternion`` bit for bit.
+    """
+    n = np.sqrt(np.vecdot(q, q))
+    # skip the division when already normalized, as Rotation does
+    q = np.where((np.abs(n - 1.0) > 1e-12)[:, None], q / n[:, None], q)
+    v = q[:, 1:]
+    nonzero = v != 0.0
+    first = v[np.arange(len(v)), np.argmax(nonzero, axis=1)]
+    flip = (q[:, 0] < 0.0) | ((q[:, 0] == 0.0) & nonzero.any(axis=1) & (first < 0.0))
+    return np.where(flip[:, None], -q, q)
+
+
+def checked_rotations(q):
+    """``[Rotation(row) for row in q]`` for an (N, 4) float array, checked at once.
+
+    Returns None when some row breaks a rule :class:`Rotation` checks; the
+    caller then builds the rotations one at a time to raise that row's error.
+    """
+    if not all(passed.all() for _, passed in _quaternion_checks(q, np.sqrt(np.vecdot(q, q)))):
+        return None
+    rows = canonical_quats(q)
+    rows.setflags(write=False)
+    return [Rotation._trusted(row) for row in rows]
 
 
 def _first_nonzero_negative(q) -> bool:

@@ -74,9 +74,10 @@ import scipy.linalg
 from . import kernels
 from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
-from .so3 import Rotation
+from .so3 import Rotation, canonical_quats
 from .twoview import whitener_from_covariance
-from .viewgraph import ViewGraph, check_connected, json_records
+from .viewgraph import (ViewGraph, _rotation_from_qwxyz, check_connected, json_records,
+                        read_json_object, stacked_rotations, write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -199,18 +200,6 @@ def chordal_cost(g: ViewGraph, rotations: dict[int, Rotation]) -> float:
     return total
 
 
-def _canonical_quats(q):
-    """Row-wise :class:`Rotation` normalization: unit norm, then w >= 0."""
-    n = np.sqrt(np.vecdot(q, q))
-    # skip the division when already normalized, as Rotation does
-    q = np.where((np.abs(n - 1.0) > 1e-12)[:, None], q / n[:, None], q)
-    v = q[:, 1:]
-    nonzero = v != 0.0
-    first = v[np.arange(len(v)), np.argmax(nonzero, axis=1)]
-    flip = (q[:, 0] < 0.0) | ((q[:, 0] == 0.0) & nonzero.any(axis=1) & (first < 0.0))
-    return np.where(flip[:, None], -q, q)
-
-
 def _apply_step(quats, delta):
     """Right-multiplicative update R_i <- R_i exp(delta_i), batched over nodes.
 
@@ -229,10 +218,10 @@ def _apply_step(quats, delta):
     half_big = half[big].tolist()
     s[big] = np.array([math.sin(h) for h in half_big]) / theta[big]
     w[big] = [math.cos(h) for h in half_big]
-    w2, x2, y2, z2 = _canonical_quats(
+    w2, x2, y2, z2 = canonical_quats(
         np.column_stack([w, s * d[:, 0], s * d[:, 1], s * d[:, 2]])).T
-    w1, x1, y1, z1 = _canonical_quats(quats[rows]).T
-    out[rows] = _canonical_quats(np.column_stack([
+    w1, x1, y1, z1 = canonical_quats(quats[rows]).T
+    out[rows] = canonical_quats(np.column_stack([
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
@@ -429,11 +418,9 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
 
 def save_result(result: AveragingResult, path) -> None:
     """Write the result JSON (rotations, cost, diagnostics)."""
-    import json
-
-    doc = {
+    write_json({
         "rotations": [
-            {"id": nid, "qwxyz": list(result.rotations[nid].quaternion)}
+            {"id": nid, "qwxyz": result.rotations[nid].quaternion.tolist()}
             for nid in sorted(result.rotations)
         ],
         "final_cost": result.final_cost,
@@ -449,26 +436,14 @@ def save_result(result: AveragingResult, path) -> None:
             }
             for (i, j) in sorted(result.edge_weights)
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def load_result_rotations(path) -> dict[int, Rotation]:
     """Read back the rotations of a result JSON."""
-    import json
-
-    from .errors import SchemaError
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "rotations" not in doc:
-        raise SchemaError(f"{path}: expected object with 'rotations'")
-    out = {}
-    for rec in json_records(doc, "rotations", ("id", "qwxyz"), path):
-        out[int(rec["id"])] = Rotation(np.asarray(rec["qwxyz"], dtype=np.float64))
-    return out
+    doc = read_json_object(path, ("rotations",))
+    records = json_records(doc, "rotations", ("id", "qwxyz"), path, integers=("id",))
+    rotations = stacked_rotations([rec["qwxyz"] for rec in records])
+    if rotations is None:
+        rotations = [_rotation_from_qwxyz(rec["qwxyz"], f"node {rec['id']}") for rec in records]
+    return {rec["id"]: r for rec, r in zip(records, rotations)}

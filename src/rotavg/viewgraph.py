@@ -17,6 +17,15 @@ Correspondence-set JSON schema (consumed by :mod:`rotavg.twoview`)::
                    "qwxyz": [4], "t": [3], "matches": [[x,y,x',y'], ...] } ] }
 
 with pixel coordinates.
+
+Graph, correspondence-set and result files (:func:`rotavg.solver.save_result`)
+are written as compact one-line JSON with sorted keys by :func:`write_json`;
+pretty-print one with ``python -m json.tool FILE``.  Ids (``id``, ``i``,
+``j``) and inlier counts must be JSON integers.  The loaders check all
+records of a file together, with the same rules as the one-record
+constructors (:class:`~rotavg.so3.Rotation`, :class:`EdgeMeasurement`), and
+a bad record raises the error it raises on its own, naming the first one in
+file order.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DisconnectedGraphError, SchemaError
-from .so3 import Rotation
+from .so3 import Rotation, checked_rotations
 from .twoview import CameraIntrinsics, TwoViewGeometry, whitener_from_covariance
 
 __all__ = [
@@ -61,33 +70,33 @@ class EdgeMeasurement:
 
     The covariance must be finite, symmetric and positive definite.  Its
     whitener is computed when read, so edges that no solve weighs by their
-    full covariance never pay for it.
+    full covariance never pay for it.  :func:`checked_edges` builds many
+    edges under the same rules (:func:`_edge_checks`).
     """
 
     __slots__ = ("i", "j", "rotation", "covariance", "inlier_count")
 
     def __init__(self, i, j, rotation, covariance=None, inlier_count=None):
-        if i == j:
-            raise SchemaError(f"self-loop edge ({i}, {j})")
-        self.i = int(i)
-        self.j = int(j)
+        count = None if inlier_count is None else int(inlier_count)
+        c = None if covariance is None else np.asarray(covariance, dtype=np.float64)
+        for message, passed in _edge_checks(i, j, 0 if count is None else count, c):
+            if not passed:
+                raise SchemaError(message.format(i=i, j=j))
+        self._set(int(i), int(j), rotation, c, count)
+
+    def _set(self, i, j, rotation, covariance, inlier_count):
+        self.i = i
+        self.j = j
         self.rotation = rotation
-        self.inlier_count = None if inlier_count is None else int(inlier_count)
-        if self.inlier_count is not None and self.inlier_count < 0:
-            raise SchemaError(f"edge ({i}, {j}): negative inlier count")
-        if covariance is None:
-            self.covariance = None
-        else:
-            c = np.asarray(covariance, dtype=np.float64)
-            if c.shape != (3, 3):
-                raise SchemaError(f"edge ({i}, {j}): covariance must be 3x3")
-            if not np.all(np.isfinite(c)):
-                raise SchemaError(f"edge ({i}, {j}): covariance has non-finite entries")
-            if np.abs(c - c.T).max() > 1e-12 * max(1.0, np.abs(c).max()):
-                raise SchemaError(f"edge ({i}, {j}): covariance is not symmetric")
-            if np.linalg.eigvalsh(c).min() <= 0.0:
-                raise SchemaError(f"edge ({i}, {j}): covariance is not positive definite")
-            self.covariance = c
+        self.covariance = covariance
+        self.inlier_count = inlier_count
+
+    @classmethod
+    def _trusted(cls, i, j, rotation, covariance, inlier_count) -> "EdgeMeasurement":
+        """Build an edge unchecked; fed only by :func:`checked_edges`."""
+        e = object.__new__(cls)
+        e._set(i, j, rotation, covariance, inlier_count)
+        return e
 
     @property
     def whitener(self):
@@ -97,6 +106,55 @@ class EdgeMeasurement:
     @property
     def key(self) -> tuple[int, int]:
         return (self.i, self.j)
+
+
+def _edge_checks(i, j, inlier_count, covariance):
+    """Yield (message, passed) for each rule an edge must pass, in check order.
+
+    One edge passes scalars and a covariance that is None or an array, and
+    stops at the first rule it fails.  A batch passes (E,) arrays (0 for an
+    absent count) and an (E, 3, 3) stack (a valid matrix for an absent
+    covariance), and gets (E,) masks; its matrices that are not finite are
+    left out of the later rules.  ``message`` is formatted with ``i`` and ``j``.
+    """
+    yield "self-loop edge ({i}, {j})", i != j
+    yield "edge ({i}, {j}): negative inlier count", inlier_count >= 0
+    c = covariance
+    if c is None:
+        return
+    yield "edge ({i}, {j}): covariance must be 3x3", c.shape == getattr(i, "shape", ()) + (3, 3)
+    finite = np.isfinite(c).all(axis=(-2, -1))
+    yield "edge ({i}, {j}): covariance has non-finite entries", finite
+    if finite.ndim and not finite.all():  # one matrix gets here only when finite
+        c = np.where(finite[:, None, None], c, np.eye(3))
+    asym = np.abs(c - c.swapaxes(-2, -1)).max(axis=(-2, -1))
+    yield ("edge ({i}, {j}): covariance is not symmetric",
+           asym <= 1e-12 * np.abs(c).max(axis=(-2, -1), initial=1.0))
+    yield ("edge ({i}, {j}): covariance is not positive definite",
+           np.linalg.eigvalsh(c).min(axis=-1) > 0.0)
+
+
+def checked_edges(i, j, rotations, inlier_counts, covariances, has_covariance):
+    """``EdgeMeasurement(i[k], j[k], rotations[k], cov_k, inlier_counts[k])`` for every k.
+
+    ``cov_k`` is ``covariances[k]`` (an (E, 3, 3) array) where
+    ``has_covariance[k]`` is set, else None.  All edges are checked at once
+    under the constructor's rules; when one breaks a rule, the edges are
+    built one at a time, so the first bad edge raises its own error.
+    """
+    has = np.asarray(has_covariance, dtype=bool)
+    covariances = np.asarray(covariances, dtype=np.float64)
+    stack = np.where(has[:, None, None], covariances, np.eye(3))
+    counts = np.array([0 if n is None else n for n in inlier_counts])
+    bad = np.zeros(len(has), dtype=bool)
+    for _, passed in _edge_checks(np.array(i), np.array(j), counts, stack):
+        bad |= np.logical_not(passed)
+    covs = [c if h else None for c, h in zip(covariances, has.tolist())]
+    rows = zip(i, j, rotations, covs, inlier_counts)
+    if bad.any():
+        return [EdgeMeasurement(*row) for row in rows]
+    return [EdgeMeasurement._trusted(int(a), int(b), r, c, None if n is None else int(n))
+            for a, b, r, c, n in rows]
 
 
 class ViewGraph:
@@ -133,10 +191,57 @@ def _rotation_from_qwxyz(q, where):
         raise SchemaError(f"{where}: bad quaternion {q!r}: {exc}") from exc
 
 
-def json_records(doc, key, fields, path) -> list[dict]:
+def _float_rows(rows, width):
+    """``rows`` as an (N, width) float array, or None when they do not form one."""
+    if not rows:
+        return np.empty((0, width))
+    try:
+        a = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    return a if a.shape == (len(rows), width) else None
+
+
+def stacked_rotations(quaternions):
+    """Rotations of a list of JSON quaternions, checked at once.
+
+    None when some entry is not a valid quaternion; the caller then goes
+    through :func:`_rotation_from_qwxyz` one entry at a time, so the first
+    bad one raises its own error.
+    """
+    q = _float_rows(quaternions, 4)
+    return None if q is None else checked_rotations(q)
+
+
+def read_json_object(path, keys) -> dict:
+    """The JSON object in ``path``, which must hold ``keys``; SchemaError otherwise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict) or any(k not in doc for k in keys):
+        raise SchemaError(f"{path}: expected object with " + " and ".join(map(repr, keys)))
+    return doc
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` as one line of JSON with sorted keys, then a newline.
+
+    ``json.dumps`` without an indent runs CPython's C encoder; ``json.dump``
+    and any indent format every value from Python.
+    """
+    text = json.dumps(doc, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def json_records(doc, key, fields, path, integers=()) -> list[dict]:
     """The list ``doc[key]``, checked to hold JSON objects that have ``fields``.
 
-    A record that is not an object or lacks a field raises
+    Each name in ``integers`` must hold a JSON integer (not a bool); one that
+    is not in ``fields`` may also be absent or null.  A record that is not an
+    object, lacks a field or holds a wrongly typed one raises
     :class:`SchemaError` naming it by position, e.g. ``g.json: edges[3]``.
     """
     records = doc[key]
@@ -148,110 +253,138 @@ def json_records(doc, key, fields, path) -> list[dict]:
         missing = [name for name in fields if name not in rec]
         if missing:
             raise SchemaError(f"{path}: {key}[{k}]: missing key {missing[0]!r}")
+        for name in integers:
+            value = rec.get(name)
+            if type(value) is not int and (value is not None or name in fields):
+                raise SchemaError(
+                    f"{path}: {key}[{k}]: {name!r} must be an integer, got {value!r}")
     return records
 
 
-def load_graph(path) -> ViewGraph:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
-        raise SchemaError(f"{path}: expected object with 'nodes' and 'edges'")
+def _edge_from_record(rec) -> EdgeMeasurement:
+    """One edge record, built and checked on its own (reference for the batch path)."""
+    where = f"edge ({rec['i']}, {rec['j']})"
+    cov = rec.get("cov")
+    if cov is not None:
+        cov = np.asarray(cov, dtype=np.float64)
+        if cov.shape != (9,):
+            raise SchemaError(f"{where}: 'cov' must be 9 row-major floats")
+        cov = cov.reshape(3, 3)
+    return EdgeMeasurement(
+        i=rec["i"],
+        j=rec["j"],
+        rotation=_rotation_from_qwxyz(rec["qwxyz"], where),
+        covariance=cov,
+        inlier_count=rec.get("inliers"),
+    )
+
+
+def _nodes_from_records(records) -> list[ViewNode]:
+    gts = [rec.get("gt_qwxyz") for rec in records]
+    rotations = stacked_rotations([q for q in gts if q is not None])
+    checked = iter(rotations or ())
     nodes = []
-    for rec in json_records(doc, "nodes", ("id",), path):
-        gt = rec.get("gt_qwxyz")
-        nodes.append(ViewNode(
-            id=int(rec["id"]),
-            gt_rotation=None if gt is None else _rotation_from_qwxyz(gt, f"node {rec['id']}"),
-        ))
-    edges = []
-    for rec in json_records(doc, "edges", ("i", "j", "qwxyz"), path):
-        where = f"edge ({rec.get('i')}, {rec.get('j')})"
-        cov = rec.get("cov")
-        if cov is not None:
-            cov = np.asarray(cov, dtype=np.float64)
-            if cov.shape != (9,):
-                raise SchemaError(f"{where}: 'cov' must be 9 row-major floats")
-            cov = cov.reshape(3, 3)
-        edges.append(EdgeMeasurement(
-            i=int(rec["i"]),
-            j=int(rec["j"]),
-            rotation=_rotation_from_qwxyz(rec["qwxyz"], where),
-            covariance=cov,
-            inlier_count=rec.get("inliers"),
-        ))
-    return ViewGraph(nodes, edges)
+    for rec, gt in zip(records, gts):
+        if gt is not None:  # one at a time when some quaternion is bad, in file order
+            gt = next(checked) if rotations is not None else _rotation_from_qwxyz(
+                gt, f"node {rec['id']}")
+        nodes.append(ViewNode(rec["id"], gt))
+    return nodes
+
+
+def _edges_from_records(records) -> list[EdgeMeasurement]:
+    rotations = stacked_rotations([rec["qwxyz"] for rec in records])
+    covs = [rec.get("cov") for rec in records]
+    has = [c is not None for c in covs]
+    stack = _float_rows([c for c in covs if c is not None], 9)
+    if rotations is None or stack is None:
+        # raises at the first bad record, with the error it raises on its own
+        return [_edge_from_record(rec) for rec in records]
+    full = np.zeros((len(records), 3, 3))
+    full[has] = stack.reshape(-1, 3, 3)
+    return checked_edges([rec["i"] for rec in records], [rec["j"] for rec in records],
+                         rotations, [rec.get("inliers") for rec in records], full, has)
+
+
+def load_graph(path) -> ViewGraph:
+    """Read a graph file.  All records are checked together; a bad one raises
+    the error it would raise on its own, naming the first in file order."""
+    doc = read_json_object(path, ("nodes", "edges"))
+    nodes = _nodes_from_records(json_records(doc, "nodes", ("id",), path, integers=("id",)))
+    edge_records = json_records(doc, "edges", ("i", "j", "qwxyz"), path,
+                                integers=("i", "j", "inliers"))
+    return ViewGraph(nodes, _edges_from_records(edge_records))
 
 
 def save_graph(g: ViewGraph, path) -> None:
-    doc = {"nodes": [], "edges": []}
+    nodes = []
     for nid in g.node_ids:
         n = g.nodes[nid]
         rec = {"id": n.id}
         if n.gt_rotation is not None:
-            rec["gt_qwxyz"] = list(n.gt_rotation.quaternion)
-        doc["nodes"].append(rec)
+            rec["gt_qwxyz"] = n.gt_rotation.quaternion.tolist()
+        nodes.append(rec)
+    edges = []
     for e in g.edges:
-        rec = {"i": e.i, "j": e.j, "qwxyz": list(e.rotation.quaternion)}
+        rec = {"i": e.i, "j": e.j, "qwxyz": e.rotation.quaternion.tolist()}
         if e.covariance is not None:
-            rec["cov"] = list(e.covariance.reshape(9))
+            rec["cov"] = e.covariance.reshape(9).tolist()
         if e.inlier_count is not None:
             rec["inliers"] = e.inlier_count
-        doc["edges"].append(rec)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        edges.append(rec)
+    write_json({"nodes": nodes, "edges": edges}, path)
+
+
+def _intrinsics(k, cache) -> CameraIntrinsics:
+    """The CameraIntrinsics of 9 row-major entries; one instance per distinct K in ``cache``."""
+    k = np.asarray(k, dtype=np.float64).reshape(3, 3)
+    key = k.tobytes()
+    if key not in cache:
+        cache[key] = CameraIntrinsics(k)
+    return cache[key]
 
 
 def load_pairs(path) -> list[TwoViewGeometry]:
     """Load the correspondence-set format; pairs in file order.
 
     Each returned geometry carries its (i, j) ids in the ``.pair`` attribute
-    added here (the dataclass itself is id-agnostic).
+    added here (the dataclass itself is id-agnostic).  Pairs with the same K
+    share one :class:`CameraIntrinsics`, so its K^{-1} is computed once.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "pairs" not in doc:
-        raise SchemaError(f"{path}: expected object with 'pairs'")
+    doc = read_json_object(path, ("pairs",))
+    records = json_records(doc, "pairs", ("i", "j", "K_i", "K_j", "qwxyz", "t", "matches"),
+                           path, integers=("i", "j"))
+    rotations = stacked_rotations([rec["qwxyz"] for rec in records])
+    intrinsics = {}
     out = []
-    for rec in json_records(doc, "pairs", ("i", "j", "K_i", "K_j", "qwxyz", "t", "matches"),
-                            path):
-        where = f"pair ({rec.get('i')}, {rec.get('j')})"
+    for k, rec in enumerate(records):
+        where = f"pair ({rec['i']}, {rec['j']})"
         try:
             geom = TwoViewGeometry(
-                rotation=_rotation_from_qwxyz(rec["qwxyz"], where),
+                rotation=(_rotation_from_qwxyz(rec["qwxyz"], where) if rotations is None
+                          else rotations[k]),
                 translation=np.asarray(rec["t"], dtype=np.float64),
-                intrinsics_i=CameraIntrinsics(np.asarray(rec["K_i"], dtype=np.float64).reshape(3, 3)),
-                intrinsics_j=CameraIntrinsics(np.asarray(rec["K_j"], dtype=np.float64).reshape(3, 3)),
+                intrinsics_i=_intrinsics(rec["K_i"], intrinsics),
+                intrinsics_j=_intrinsics(rec["K_j"], intrinsics),
                 matches=np.asarray(rec["matches"], dtype=np.float64),
             )
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-        out.append(((int(rec["i"]), int(rec["j"])), geom))
+        out.append(((rec["i"], rec["j"]), geom))
     return out
 
 
 def save_pairs(pairs, path) -> None:
     """Inverse of :func:`load_pairs`; pairs = [((i, j), TwoViewGeometry)]."""
-    doc = {"pairs": []}
-    for (i, j), geom in pairs:
-        doc["pairs"].append({
-            "i": i,
-            "j": j,
-            "K_i": list(geom.intrinsics_i.k.reshape(9)),
-            "K_j": list(geom.intrinsics_j.k.reshape(9)),
-            "qwxyz": list(geom.rotation.quaternion),
-            "t": list(geom.translation),
-            "matches": [list(row) for row in geom.matches],
-        })
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({"pairs": [{
+        "i": i,
+        "j": j,
+        "K_i": geom.intrinsics_i.k.reshape(9).tolist(),
+        "K_j": geom.intrinsics_j.k.reshape(9).tolist(),
+        "qwxyz": geom.rotation.quaternion.tolist(),
+        "t": geom.translation.tolist(),
+        "matches": geom.matches.tolist(),
+    } for (i, j), geom in pairs]}, path)
 
 
 def _find(parent: dict[int, int], a: int) -> int:

@@ -98,6 +98,60 @@ def test_missing_keys_exit_2(tmp_path, capsys):
     assert "rotations[2]: missing key 'id'" in capsys.readouterr().err
 
 
+def test_wrongly_typed_ids_exit_2(tmp_path, capsys):
+    """Ids and inlier counts must be JSON integers; anything else is a data error naming it."""
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    edge = {"i": 0, "j": 1, "qwxyz": [1.0, 0.0, 0.0, 0.0]}
+    cases = [
+        ([{"id": 0}, {"id": None}], [edge], "nodes[1]: 'id' must be an integer, got None"),
+        ([{"id": "a"}, {"id": 1}], [edge], "nodes[0]: 'id' must be an integer, got 'a'"),
+        ([{"id": 0}, {"id": True}], [edge], "nodes[1]: 'id' must be an integer, got True"),
+        ([{"id": 0}, {"id": 1}], [dict(edge, inliers="x")],
+         "edges[0]: 'inliers' must be an integer, got 'x'"),
+        ([{"id": 0}, {"id": 1}], [dict(edge, j=1.7)], "edges[0]: 'j' must be an integer, got 1.7"),
+        ([{"id": 0}, {"id": 1}], [dict(edge, i=0.0)], "edges[0]: 'i' must be an integer, got 0.0"),
+    ]
+    for nodes, edges, message in cases:
+        g.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+        assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 2
+        assert message in capsys.readouterr().err
+    g.write_text(json.dumps({"nodes": [{"id": 0}, {"id": 1}], "edges": [dict(edge, inliers=None)]}))
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 0  # null = no count
+
+    pairs_path = tmp_path / "pairs.json"
+    save_pairs(_pairs(np.random.default_rng(1)), pairs_path)
+    doc = json.loads(pairs_path.read_text())
+    doc["pairs"][2]["i"] = 1.5
+    pairs_path.write_text(json.dumps(doc))
+    assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", str(g)]) == 2
+    assert "pairs[2]: 'i' must be an integer, got 1.5" in capsys.readouterr().err
+
+    synth = _synth(tmp_path)
+    assert cli.main(["average", "--in", str(synth), "--out", str(r)]) == 0
+    doc = json.loads(r.read_text())
+    doc["rotations"][3]["id"] = "3"
+    r.write_text(json.dumps(doc))
+    assert cli.main(["evaluate", "--est", str(r), "--gt", str(synth)]) == 2
+    assert "rotations[3]: 'id' must be an integer, got '3'" in capsys.readouterr().err
+
+
+def test_bad_result_quaternion_exits_2(tmp_path, capsys):
+    synth = _synth(tmp_path)
+    r = tmp_path / "r.json"
+    assert cli.main(["average", "--in", str(synth), "--out", str(r)]) == 0
+    doc = json.loads(r.read_text())
+    rec = doc["rotations"][4]
+    rec["qwxyz"] = [0, 0, 0, 0]
+    r.write_text(json.dumps(doc))
+    assert cli.main(["evaluate", "--est", str(r), "--gt", str(synth)]) == 2
+    err = capsys.readouterr().err
+    assert f"node {rec['id']}: bad quaternion [0, 0, 0, 0]: zero-norm quaternion" in err
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_numerical_errors_exit_3(tmp_path, monkeypatch):
     g = _synth(tmp_path)
 

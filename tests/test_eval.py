@@ -4,9 +4,11 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from rotavg.evaluate import AlignmentResult, align_rotations, auc, export_cdf
-from rotavg.losses import LossSpec
+from rotavg import kernels
+from rotavg.evaluate import ALIGN_CAUCHY_SCALE, AlignmentResult, align_rotations, auc, export_cdf
+from rotavg.losses import LossSpec, evaluate_loss
 from rotavg.so3 import Rotation, exp_so3, geodesic_angle, log_so3
 
 from conftest import random_rotation
@@ -92,6 +94,81 @@ def test_alignment_uses_only_common_ids():
     res = align_rotations(est, gt)
     assert set(res.per_view_errors) == set(range(5))
     assert max(res.per_view_errors.values()) < 1e-10
+
+
+def _reference_alignment(est, gt):
+    """The alignment computed node by node with Rotation objects (reference)."""
+    loss = LossSpec("cauchy", scale=ALIGN_CAUCHY_SCALE)
+    common = sorted(set(est) & set(gt))
+    disc = [gt[nid].inverse().compose(est[nid]) for nid in common]
+    m = np.zeros((4, 4))
+    for d in disc:
+        q = d.quaternion if d.quaternion @ disc[0].quaternion >= 0.0 else -d.quaternion
+        m += np.outer(q, q)
+    r = Rotation(np.linalg.eigh(m)[1][:, -1])
+
+    def residuals(rot):
+        return np.array([log_so3(d.compose(rot.inverse())) for d in disc])
+
+    def robust_cost(res):
+        return evaluate_loss(loss, np.sum(res * res, axis=1))
+
+    lam, prev = 1e-6, None
+    for _ in range(64):
+        res = residuals(r)
+        ev = robust_cost(res)
+        cost = float(np.sum(ev.value))
+        if prev is not None and abs(prev - cost) <= 1e-14 * max(1.0, prev):
+            break
+        prev = cost
+        jac = -kernels.jr_inv(res) @ r.matrix
+        jac_t = np.swapaxes(jac, 1, 2)
+        h = np.sum(ev.weight[:, None, None] * (jac_t @ jac), axis=0)
+        grad = np.sum(ev.weight[:, None] * (jac_t @ res[:, :, None])[:, :, 0], axis=0)
+        if np.max(np.abs(grad)) < 1e-14:
+            break
+        accepted = False
+        for _ in range(10):
+            delta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h + lam * np.eye(3)), -grad)
+            trial = r.compose(exp_so3(delta))
+            if float(np.sum(robust_cost(residuals(trial)).value)) <= cost:
+                r, lam, accepted = trial, max(lam / 3.0, 1e-12), True
+                break
+            lam *= 10.0
+        if not accepted or np.linalg.norm(delta) < 1e-14:
+            break
+    errors = {nid: float(np.degrees(np.linalg.norm(log_so3(d.compose(r.inverse())))))
+              for nid, d in zip(common, disc)}
+    return r, errors
+
+
+def _criterion_11_case():
+    rng = np.random.default_rng(11)
+    gt = {i: random_rotation(rng) for i in range(25)}
+    q = random_rotation(rng)
+    return {i: r.compose(q) for i, r in gt.items()}, gt
+
+
+def _noisy_case():
+    rng = np.random.default_rng(12)
+    gt = _random_gt(rng, 25)
+    q = random_rotation(rng)
+    est = {i: r.compose(q).compose(exp_so3(rng.normal(scale=0.05, size=3)))
+           for i, r in gt.items()}
+    for i in (3, 11, 17):
+        est[i] = random_rotation(rng)
+    return est, gt
+
+
+@pytest.mark.parametrize("case", [_criterion_11_case, _noisy_case])
+def test_alignment_matches_per_node_reference(case):
+    est, gt = case()
+    r_ref, errors_ref = _reference_alignment(est, gt)
+    res = align_rotations(est, gt)
+    assert res.per_view_errors.keys() == errors_ref.keys()
+    assert max(abs(res.per_view_errors[i] - errors_ref[i]) for i in gt) <= 1e-12
+    assert np.abs(res.r_align.quaternion - r_ref.quaternion).max() < 1e-12
+    assert res.inlier_fraction_under_5deg == sum(e < 5.0 for e in errors_ref.values()) / 25
 
 
 # ---------------------------------------------------------------------------

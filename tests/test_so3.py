@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from rotavg.so3 import (
     Rotation,
+    canonical_quats,
+    checked_rotations,
     exp_so3,
     geodesic_angle,
     log_so3,
@@ -126,6 +128,41 @@ def test_quaternion_sign_canonicalization():
     assert Rotation(q) == Rotation(-q)
     assert hash(Rotation(q)) == hash(Rotation(-q))
     assert Rotation(q).quaternion[0] >= 0.0
+
+
+def _quaternion_rows(rng):
+    q = rng.normal(size=(10_000, 4))
+    q[:2000] /= np.linalg.norm(q[:2000], axis=1)[:, None]   # already unit
+    q[2000:2100] *= 1e-3                                      # far from unit
+    q[2100:2200, 0] = -np.abs(q[2100:2200, 0])                # negative w
+    q[2200:2300, 0] = 0.0                                     # w = 0, first nonzero < 0
+    q[2200:2300, 1] = -np.abs(q[2200:2300, 1])
+    q[2300:2400, :2] = 0.0                                    # w = x = 0, y < 0
+    q[2300:2400, 2] = -np.abs(q[2300:2400, 2])
+    q[2400:2500, 0] = -0.0                                    # signed zeros
+    q[2400:2450, 1] = -0.0
+    q[2500:2600, 1:] = -0.0
+    q[2600] = [-0.0, -0.0, -0.0, -1.0]
+    q[2601] = [0.0, -0.0, 0.0, 2.0]
+    return q
+
+
+def test_canonical_quats_match_rotation_bytewise():
+    q = _quaternion_rows(np.random.default_rng(5))
+    ref = np.array([Rotation(row).quaternion for row in q])
+    assert canonical_quats(q).tobytes() == ref.tobytes()
+    rotations = checked_rotations(q)
+    assert [r.quaternion.tobytes() for r in rotations] == [row.tobytes() for row in ref]
+    assert all(r == Rotation(row) for r, row in zip(rotations[:100], q))
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, 0.0],
+                                 [np.nan, 0.0, 0.0, 1.0], [1.0, np.inf, 0.0, 0.0]])
+def test_checked_rotations_reject_what_rotation_rejects(bad):
+    with pytest.raises(ValueError):
+        Rotation(np.array(bad))
+    q = np.array([[1.0, 0.0, 0.0, 0.0], bad, [0.0, 1.0, 0.0, 0.0]])
+    assert checked_rotations(q) is None
 
 
 def test_from_matrix_round_trip_including_pi_angles():

@@ -7,11 +7,14 @@ import pytest
 
 from rotavg.errors import SchemaError
 from rotavg.so3 import Rotation, exp_so3, relative_residual
+from rotavg.solver import SolverConfig, load_result_rotations, save_result, solve
 from rotavg.synth import DEFAULT_INTRINSICS, generate_two_view_scene
+from rotavg.twoview import CameraIntrinsics, TwoViewGeometry
 from rotavg.viewgraph import (
     EdgeMeasurement,
     ViewGraph,
     ViewNode,
+    checked_edges,
     connected_components,
     default_tree_criterion,
     enumerate_spanning_trees,
@@ -157,6 +160,126 @@ def test_load_graph_schema_errors(tmp_path):
         load_graph(bad)
 
 
+def _edge_records(rng, n=5):
+    """Valid records of a ring over n nodes, each with a covariance and a count."""
+    records = []
+    for k in range(n):
+        a = rng.normal(size=(3, 3))
+        records.append({"i": k, "j": (k + 1) % n, "inliers": 10 + k,
+                        "qwxyz": random_rotation(rng).quaternion.tolist(),
+                        "cov": (a @ a.T + 0.1 * np.eye(3)).reshape(9).tolist()})
+    return records
+
+
+def _load_edges(tmp_path, records, n=5):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"nodes": [{"id": k} for k in range(n)], "edges": records}))
+    return load_graph(path)
+
+
+def _constructor_message(**kw):
+    with pytest.raises(SchemaError) as exc:
+        EdgeMeasurement(**kw)
+    return str(exc.value)
+
+
+def _quaternion_message(edge, q):
+    with pytest.raises(ValueError) as exc:
+        Rotation(np.asarray(q, dtype=np.float64))
+    return f"edge ({edge['i']}, {edge['j']}): bad quaternion {q!r}: {exc.value}"
+
+
+def _break(edge, rule):
+    """Make ``edge`` break ``rule``; return the message its one-record load raises."""
+    i, j, rot = edge["i"], edge["j"], Rotation.identity()
+    cov = np.array(edge["cov"]).reshape(3, 3)
+    if rule == "self-loop":
+        edge["j"] = i
+        return _constructor_message(i=i, j=i, rotation=rot)
+    if rule == "negative inliers":
+        edge["inliers"] = -1
+        return _constructor_message(i=i, j=j, rotation=rot, inlier_count=-1)
+    if rule == "cov length":
+        edge["cov"] = edge["cov"][:8]
+        return f"edge ({i}, {j}): 'cov' must be 9 row-major floats"
+    if rule in ("non-finite cov", "asymmetric cov", "not-PD cov"):
+        if rule == "non-finite cov":
+            cov[1, 2] = np.inf
+        elif rule == "asymmetric cov":
+            cov[0, 1] += 1e-6
+        else:
+            cov = np.diag([1.0, -1.0, 1.0])
+        edge["cov"] = cov.reshape(9).tolist()
+        return _constructor_message(i=i, j=j, rotation=rot, covariance=cov)
+    edge["qwxyz"] = {"zero-norm quaternion": [0.0, 0.0, 0.0, 0.0],
+                     "non-finite quaternion": [float("nan"), 0.0, 0.0, 1.0],
+                     "quaternion length": [1.0, 0.0, 0.0]}[rule]
+    return _quaternion_message(edge, edge["qwxyz"])
+
+
+EDGE_RULES = ["self-loop", "negative inliers", "cov length", "non-finite cov", "asymmetric cov",
+              "not-PD cov", "zero-norm quaternion", "non-finite quaternion", "quaternion length"]
+
+
+@pytest.mark.parametrize("rule", EDGE_RULES)
+def test_load_graph_names_bad_edge_like_its_constructor(tmp_path, rule):
+    records = _edge_records(np.random.default_rng(7))
+    expected = _break(records[2], rule)
+    with pytest.raises(SchemaError) as exc:
+        _load_edges(tmp_path, records)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("first, second", [("not-PD cov", "zero-norm quaternion"),
+                                           ("zero-norm quaternion", "self-loop"),
+                                           ("asymmetric cov", "non-finite cov"),
+                                           ("negative inliers", "cov length"),
+                                           ("self-loop", "negative inliers")])
+def test_load_graph_names_first_bad_edge(tmp_path, first, second):
+    records = _edge_records(np.random.default_rng(8))
+    expected = _break(records[1], first)
+    _break(records[3], second)
+    with pytest.raises(SchemaError) as exc:
+        _load_edges(tmp_path, records)
+    assert str(exc.value) == expected
+
+
+def test_load_graph_names_first_bad_node(tmp_path):
+    nodes = [{"id": k, "gt_qwxyz": [1.0, 0.0, 0.0, 0.0]} for k in range(5)]
+    nodes[1]["id"] = -1
+    nodes[3]["gt_qwxyz"] = [0, 0, 0, 0]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": []}))
+    with pytest.raises(SchemaError, match=r"^node id must be non-negative, got -1$"):
+        load_graph(path)
+    nodes[1], nodes[3] = nodes[3], nodes[1]
+    path.write_text(json.dumps({"nodes": nodes, "edges": []}))
+    with pytest.raises(SchemaError, match=r"^node 3: bad quaternion \[0, 0, 0, 0\]: zero-norm"):
+        load_graph(path)
+
+
+def test_checked_edges_match_constructor():
+    rng = np.random.default_rng(9)
+    records = _edge_records(rng, n=12)
+    i = [r["i"] for r in records]
+    j = [r["j"] for r in records]
+    rotations = [random_rotation(rng) for _ in records]
+    counts = [r["inliers"] if k % 3 else None for k, r in enumerate(records)]
+    covs = np.array([r["cov"] for r in records]).reshape(-1, 3, 3)
+    has = [k % 4 != 1 for k in range(len(records))]
+    covs[~np.array(has)] = np.nan  # ignored where there is no covariance
+    edges = checked_edges(i, j, rotations, counts, covs, has)
+    for k, e in enumerate(edges):
+        ref = EdgeMeasurement(i[k], j[k], rotations[k], covs[k] if has[k] else None, counts[k])
+        assert (e.key, e.rotation, e.inlier_count) == (ref.key, ref.rotation, ref.inlier_count)
+        assert (e.covariance is None) == (ref.covariance is None)
+        assert e.covariance is None or e.covariance.tobytes() == ref.covariance.tobytes()
+    covs[6, 0, 2] = np.nan
+    covs[8] = np.diag([1.0, 0.0, 1.0])
+    with pytest.raises(SchemaError, match=r"^edge \(6, 7\): covariance has non-finite entries$"):
+        checked_edges(i, j, rotations, counts, covs, has)
+
+
 def test_pairs_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     geoms = []
@@ -179,6 +302,71 @@ def test_pairs_round_trip(tmp_path):
     bad.write_text(json.dumps({"pairs": [{"i": 0, "j": 1}]}))
     with pytest.raises(SchemaError):
         load_pairs(bad)
+
+
+def _indented(path):
+    """Rewrite a file in the indented layout of earlier releases; return the compact text."""
+    text = path.read_text()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(json.loads(text), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return text
+
+
+def test_files_are_compact_json_and_indented_files_still_load(tmp_path):
+    rng = np.random.default_rng(3)
+    g, _ = _consistent_graph(rng, 5, counts=True)
+    g = ViewGraph(g.nodes.values(), [EdgeMeasurement(e.i, e.j, e.rotation, np.diag([4.0, 1.0, 2.0]),
+                                                     e.inlier_count) for e in g.edges])
+    pairs = [((k, k + 1), generate_two_view_scene(
+        n_points=8, pixel_sigma=0.5, rotation=moderate_rotation(rng),
+        translation=np.array([1.0, 0.0, 0.2]), seed=k)) for k in range(2)]
+    result = solve(g, spanning_tree_init(g), SolverConfig())
+    paths = {name: tmp_path / f"{name}.json" for name in ("graph", "pairs", "result")}
+    save_graph(g, paths["graph"])
+    save_pairs(pairs, paths["pairs"])
+    save_result(result, paths["result"])
+    for path in paths.values():
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert text.count("\n") == 1
+
+    def graph_values(h):
+        return ([(n.id, n.gt_rotation) for n in h.nodes.values()],
+                [(e.key, e.rotation, e.inlier_count, e.covariance.tobytes()) for e in h.edges])
+
+    def pairs_values(ps):
+        return [(key, geom.rotation, geom.translation.tobytes(), geom.intrinsics_i.k.tobytes(),
+                 geom.intrinsics_j.k.tobytes(), geom.matches.tobytes()) for key, geom in ps]
+
+    loaders = {"graph": (load_graph, graph_values), "pairs": (load_pairs, pairs_values),
+               "result": (load_result_rotations, lambda r: r)}
+    for name, path in paths.items():
+        load, values = loaders[name]
+        compact = values(load(path))
+        assert json.loads(_indented(path)) == json.loads(path.read_text())
+        assert values(load(path)) == compact
+    assert graph_values(load_graph(paths["graph"])) == graph_values(g)
+
+
+def test_load_pairs_shares_intrinsics_per_distinct_k(tmp_path):
+    rng = np.random.default_rng(4)
+    other = CameraIntrinsics(np.array([[700.0, 0.0, 300.0], [0.0, 710.0, 200.0], [0.0, 0.0, 1.0]]))
+    pairs = []
+    for k, (ki, kj) in enumerate([(DEFAULT_INTRINSICS, DEFAULT_INTRINSICS),
+                                  (DEFAULT_INTRINSICS, other), (other, DEFAULT_INTRINSICS)]):
+        geom = generate_two_view_scene(n_points=8, pixel_sigma=0.5, rotation=moderate_rotation(rng),
+                                       translation=np.array([1.0, 0.0, 0.2]), seed=k)
+        pairs.append(((k, k + 1), TwoViewGeometry(geom.rotation, geom.translation, ki, kj,
+                                                  geom.matches)))
+    path = tmp_path / "pairs.json"
+    save_pairs(pairs, path)
+    back = [geom for _, geom in load_pairs(path)]
+    slots = [g.intrinsics_i for g in back] + [g.intrinsics_j for g in back]
+    assert len({id(k) for k in slots}) == 2
+    assert back[0].intrinsics_i is back[0].intrinsics_j is back[1].intrinsics_i
+    assert back[1].intrinsics_j is back[2].intrinsics_i
+    assert np.array_equal(back[1].intrinsics_j.k, other.k)
 
 
 # ---------------------------------------------------------------------------
