@@ -7,15 +7,11 @@ from .solver import AveragingResult, SolverConfig, cost, solve
 from .synth import SynthConfig, SynthScene, generate_graph, generate_two_view_scene
 from .twoview import (
     CameraIntrinsics,
-    Correspondence,
-    CovarianceResult,
     TwoViewGeometry,
     covariance_of_rotation,
     fundamental_from_pose,
     rotation_covariances,
     rotation_jacobian,
-    sampson_distance,
-    scalar_uncertainty,
 )
 from .viewgraph import (
     EdgeMeasurement,

@@ -7,7 +7,7 @@ per-node discrepancies ``m_i = R_i^T R_i'`` (ground truth vs. estimate) and
 reports ``error_i = ||Log(m_i R_align^T)||``, the geodesic angle between
 the ground truth and the gauge-corrected estimate ``R_i' R_align^T``.
 The per-node discrepancies and residuals are (N, 4) quaternion arrays
-handled by the :mod:`rotavg.kernels` quaternion ops.
+handled by the :mod:`rotavg.so3` array functions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import scipy.linalg
 
 from . import kernels
 from .losses import LossSpec, evaluate_loss
-from .so3 import Rotation, canonical_quats, exp_so3
+from .so3 import Rotation, canonical_quats, exp_so3, quat_conj, quat_log, quat_mul
 
 __all__ = ["AlignmentResult", "align_rotations", "auc", "export_cdf"]
 
@@ -44,7 +44,7 @@ def _chordal_mean_quat(quats: np.ndarray) -> Rotation:
 
 def _residuals(quats: np.ndarray, r: Rotation) -> np.ndarray:
     """Log(m_i R^T) for every row m_i of ``quats``, as (N, 3)."""
-    return kernels._quat_log(kernels._quat_mul(quats, kernels._quat_conj(r.quaternion)))
+    return quat_log(quat_mul(quats, quat_conj(r.quaternion)))
 
 
 def fit_alignment_rotation(quats: np.ndarray, loss: LossSpec) -> Rotation:
@@ -105,7 +105,7 @@ def align_rotations(
         loss = LossSpec("cauchy", scale=ALIGN_CAUCHY_SCALE)
     q_gt = np.array([gt[nid].quaternion for nid in common])
     q_est = np.array([est[nid].quaternion for nid in common])
-    discrepancies = canonical_quats(kernels._quat_mul(kernels._quat_conj(q_gt), q_est))
+    discrepancies = canonical_quats(quat_mul(quat_conj(q_gt), q_est))
     r_align = fit_alignment_rotation(discrepancies, loss)
     errors = np.degrees(np.linalg.norm(_residuals(discrepancies, r_align), axis=1))
     return AlignmentResult(

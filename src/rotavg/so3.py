@@ -1,8 +1,19 @@
-"""Exact SO(3) arithmetic: rotations, exp/log maps, geodesic residuals.
+"""SO(3) arithmetic on quaternion arrays, and the one-rotation :class:`Rotation`.
+
+The package's quaternion formulas are written once here, on ``(..., 4)``
+quaternion and ``(..., 3)`` rotation-vector arrays: the Hamilton product
+:func:`quat_mul`, :func:`quat_conj`, :func:`quat_exp`, :func:`quat_log`,
+:func:`quat_to_matrix`, the cross-product matrix :func:`hat` and the
+canonical normalization :func:`canonical_quats`.  A row's result does not
+depend on the batch it is in, so one formula serves the batched solver and
+the one-rotation :class:`Rotation` alike.  The exponential and logarithm
+follow Sola, Deray & Atchuthan, "A micro Lie theory for state estimation
+in robotics" (2018).
 
 A :class:`Rotation` stores a unit quaternion ``(w, x, y, z)`` canonicalized
 to ``w >= 0`` (so ``q`` and ``-q`` compare equal), with matrix and
-axis-angle forms derived on demand.  All functions are pure.
+axis-angle forms derived on demand.  It is the N = 1 case of the array
+functions; loops over many rotations use the arrays directly.
 
 Residual convention used throughout the package: for an edge measurement
 ``R_ij`` constraining absolute rotations ``R_i``, ``R_j`` the residual is
@@ -24,11 +35,116 @@ import numpy as np
 __all__ = [
     "Rotation",
     "canonical_quats",
+    "checked_rotations",
+    "hat",
+    "quat_conj",
+    "quat_exp",
+    "quat_log",
+    "quat_mul",
+    "quat_to_matrix",
     "exp_so3",
     "log_so3",
     "geodesic_angle",
     "relative_residual",
 ]
+
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+# weights on the signs of (w, x, y, z): each outweighs all later ones together
+_FIRST_SIGN = np.array([8.0, 4.0, 2.0, 1.0])
+
+
+def quat_mul(a, b):
+    """Hamilton product ``a b`` of quaternion arrays (..., 4), broadcast.
+
+    Written one component at a time, rounding as ``np.sum`` and
+    ``np.cross`` over the vector parts do:
+    ``w = w1 w2 - (((0 + x1 x2) + y1 y2) + z1 z2)`` and
+    ``v = (w1 v2 + w2 v1) + v1 x v2``, with each cross-product component
+    formed as one product minus the other.  ``np.sum`` starts from +0, which
+    only changes the sign of a zero sum.
+    """
+    w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    w = w1 * w2 - (0.0 + x1 * x2 + y1 * y2 + z1 * z2)
+    out = np.empty(np.shape(w) + (4,))
+    out[..., 0] = w
+    out[..., 1] = w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2)
+    out[..., 2] = w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2)
+    out[..., 3] = w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2)
+    return out
+
+
+def quat_conj(q):
+    """Conjugates (w, -x, -y, -z): the inverse rotations of unit quaternions."""
+    return q * _CONJUGATE
+
+
+def canonical_quats(q):
+    """Unit norm, then w >= 0 (the first nonzero entry positive), per row of (..., 4).
+
+    A row within 1e-12 of unit norm is not divided, so canonical rows come
+    back bit for bit.
+    """
+    n = np.sqrt(np.vecdot(q, q))[..., None]
+    q = np.where(np.abs(n - 1.0) > 1e-12, q / n, q)
+    return np.where((np.sign(q) @ _FIRST_SIGN < 0.0)[..., None], -q, q)
+
+
+def quat_exp(v):
+    """Exp of rotation vectors (..., 3) as canonical unit quaternions (..., 4).
+
+    ``sin`` and ``cos`` are evaluated per element with :mod:`math`; below an
+    angle of 1e-8 the series ``sin(t/2)/t = 1/2 - t^2/48`` and
+    ``cos(t/2) = 1 - (t/2)^2/2`` take over.
+    """
+    theta = np.sqrt(np.vecdot(v, v))
+    half = 0.5 * theta
+    small = theta < 1e-8
+    halves = np.ravel(half).tolist()
+    sin_half = np.reshape([math.sin(h) for h in halves], np.shape(half))
+    cos_half = np.reshape([math.cos(h) for h in halves], np.shape(half))
+    s = np.where(small, 0.5 - theta * theta / 48.0, sin_half / np.where(small, 1.0, theta))
+    w = np.where(small, 1.0 - half * half / 2.0, cos_half)
+    return canonical_quats(np.concatenate([w[..., None], s[..., None] * v], axis=-1))
+
+
+def quat_log(q):
+    """Rotation vectors (..., 3) of unit quaternions (..., 4); norms in [0, pi]."""
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    v = q[..., 1:]
+    s = np.linalg.norm(v, axis=-1)
+    # small angles: theta / s -> 2 / w
+    small = s < 1e-12
+    scale = np.where(small, 2.0, 2.0 * np.arctan2(s, q[..., 0]) / np.where(small, 1.0, s))
+    return scale[..., None] * v
+
+
+def quat_to_matrix(q):
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4)."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(np.shape(w) + (3, 3))
+    out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    out[..., 0, 1] = 2.0 * (x * y - w * z)
+    out[..., 0, 2] = 2.0 * (x * z + w * y)
+    out[..., 1, 0] = 2.0 * (x * y + w * z)
+    out[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    out[..., 1, 2] = 2.0 * (y * z - w * x)
+    out[..., 2, 0] = 2.0 * (x * z - w * y)
+    out[..., 2, 1] = 2.0 * (y * z + w * x)
+    out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    return out
+
+
+def hat(v):
+    """Cross-product matrices [v]x (..., 3, 3) of vectors (..., 3)."""
+    out = np.zeros(np.shape(v)[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
 
 
 class Rotation:
@@ -40,21 +156,17 @@ class Rotation:
         q = np.asarray(wxyz, dtype=np.float64)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have 4 entries, got shape {q.shape}")
-        n = math.sqrt(float(q @ q))
-        for message, passed in _quaternion_checks(q, n):
+        for message, passed in _quaternion_checks(q, math.sqrt(float(q @ q))):
             if not passed:
                 raise ValueError(message)
-        # skip division when already normalized so round-trips stay bit-exact
-        if abs(n - 1.0) > 1e-12:
-            q = q / n
-        if q[0] < 0.0 or (q[0] == 0.0 and _first_nonzero_negative(q)):
-            q = -q
+        q = canonical_quats(q)
         q.setflags(write=False)
         self._q = q
 
     @classmethod
     def _trusted(cls, q) -> "Rotation":
-        """Wrap a canonical read-only quaternion unchecked (for :func:`checked_rotations`)."""
+        """Wrap a canonical quaternion unchecked, making it read-only."""
+        q.setflags(write=False)
         r = object.__new__(cls)
         r._q = q
         return r
@@ -97,10 +209,6 @@ class Rotation:
             q[1 + j] = (m[j, k] + m[k, j]) * s
         return cls(q)
 
-    @classmethod
-    def from_axis_angle(cls, v) -> "Rotation":
-        return exp_so3(v)
-
     @property
     def quaternion(self) -> np.ndarray:
         """Unit quaternion (w, x, y, z), w >= 0."""
@@ -108,37 +216,21 @@ class Rotation:
 
     @property
     def matrix(self) -> np.ndarray:
-        w, x, y, z = self._q
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
+        return quat_to_matrix(self._q)
 
     @property
     def axis_angle(self) -> np.ndarray:
         return log_so3(self)
 
     def inverse(self) -> "Rotation":
-        w, x, y, z = self._q
-        return Rotation(np.array([w, -x, -y, -z]))
+        return Rotation._trusted(canonical_quats(quat_conj(self._q)))
 
     def compose(self, other: "Rotation") -> "Rotation":
         """self * other (apply other first)."""
-        w1, x1, y1, z1 = self._q
-        w2, x2, y2, z2 = other._q
-        return Rotation(np.array([
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]))
+        return Rotation._trusted(canonical_quats(quat_mul(self._q, other._q)))
 
     def __matmul__(self, other: "Rotation") -> "Rotation":
         return self.compose(other)
-
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=np.float64)
 
     def __repr__(self) -> str:
         w, x, y, z = self._q
@@ -164,21 +256,6 @@ def _quaternion_checks(q, norm):
             ("zero-norm quaternion", norm >= 1e-12))
 
 
-def canonical_quats(q):
-    """Row-wise :class:`Rotation` normalization of an (N, 4) stack: unit norm, then w >= 0.
-
-    Each row of a valid stack equals ``Rotation(row).quaternion`` bit for bit.
-    """
-    n = np.sqrt(np.vecdot(q, q))
-    # skip the division when already normalized, as Rotation does
-    q = np.where((np.abs(n - 1.0) > 1e-12)[:, None], q / n[:, None], q)
-    v = q[:, 1:]
-    nonzero = v != 0.0
-    first = v[np.arange(len(v)), np.argmax(nonzero, axis=1)]
-    flip = (q[:, 0] < 0.0) | ((q[:, 0] == 0.0) & nonzero.any(axis=1) & (first < 0.0))
-    return np.where(flip[:, None], -q, q)
-
-
 def checked_rotations(q):
     """``[Rotation(row) for row in q]`` for an (N, 4) float array, checked at once.
 
@@ -192,13 +269,6 @@ def checked_rotations(q):
     return [Rotation._trusted(row) for row in rows]
 
 
-def _first_nonzero_negative(q) -> bool:
-    for v in q[1:]:
-        if v != 0.0:
-            return v < 0.0
-    return False
-
-
 def exp_so3(v) -> Rotation:
     """Rodrigues exponential: rotation by angle ||v|| about axis v/||v||."""
     v = np.asarray(v, dtype=np.float64)
@@ -206,33 +276,17 @@ def exp_so3(v) -> Rotation:
         raise ValueError("tangent vector must have 3 entries")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite tangent vector")
-    theta = math.sqrt(float(v @ v))
-    half = 0.5 * theta
-    if theta < 1e-8:
-        # sin(t/2)/t = 1/2 - t^2/48 + O(t^4)
-        s = 0.5 - theta * theta / 48.0
-        w = 1.0 - half * half / 2.0
-    else:
-        s = math.sin(half) / theta
-        w = math.cos(half)
-    return Rotation(np.array([w, s * v[0], s * v[1], s * v[2]]))
+    return Rotation._trusted(quat_exp(v))
 
 
 def log_so3(r: Rotation) -> np.ndarray:
     """Axis-angle logarithm; output norm in [0, pi]."""
-    w, x, y, z = r.quaternion  # w >= 0 by canonicalization
-    s = math.sqrt(x * x + y * y + z * z)
-    if s < 1e-12:
-        return np.array([2.0 * x, 2.0 * y, 2.0 * z])
-    scale = 2.0 * math.atan2(s, w) / s
-    return np.array([scale * x, scale * y, scale * z])
+    return quat_log(r.quaternion)
 
 
 def geodesic_angle(ra: Rotation, rb: Rotation) -> float:
     """Bi-invariant angle ||Log(Ra Rb^T)|| in [0, pi] radians."""
-    d = ra.compose(rb.inverse())
-    w = min(1.0, abs(float(d.quaternion[0])))
-    return 2.0 * math.acos(w)
+    return float(np.linalg.norm(quat_log(quat_mul(ra.quaternion, quat_conj(rb.quaternion)))))
 
 
 def relative_residual(ri: Rotation, rj: Rotation, rij: Rotation) -> np.ndarray:

@@ -36,9 +36,8 @@ second copy before every factorization.  The batched arithmetic is
 chosen to round exactly like the per-edge and per-node formulas it
 replaced: block products use batched ``np.matmul`` (not ``einsum``),
 squared norms use ``np.vecdot`` (the same dot kernel as a 1-D
-``x @ x``), and the retraction evaluates ``sin``/``cos`` with
-:mod:`math` and the Hamilton product term by term, as
-:class:`~rotavg.so3.Rotation` does.
+``x @ x``), and the retraction is the :mod:`rotavg.so3` exponential and
+Hamilton product that :class:`~rotavg.so3.Rotation` wraps.
 
 Every damped system ``(H + lambda I) d = -g`` is solved by one dense
 Cholesky factorization (LAPACK ``potrf``/``potrs``), so memory is
@@ -64,7 +63,6 @@ growing lambda.  The tolerance is machine epsilon, not a setting.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -74,7 +72,7 @@ import scipy.linalg
 from . import kernels
 from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
-from .so3 import Rotation, canonical_quats
+from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
 from .viewgraph import (ViewGraph, _rotation_from_qwxyz, check_connected, json_records,
                         read_json_object, stacked_rotations, write_json)
@@ -191,15 +189,6 @@ def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> 
     return _robust_cost(g, np.einsum("eab,eb->ea", transforms, res), config.loss)[0]
 
 
-def chordal_cost(g: ViewGraph, rotations: dict[int, Rotation]) -> float:
-    """Reference chordal objective sum_e ||R_ij R_j - R_i||_F^2."""
-    total = 0.0
-    for e in g.edges:
-        d = e.rotation.matrix @ rotations[e.j].matrix - rotations[e.i].matrix
-        total += float(np.sum(d * d))
-    return total
-
-
 def _apply_step(quats, delta):
     """Right-multiplicative update R_i <- R_i exp(delta_i), batched over nodes.
 
@@ -208,25 +197,7 @@ def _apply_step(quats, delta):
     """
     out = quats.copy()
     rows = np.flatnonzero(np.any(delta != 0.0, axis=1))
-    d = delta[rows]
-    theta = np.sqrt(np.vecdot(d, d))
-    half = 0.5 * theta
-    # exp_so3: sin(t/2)/t = 1/2 - t^2/48 + O(t^4) below 1e-8
-    s = 0.5 - theta * theta / 48.0
-    w = 1.0 - half * half / 2.0
-    big = np.flatnonzero(theta >= 1e-8)
-    half_big = half[big].tolist()
-    s[big] = np.array([math.sin(h) for h in half_big]) / theta[big]
-    w[big] = [math.cos(h) for h in half_big]
-    w2, x2, y2, z2 = canonical_quats(
-        np.column_stack([w, s * d[:, 0], s * d[:, 1], s * d[:, 2]])).T
-    w1, x1, y1, z1 = canonical_quats(quats[rows]).T
-    out[rows] = canonical_quats(np.column_stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ]))
+    out[rows] = canonical_quats(quat_mul(canonical_quats(quats[rows]), quat_exp(delta[rows])))
     return out
 
 
@@ -399,7 +370,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             termination = "cost_rel_tol"
             break
 
-    rotations = {nid: Rotation(q) for nid, q in zip(node_ids, quats)}
+    rotations = dict(zip(node_ids, checked_rotations(quats) or [Rotation(q) for q in quats]))
     keys = [e.key for e in g.edges]
     edge_weights = dict(zip(keys, lw.tolist()))
     # np.vecdot rounds like the 1-D x @ x inside np.linalg.norm

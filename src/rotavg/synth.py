@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .so3 import Rotation, exp_so3
+from .so3 import Rotation, canonical_quats, checked_rotations, quat_conj, quat_exp, quat_mul
 from .twoview import CameraIntrinsics, TwoViewGeometry
 from .viewgraph import EdgeMeasurement, ViewGraph, ViewNode, is_connected
 
@@ -66,9 +66,9 @@ class SynthScene:
     edge_sigmas_rad: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
-def _random_rotation(rng) -> Rotation:
-    q = rng.normal(size=4)
-    return Rotation(q / np.linalg.norm(q))
+def _unit_rows(q):
+    """Rows of ``q`` divided by their norms: uniformly random rotations for Gaussian ``q``."""
+    return q / np.sqrt(np.vecdot(q, q))[:, None]
 
 
 def generate_graph(config: SynthConfig) -> SynthScene:
@@ -83,10 +83,12 @@ def generate_graph(config: SynthConfig) -> SynthScene:
     sigma_min = max(float(sigmas_rad.min()), SIGMA_FLOOR_RAD)
 
     for _ in range(64):
-        gt = [_random_rotation(rng) for _ in range(config.n_cameras)]
-        nodes = [ViewNode(i, gt[i]) for i in range(config.n_cameras)]
-        edges = []
-        outliers = []
+        gt_q = canonical_quats(_unit_rows(rng.normal(size=(config.n_cameras, 4))))
+        nodes = [ViewNode(i, r) for i, r in enumerate(checked_rotations(gt_q))]
+        # the loop draws every random number in order; the edge rotations
+        # are formed afterwards, all at once
+        keys, covs, counts = [], [], []
+        outlier_rows, outlier_q, inlier_rows, noise = [], [], [], []
         edge_sigmas = {}
         for i in range(config.n_cameras):
             for j in range(i + 1, config.n_cameras):
@@ -96,25 +98,35 @@ def generate_graph(config: SynthConfig) -> SynthScene:
                 comp = int(rng.choice(len(fractions), p=fractions))
                 sigma = float(sigmas_rad[comp])
                 if is_outlier:
-                    rot = _random_rotation(rng)
+                    outlier_rows.append(len(keys))
+                    outlier_q.append(rng.normal(size=4))
                     sigma_meta = sigma_min if config.outlier_covariance == "confident" else np.pi / 2
-                    outliers.append((i, j))
                     count_factor = sigma_min / (np.pi / 2)
                 else:
-                    eps = rng.normal(scale=max(sigma, 1e-300), size=3) if sigma > 0 else np.zeros(3)
-                    rot = exp_so3(eps).compose(gt[i].compose(gt[j].inverse()))
+                    inlier_rows.append(len(keys))
+                    noise.append(rng.normal(scale=max(sigma, 1e-300), size=3) if sigma > 0
+                                 else np.zeros(3))
                     sigma_meta = max(sigma, SIGMA_FLOOR_RAD)
                     count_factor = sigma_min / sigma_meta
-                cov = sigma_meta ** 2 * np.eye(3) if config.report_true_covariance else None
+                covs.append(sigma_meta ** 2 * np.eye(3) if config.report_true_covariance else None)
                 jitter = float(np.exp(rng.normal(scale=config.inlier_count_jitter)))
-                count = max(5, round(config.inlier_count_base * count_factor * jitter))
-                edges.append(EdgeMeasurement(i, j, rot, covariance=cov, inlier_count=count))
+                counts.append(max(5, round(config.inlier_count_base * count_factor * jitter)))
+                keys.append((i, j))
                 edge_sigmas[(i, j)] = sigma_meta
+        # inlier R_ij = Exp(eps) R_i R_j^T, each product canonical as Rotation's
+        ij = np.array(keys, dtype=np.int64).reshape(-1, 2)[inlier_rows]
+        gt_j_inv = canonical_quats(quat_conj(gt_q[ij[:, 1]]))
+        truth = canonical_quats(quat_mul(gt_q[ij[:, 0]], gt_j_inv))
+        edge_q = np.empty((len(keys), 4))
+        edge_q[inlier_rows] = quat_mul(quat_exp(np.reshape(noise, (-1, 3))), truth)
+        edge_q[outlier_rows] = _unit_rows(np.reshape(outlier_q, (-1, 4)))
+        edges = [EdgeMeasurement(i, j, rot, covariance=cov, inlier_count=count)
+                 for (i, j), rot, cov, count in zip(keys, checked_rotations(edge_q), covs, counts)]
         graph = ViewGraph(nodes, edges)
         if is_connected(graph):
             return SynthScene(
                 graph=graph,
-                outlier_edge_ids=tuple(outliers),
+                outlier_edge_ids=tuple(keys[k] for k in outlier_rows),
                 edge_sigmas_rad=edge_sigmas,
             )
     raise ConfigurationError(

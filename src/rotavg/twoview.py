@@ -21,26 +21,22 @@ applies to the edge residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientDataError
-from .so3 import Rotation
+from .so3 import Rotation, hat, quat_to_matrix
 
 __all__ = [
     "CameraIntrinsics",
-    "Correspondence",
     "TwoViewGeometry",
-    "CovarianceResult",
     "fundamental_from_pose",
-    "sampson_distance",
     "sampson_batch",
     "rotation_jacobian",
     "rotation_covariances",
     "covariance_of_rotation",
-    "scalar_uncertainty",
     "whitener_from_covariance",
 ]
 
@@ -53,16 +49,7 @@ COVARIANCE_MODES = ("rotation_only", "marginalize_translation")
 
 
 # [e_k]x for the unit vectors e_0, e_1, e_2
-_E_HAT = np.array([
-    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-])
-
-
-def _hat(v):
-    """Cross-product matrices [v]x of a (..., 3) stack (exact: one nonzero term per entry)."""
-    return (v @ _E_HAT.reshape(3, 9)).reshape(v.shape[:-1] + (3, 3))
+_E_HAT = hat(np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -90,22 +77,6 @@ class CameraIntrinsics:
         inv = np.linalg.inv(self.k)
         inv.flags.writeable = False
         return inv
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """Pixel match: p in view i, p_prime in view j."""
-
-    p: np.ndarray
-    p_prime: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64).reshape(2)
-        q = np.asarray(self.p_prime, dtype=np.float64).reshape(2)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise ValueError("non-finite correspondence coordinates")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "p_prime", q)
 
 
 @dataclass(frozen=True)
@@ -139,24 +110,6 @@ class TwoViewGeometry:
         object.__setattr__(self, "matches", m)
 
 
-@dataclass(frozen=True)
-class CovarianceResult:
-    """Rotation covariance C (radians^2) and its whitener D (D D^T = C^{-1})."""
-
-    covariance: np.ndarray
-    whitener: np.ndarray
-    trace: float = field(init=False)
-    fro_norm_inv: float = field(init=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.covariance, dtype=np.float64)
-        d = np.asarray(self.whitener, dtype=np.float64)
-        object.__setattr__(self, "covariance", c)
-        object.__setattr__(self, "whitener", d)
-        object.__setattr__(self, "trace", float(np.trace(c)))
-        object.__setattr__(self, "fro_norm_inv", float(np.linalg.norm(d @ d.T)))
-
-
 def whitener_from_covariance(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular D with D D^T = C^{-1}, for one 3x3 C or a (..., 3, 3) stack."""
     cov = np.asarray(cov, dtype=np.float64)
@@ -170,7 +123,7 @@ def whitener_from_covariance(cov: np.ndarray) -> np.ndarray:
 
 def _fundamental(ki_inv, kj_inv, r, t):
     """F = K_j^{-T} R [t]x K_i^{-1} for one pose or a stack of them."""
-    return np.swapaxes(kj_inv, -1, -2) @ r @ _hat(t) @ ki_inv
+    return np.swapaxes(kj_inv, -1, -2) @ r @ hat(t) @ ki_inv
 
 
 def fundamental_from_pose(geom: TwoViewGeometry) -> np.ndarray:
@@ -209,12 +162,6 @@ def sampson_batch(f: np.ndarray, matches: np.ndarray) -> np.ndarray:
     return num / np.sqrt(den2)
 
 
-def sampson_distance(f: np.ndarray, c: Correspondence) -> float:
-    """Signed Sampson distance of one correspondence."""
-    row = np.concatenate([c.p, c.p_prime])[None, :]
-    return float(sampson_batch(f, row)[0])
-
-
 def _sampson_gradients(f, m, counts):
     """d(Sampson)/dF of every match as a (9, N) array, and the degenerate-match mask.
 
@@ -244,14 +191,14 @@ def _generators(ki_inv, kj_inv, r, t, marginalize):
     """dF/d(parameter) as (P, K, 9) rows: K = 3 rotation generators
     (R <- R exp(delta)), plus 2 for the unit translation rotated in its
     tangent plane when ``marginalize``."""
-    mids = _E_HAT @ _hat(t)[:, None]                       # [e_k]x [t]x
+    mids = _E_HAT @ hat(t)[:, None]                        # [e_k]x [t]x
     if marginalize:
         # orthonormal basis (b1, b2) of the plane perpendicular to t
         a = np.where((np.abs(t[:, :1]) < 0.9), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         b1 = np.cross(t, a)
         b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
         b2 = np.cross(t, b1)
-        mids = np.concatenate([mids, _hat(np.stack([np.cross(b1, t), np.cross(b2, t)], 1))], 1)
+        mids = np.concatenate([mids, hat(np.stack([np.cross(b1, t), np.cross(b2, t)], 1))], 1)
     gens = (np.swapaxes(kj_inv, 1, 2) @ r)[:, None] @ mids @ ki_inv[:, None]
     return gens.reshape(len(t), -1, 9)
 
@@ -260,7 +207,7 @@ def _pose_stacks(geoms):
     """K_i^{-1}, K_j^{-1}, R and t of every pair, stacked."""
     return (np.array([g.intrinsics_i.inverse for g in geoms]),
             np.array([g.intrinsics_j.inverse for g in geoms]),
-            np.array([g.rotation.matrix for g in geoms]),
+            quat_to_matrix(np.array([g.rotation.quaternion for g in geoms])),
             np.array([g.translation for g in geoms]))
 
 
@@ -335,22 +282,14 @@ def covariance_of_rotation(
     geom: TwoViewGeometry,
     residual_sigma: float = 1.0,
     mode: str = "rotation_only",
-) -> CovarianceResult:
-    """Propagate pixel noise into the 3x3 rotation covariance of one pair.
+) -> np.ndarray:
+    """Propagate pixel noise into the 3x3 rotation covariance (radians^2) of one pair.
 
     The one-pair case of :func:`rotation_covariances`; raises the pair's
-    error instead of returning it.
+    error instead of returning it.  :func:`whitener_from_covariance` gives
+    its whitener.
     """
     covs, errors = rotation_covariances([geom], residual_sigma, mode)
     if errors[0] is not None:
         raise errors[0]
-    return CovarianceResult(covariance=covs[0], whitener=whitener_from_covariance(covs[0]))
-
-
-def scalar_uncertainty(c: CovarianceResult, kind: str) -> float:
-    """Scalar summary: trace of C, or Frobenius norm of C^{-1}."""
-    if kind == "trace":
-        return c.trace
-    if kind == "fro_norm_inv":
-        return c.fro_norm_inv
-    raise ValueError(f"unknown scalar uncertainty kind {kind!r}")
+    return covs[0]

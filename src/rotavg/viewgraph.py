@@ -30,7 +30,6 @@ file order.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -496,12 +495,3 @@ def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotat
                 rotations[nxt] = rel.compose(rotations[cur])
                 stack.append(nxt)
     return rotations
-
-
-def enumerate_spanning_trees(g: ViewGraph):
-    """All spanning trees (edge tuples) of a small graph; test helper."""
-    n = len(g.nodes)
-    for combo in itertools.combinations(g.edges, n - 1):
-        parent = {nid: nid for nid in g.nodes}
-        if all(_union(parent, e.i, e.j) for e in combo):
-            yield combo

@@ -216,7 +216,7 @@ def test_criterion_04_covariance_vs_monte_carlo():
         )
         analytic = covariance_of_rotation(
             dataclasses.replace(geom, matches=clean), residual_sigma=1.0,
-        ).covariance
+        )
         mc = _mc_rotation_covariance(rot, clean, geom, draws=2000, sigma=1.0, rng=rng)
         ratios.extend(np.diag(analytic) / np.diag(mc))
         analytic_off.extend(analytic[off_idx])

@@ -14,6 +14,10 @@ from rotavg.so3 import (
     exp_so3,
     geodesic_angle,
     log_so3,
+    quat_exp,
+    quat_log,
+    quat_mul,
+    quat_to_matrix,
     relative_residual,
 )
 
@@ -147,13 +151,65 @@ def _quaternion_rows(rng):
     return q
 
 
+def _canonical_reference(q):
+    """The normalization rule written per entry: unit norm (rows within 1e-12
+    left undivided), then a sign flip when the first nonzero entry is negative."""
+    n = math.sqrt(float(q @ q))
+    if abs(n - 1.0) > 1e-12:
+        q = q / n
+    first = next((v for v in q if v != 0.0), 0.0)
+    return -q if first < 0.0 else q
+
+
 def test_canonical_quats_match_rotation_bytewise():
     q = _quaternion_rows(np.random.default_rng(5))
     ref = np.array([Rotation(row).quaternion for row in q])
     assert canonical_quats(q).tobytes() == ref.tobytes()
+    assert ref.tobytes() == np.array([_canonical_reference(row) for row in q]).tobytes()
     rotations = checked_rotations(q)
     assert [r.quaternion.tobytes() for r in rotations] == [row.tobytes() for row in ref]
     assert all(r == Rotation(row) for r, row in zip(rotations[:100], q))
+
+
+def _tangent_rows(rng):
+    v = rng.normal(size=(10_000, 3))
+    v[:100] = 0.0                                             # zero step
+    v[100:200] *= 1e-9 * rng.random((100, 1))                 # angles below 1e-8
+    v[200:300] *= np.pi / np.linalg.norm(v[200:300], axis=1)[:, None]  # angle pi
+    v[300:400] *= 5.0                                         # angles beyond pi
+    v[400:500, :2] = -0.0                                     # signed zeros
+    v[500] = [0.0, 0.0, -np.pi]
+    return v
+
+
+def _exp_reference(v):
+    """Exp written per vector with math.sin and math.cos, canonicalized."""
+    theta = math.sqrt(float(v @ v))
+    half = 0.5 * theta
+    if theta < 1e-8:
+        s, w = 0.5 - theta * theta / 48.0, 1.0 - half * half / 2.0
+    else:
+        s, w = math.sin(half) / theta, math.cos(half)
+    return _canonical_reference(np.array([w, s * v[0], s * v[1], s * v[2]]))
+
+
+def test_array_functions_match_rotation_bytewise():
+    """Each (N, ...) so3 function gives every row the bytes of its one-rotation wrapper."""
+    rng = np.random.default_rng(13)
+    a = _quaternion_rows(rng)
+    b = np.concatenate([canonical_quats(rng.normal(size=(5000, 4))), a[:5000]])
+    v = _tangent_rows(rng)
+    ra = [Rotation(row) for row in a]
+    rb = [Rotation(row) for row in b]
+    ca = canonical_quats(a)
+    exp = quat_exp(v)
+    assert (canonical_quats(quat_mul(ca, canonical_quats(b))).tobytes()
+            == np.array([p.compose(q).quaternion for p, q in zip(ra, rb)]).tobytes())
+    assert exp.tobytes() == np.array([exp_so3(row).quaternion for row in v]).tobytes()
+    assert exp.tobytes() == np.array([_exp_reference(row) for row in v]).tobytes()
+    assert quat_log(ca).tobytes() == np.array([log_so3(r) for r in ra]).tobytes()
+    assert quat_log(exp).tobytes() == np.array([log_so3(exp_so3(row)) for row in v]).tobytes()
+    assert quat_to_matrix(ca).tobytes() == np.array([r.matrix for r in ra]).tobytes()
 
 
 @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, 0.0],
@@ -231,6 +287,13 @@ def test_geodesic_angle_matches_rotation_angle():
     for theta in (0.1, 1.0, 2.0, np.pi - 1e-6):
         r = exp_so3(np.array([theta, 0.0, 0.0]))
         assert abs(geodesic_angle(Rotation.identity(), r) - theta) < 1e-9
+
+
+def test_geodesic_angle_is_precise_near_zero():
+    for axis in ([1.0, 0.0, 0.0], [0.6, -0.48, 0.64]):
+        for theta in (1e-10, 1e-8, 2e-8, 1e-3):
+            angle = geodesic_angle(exp_so3(theta * np.array(axis)), Rotation.identity())
+            assert abs(angle - theta) <= 1e-15 * theta
 
 
 def test_geodesic_angle_symmetry_and_bi_invariance():

@@ -19,7 +19,6 @@ from rotavg.solver import (
     SolverConfig,
     WEIGHTING_MODES,
     cost,
-    chordal_cost,
     load_result_rotations,
     save_result,
     solve,
@@ -119,13 +118,6 @@ def test_single_edge_trivial_cost_is_squared_angle():
     rotations = {0: Rotation.identity(), 1: Rotation.identity()}
     c = cost(g, rotations, SolverConfig(loss=LossSpec("trivial")))
     assert abs(c - 0.09) < 1e-15
-    assert chordal_cost(g, rotations) > 0.0
-
-
-def test_chordal_cost_zero_on_consistent():
-    scene = generate_graph(SynthConfig(6, 1.0, ((1.0, 0.0),), seed=1))
-    gt = {nid: n.gt_rotation for nid, n in scene.graph.nodes.items()}
-    assert chordal_cost(scene.graph, gt) < 1e-20
 
 
 # ---------------------------------------------------------------------------

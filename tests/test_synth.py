@@ -180,6 +180,7 @@ def test_doubling_points_roughly_halves_trace():
         t = random_unit_vector(rng)
         small = generate_two_view_scene(60, 1.0, rot, t, seed=500 + trial)
         big = generate_two_view_scene(120, 1.0, rot, t, seed=900 + trial)
-        ratios.append(covariance_of_rotation(big).trace / covariance_of_rotation(small).trace)
+        ratios.append(np.trace(covariance_of_rotation(big))
+                      / np.trace(covariance_of_rotation(small)))
     mean_ratio = float(np.mean(ratios))
     assert abs(mean_ratio - 0.5) < 0.15  # 1/N scaling of (JtJ)^-1

@@ -11,16 +11,12 @@ from rotavg.so3 import Rotation, exp_so3
 from rotavg.synth import DEFAULT_INTRINSICS, generate_two_view_scene
 from rotavg.twoview import (
     CameraIntrinsics,
-    Correspondence,
-    CovarianceResult,
     TwoViewGeometry,
     covariance_of_rotation,
     fundamental_from_pose,
     rotation_covariances,
     rotation_jacobian,
     sampson_batch,
-    sampson_distance,
-    scalar_uncertainty,
     whitener_from_covariance,
 )
 
@@ -153,28 +149,24 @@ def test_fundamental_satisfies_epipolar_constraint_on_clean_points():
 
 
 def test_sampson_point_on_epipolar_line():
-    c = Correspondence(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-    assert sampson_distance(F_TX, c) == 0.0
+    assert sampson_batch(F_TX, [[0.0, 0.0, 1.0, 0.0]])[0] == 0.0
 
 
 def test_sampson_hand_value():
-    c = Correspondence(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-    assert abs(sampson_distance(F_TX, c) - (-1.0 / math.sqrt(2.0))) < 1e-15
+    assert abs(sampson_batch(F_TX, [[0.0, 0.0, 0.0, 1.0]])[0] - (-1.0 / math.sqrt(2.0))) < 1e-15
 
 
 def test_sampson_scale_invariance():
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        c = Correspondence(rng.normal(size=2), rng.normal(size=2))
-        a = sampson_distance(F_TX, c)
-        b = sampson_distance(10.0 * F_TX, c)
-        assert abs(a - b) < 1e-12
+    rows = np.array([np.concatenate([rng.normal(size=2), rng.normal(size=2)]) for _ in range(20)])
+    a = sampson_batch(F_TX, rows)
+    b = sampson_batch(10.0 * F_TX, rows)
+    assert np.all(np.abs(a - b) < 1e-12)
 
 
 def test_sampson_degenerate_denominator():
-    c = Correspondence(np.array([0.0, 0.0]), np.array([0.0, 0.0]))
     with pytest.raises(DegenerateGeometryError):
-        sampson_distance(np.zeros((3, 3)), c)
+        sampson_batch(np.zeros((3, 3)), [[0.0, 0.0, 0.0, 0.0]])
 
 
 def test_sampson_batch_matches_scalar():
@@ -183,7 +175,7 @@ def test_sampson_batch_matches_scalar():
     f = fundamental_from_pose(geom)
     batch = sampson_batch(f, geom.matches)
     for row, val in zip(geom.matches, batch):
-        scalar = sampson_distance(f, Correspondence(row[:2], row[2:]))
+        scalar = sampson_batch(f, row[None, :])[0]
         assert abs(scalar - val) < 1e-10 * max(1.0, abs(scalar))
 
 
@@ -276,28 +268,15 @@ def test_whitening_identity_and_quadratic_form():
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
-def test_covariance_result_scalars():
-    c = np.eye(3)
-    res = CovarianceResult(covariance=c, whitener=whitener_from_covariance(c))
-    assert scalar_uncertainty(res, "trace") == 3.0
-    assert abs(scalar_uncertainty(res, "fro_norm_inv") - math.sqrt(3.0)) < 1e-12
-    c = np.diag([4.0, 1.0, 1.0])
-    res = CovarianceResult(covariance=c, whitener=whitener_from_covariance(c))
-    assert scalar_uncertainty(res, "trace") == 6.0
-    assert abs(scalar_uncertainty(res, "fro_norm_inv") - math.sqrt(0.0625 + 2.0)) < 1e-5
-    with pytest.raises(ValueError):
-        scalar_uncertainty(res, "nope")
-
-
 def test_covariance_modes_and_sigma_scaling():
     rng = np.random.default_rng(9)
     geom = _random_scene(rng)
     ro = covariance_of_rotation(geom, residual_sigma=1.0, mode="rotation_only")
     mt = covariance_of_rotation(geom, residual_sigma=1.0, mode="marginalize_translation")
     # marginalizing the translation can only inflate the rotation covariance
-    assert np.linalg.eigvalsh(mt.covariance - ro.covariance).min() > -1e-12
+    assert np.linalg.eigvalsh(mt - ro).min() > -1e-12
     scaled = covariance_of_rotation(geom, residual_sigma=2.0, mode="rotation_only")
-    assert np.allclose(scaled.covariance, 4.0 * ro.covariance, rtol=1e-12)
+    assert np.allclose(scaled, 4.0 * ro, rtol=1e-12)
     with pytest.raises(ValueError):
         covariance_of_rotation(geom, mode="nope")
 
@@ -309,8 +288,8 @@ def test_more_data_never_increases_uncertainty():
         translation=random_unit_vector(rng), seed=11,
     )
     base = dataclasses.replace(geom, matches=geom.matches[:60])
-    c_small = covariance_of_rotation(base).covariance
-    c_big = covariance_of_rotation(geom).covariance
+    c_small = covariance_of_rotation(base)
+    c_big = covariance_of_rotation(geom)
     # eigenvalues of C never grow when PSD mass is added to JtJ
     assert np.linalg.eigvalsh(c_small - c_big).min() > -1e-15
 
@@ -338,8 +317,8 @@ def test_trace_ordering_well_vs_poorly_constrained_pairs():
             n_points=50, pixel_sigma=1.0, rotation=rot, translation=t,
             seed=200 + trial, scene_depth=50.0,
         )
-        tr_wide = covariance_of_rotation(wide).trace
-        tr_narrow = covariance_of_rotation(narrow).trace
+        tr_wide = np.trace(covariance_of_rotation(wide))
+        tr_narrow = np.trace(covariance_of_rotation(narrow))
         wins += tr_wide < tr_narrow
     assert wins == 10
 
@@ -361,7 +340,7 @@ def test_rotation_covariances_match_per_pair(mode, sigma):
     covs, errors = rotation_covariances(geoms, residual_sigma=sigma, mode=mode)
     assert covs.shape == (5, 3, 3) and errors == [None] * 5
     for geom, cov in zip(geoms, covs):
-        ref = covariance_of_rotation(geom, residual_sigma=sigma, mode=mode).covariance
+        ref = covariance_of_rotation(geom, residual_sigma=sigma, mode=mode)
         assert np.max(np.abs(cov - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 

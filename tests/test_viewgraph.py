@@ -1,5 +1,6 @@
 """View graph: schema, serialization, connectivity, spanning-tree init."""
 
+import itertools
 import json
 
 import numpy as np
@@ -17,7 +18,6 @@ from rotavg.viewgraph import (
     checked_edges,
     connected_components,
     default_tree_criterion,
-    enumerate_spanning_trees,
     load_graph,
     load_pairs,
     maximum_spanning_tree,
@@ -454,6 +454,21 @@ def test_consistent_graph_init_zeroes_all_residuals():
         assert np.linalg.norm(relative_residual(init[e.i], init[e.j], e.rotation)) < 1e-10
 
 
+def _spanning_trees(g):
+    """All spanning trees of a small graph: the (n - 1)-edge subsets that reach every node."""
+    for combo in itertools.combinations(g.edges, len(g.nodes) - 1):
+        reached = {min(g.nodes)}
+        grew = True
+        while grew:
+            grew = False
+            for e in combo:
+                if (e.i in reached) != (e.j in reached):
+                    reached |= {e.i, e.j}
+                    grew = True
+        if len(reached) == len(g.nodes):
+            yield combo
+
+
 def test_maximum_spanning_tree_vs_brute_force():
     rng = np.random.default_rng(4)
     for trial in range(10):
@@ -464,7 +479,7 @@ def test_maximum_spanning_tree_vs_brute_force():
         tree = maximum_spanning_tree(g, "inlier_count")
         best = max(
             sum(e.inlier_count for e in combo)
-            for combo in enumerate_spanning_trees(g)
+            for combo in _spanning_trees(g)
         )
         assert sum(e.inlier_count for e in tree) == best
 
