@@ -15,7 +15,7 @@ loss itself is ``rho(r) = w(0) - w(r)``: zero at zero, strictly increasing
 up to the cutoff, constant after it.
 
 The incomplete gamma functions and the chi quantile come from
-:mod:`scipy.special` (``gammaincc``, ``gammainc``, ``gammaincinv``).
+:mod:`scipy.special` (``gammaincc``, ``gammaincinv``).
 
 Every loss function takes a scalar or an array and returns fields shaped
 like its input, so a solver evaluates all edges in one call.  A negative
@@ -39,7 +39,6 @@ __all__ = [
     "magsac_loss",
     "evaluate_loss",
     "upper_incomplete_gamma",
-    "regularized_lower_gamma",
     "chi_quantile",
 ]
 
@@ -57,12 +56,6 @@ def _check_gamma_args(a: float, x: float) -> None:
         raise ValueError("a must be positive")
     if x < 0.0:
         raise ValueError("x must be non-negative")
-
-
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """P(a, x) = gamma(a, x) / Gamma(a)."""
-    _check_gamma_args(a, x)
-    return float(special.gammainc(a, x))
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:

@@ -32,6 +32,8 @@ import math
 
 import numpy as np
 
+from .errors import raise_first_failure
+
 __all__ = [
     "Rotation",
     "canonical_quats",
@@ -175,40 +177,6 @@ class Rotation:
     def identity(cls) -> "Rotation":
         return cls(np.array([1.0, 0.0, 0.0, 0.0]))
 
-    @classmethod
-    def from_matrix(cls, m) -> "Rotation":
-        """Build from a 3x3 orthonormal matrix (Shepperd's method)."""
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (3, 3):
-            raise ValueError("rotation matrix must be 3x3")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite matrix entries")
-        if np.linalg.norm(m @ m.T - np.eye(3)) > 1e-6 or np.linalg.det(m) < 0.0:
-            raise ValueError("matrix is not a rotation (orthonormality/det check failed)")
-        t = m[0, 0] + m[1, 1] + m[2, 2]
-        # branch on the largest of (trace, diagonal entries) for stability,
-        # which also resolves the angle-pi case
-        if t > max(m[0, 0], m[1, 1], m[2, 2]):
-            r = math.sqrt(1.0 + t)
-            s = 0.5 / r
-            q = np.array([
-                0.5 * r,
-                (m[2, 1] - m[1, 2]) * s,
-                (m[0, 2] - m[2, 0]) * s,
-                (m[1, 0] - m[0, 1]) * s,
-            ])
-        else:
-            k = int(np.argmax(np.diag(m)))
-            i, j = (k + 1) % 3, (k + 2) % 3
-            r = math.sqrt(1.0 + m[k, k] - m[i, i] - m[j, j])
-            s = 0.5 / r
-            q = np.empty(4)
-            q[0] = (m[j, i] - m[i, j]) * s
-            q[1 + k] = 0.5 * r
-            q[1 + i] = (m[i, k] + m[k, i]) * s
-            q[1 + j] = (m[j, k] + m[k, j]) * s
-        return cls(q)
-
     @property
     def quaternion(self) -> np.ndarray:
         """Unit quaternion (w, x, y, z), w >= 0."""
@@ -259,11 +227,10 @@ def _quaternion_checks(q, norm):
 def checked_rotations(q):
     """``[Rotation(row) for row in q]`` for an (N, 4) float array, checked at once.
 
-    Returns None when some row breaks a rule :class:`Rotation` checks; the
-    caller then builds the rotations one at a time to raise that row's error.
+    The first row that breaks a rule :class:`Rotation` checks raises the
+    ``ValueError`` that ``Rotation(row)`` raises.
     """
-    if not all(passed.all() for _, passed in _quaternion_checks(q, np.sqrt(np.vecdot(q, q)))):
-        return None
+    raise_first_failure(_quaternion_checks(q, np.sqrt(np.vecdot(q, q))), ValueError)
     rows = canonical_quats(q)
     rows.setflags(write=False)
     return [Rotation._trusted(row) for row in rows]

@@ -74,8 +74,8 @@ from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
-from .viewgraph import (ViewGraph, _rotation_from_qwxyz, check_connected, json_records,
-                        read_json_object, stacked_rotations, write_json)
+from .viewgraph import (ViewGraph, _check_records, _quaternion_rules, check_connected,
+                        json_records, read_json_object, write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -370,7 +370,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             termination = "cost_rel_tol"
             break
 
-    rotations = dict(zip(node_ids, checked_rotations(quats) or [Rotation(q) for q in quats]))
+    rotations = dict(zip(node_ids, checked_rotations(quats)))
     keys = [e.key for e in g.edges]
     edge_weights = dict(zip(keys, lw.tolist()))
     # np.vecdot rounds like the 1-D x @ x inside np.linalg.norm
@@ -414,7 +414,6 @@ def load_result_rotations(path) -> dict[int, Rotation]:
     """Read back the rotations of a result JSON."""
     doc = read_json_object(path, ("rotations",))
     records = json_records(doc, "rotations", ("id", "qwxyz"), path, integers=("id",))
-    rotations = stacked_rotations([rec["qwxyz"] for rec in records])
-    if rotations is None:
-        rotations = [_rotation_from_qwxyz(rec["qwxyz"], f"node {rec['id']}") for rec in records]
-    return {rec["id"]: r for rec, r in zip(records, rotations)}
+    q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "node {id}")
+    _check_records(rules, records, "qwxyz")
+    return {rec["id"]: r for rec, r in zip(records, checked_rotations(q))}

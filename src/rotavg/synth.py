@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_conj, quat_exp, quat_mul
 from .twoview import CameraIntrinsics, TwoViewGeometry
-from .viewgraph import EdgeMeasurement, ViewGraph, ViewNode, is_connected
+from .viewgraph import ViewGraph, ViewNode, checked_edges, is_connected
 
 __all__ = ["SynthConfig", "SynthScene", "generate_graph", "generate_two_view_scene"]
 
@@ -108,7 +108,7 @@ def generate_graph(config: SynthConfig) -> SynthScene:
                                  else np.zeros(3))
                     sigma_meta = max(sigma, SIGMA_FLOOR_RAD)
                     count_factor = sigma_min / sigma_meta
-                covs.append(sigma_meta ** 2 * np.eye(3) if config.report_true_covariance else None)
+                covs.append(sigma_meta ** 2 * np.eye(3))
                 jitter = float(np.exp(rng.normal(scale=config.inlier_count_jitter)))
                 counts.append(max(5, round(config.inlier_count_base * count_factor * jitter)))
                 keys.append((i, j))
@@ -120,8 +120,9 @@ def generate_graph(config: SynthConfig) -> SynthScene:
         edge_q = np.empty((len(keys), 4))
         edge_q[inlier_rows] = quat_mul(quat_exp(np.reshape(noise, (-1, 3))), truth)
         edge_q[outlier_rows] = _unit_rows(np.reshape(outlier_q, (-1, 4)))
-        edges = [EdgeMeasurement(i, j, rot, covariance=cov, inlier_count=count)
-                 for (i, j), rot, cov, count in zip(keys, checked_rotations(edge_q), covs, counts)]
+        edges = checked_edges([i for i, _ in keys], [j for _, j in keys], checked_rotations(edge_q),
+                              counts, np.reshape(covs, (-1, 3, 3)),
+                              [config.report_true_covariance] * len(keys))
         graph = ViewGraph(nodes, edges)
         if is_connected(graph):
             return SynthScene(

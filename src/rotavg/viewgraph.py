@@ -21,11 +21,14 @@ with pixel coordinates.
 Graph, correspondence-set and result files (:func:`rotavg.solver.save_result`)
 are written as compact one-line JSON with sorted keys by :func:`write_json`;
 pretty-print one with ``python -m json.tool FILE``.  Ids (``id``, ``i``,
-``j``) and inlier counts must be JSON integers.  The loaders check all
-records of a file together, with the same rules as the one-record
-constructors (:class:`~rotavg.so3.Rotation`, :class:`EdgeMeasurement`), and
-a bad record raises the error it raises on its own, naming the first one in
-file order.
+``j``) and inlier counts must be JSON integers.  The loaders read each
+numeric field of all records into one array and check every record in one
+pass over those arrays, under the rules of the one-record constructors
+(:class:`~rotavg.so3.Rotation`, :class:`EdgeMeasurement`).  The first bad
+record in file order raises the error it raises on its own; a field that
+does not hold the right count of numbers (a string, an object, a ragged
+list) is a :class:`~rotavg.errors.SchemaError` naming its record, like any
+other bad value.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, SchemaError
-from .so3 import Rotation, checked_rotations
+from .errors import DisconnectedGraphError, SchemaError, raise_first_failure
+from .so3 import (Rotation, _quaternion_checks, canonical_quats, checked_rotations, quat_conj,
+                  quat_mul)
 from .twoview import CameraIntrinsics, TwoViewGeometry, whitener_from_covariance
 
 __all__ = [
@@ -54,6 +58,9 @@ __all__ = [
 ]
 
 
+_NEGATIVE_ID = "node id must be non-negative, got {id}"
+
+
 @dataclass(frozen=True)
 class ViewNode:
     id: int
@@ -61,7 +68,7 @@ class ViewNode:
 
     def __post_init__(self):
         if self.id < 0:
-            raise SchemaError(f"node id must be non-negative, got {self.id}")
+            raise SchemaError(_NEGATIVE_ID.format(id=self.id))
 
 
 class EdgeMeasurement:
@@ -92,7 +99,7 @@ class EdgeMeasurement:
 
     @classmethod
     def _trusted(cls, i, j, rotation, covariance, inlier_count) -> "EdgeMeasurement":
-        """Build an edge unchecked; fed only by :func:`checked_edges`."""
+        """Build an edge unchecked; fed only by :func:`_edges`."""
         e = object.__new__(cls)
         e._set(i, j, rotation, covariance, inlier_count)
         return e
@@ -133,27 +140,33 @@ def _edge_checks(i, j, inlier_count, covariance):
            np.linalg.eigvalsh(c).min(axis=-1) > 0.0)
 
 
+def _edge_rules(i, j, inlier_counts, covariances, has):
+    """:func:`_edge_checks` of E edges; ``covariances`` (E, 3, 3) is read where ``has`` is set."""
+    counts = np.array([0 if n is None else n for n in inlier_counts])
+    stack = np.where(has[:, None, None], covariances, np.eye(3))
+    return _edge_checks(np.array(i), np.array(j), counts, stack)
+
+
+def _edges(i, j, rotations, inlier_counts, covariances, has):
+    """The edges of arrays that passed :func:`_edge_rules`, built unchecked."""
+    covs = [c if h else None for c, h in zip(covariances, has.tolist())]
+    return [EdgeMeasurement._trusted(int(a), int(b), r, c, None if n is None else int(n))
+            for a, b, r, c, n in zip(i, j, rotations, covs, inlier_counts)]
+
+
 def checked_edges(i, j, rotations, inlier_counts, covariances, has_covariance):
     """``EdgeMeasurement(i[k], j[k], rotations[k], cov_k, inlier_counts[k])`` for every k.
 
     ``cov_k`` is ``covariances[k]`` (an (E, 3, 3) array) where
     ``has_covariance[k]`` is set, else None.  All edges are checked at once
-    under the constructor's rules; when one breaks a rule, the edges are
-    built one at a time, so the first bad edge raises its own error.
+    under the constructor's rules, and the first bad edge raises the error
+    its constructor raises.
     """
     has = np.asarray(has_covariance, dtype=bool)
     covariances = np.asarray(covariances, dtype=np.float64)
-    stack = np.where(has[:, None, None], covariances, np.eye(3))
-    counts = np.array([0 if n is None else n for n in inlier_counts])
-    bad = np.zeros(len(has), dtype=bool)
-    for _, passed in _edge_checks(np.array(i), np.array(j), counts, stack):
-        bad |= np.logical_not(passed)
-    covs = [c if h else None for c, h in zip(covariances, has.tolist())]
-    rows = zip(i, j, rotations, covs, inlier_counts)
-    if bad.any():
-        return [EdgeMeasurement(*row) for row in rows]
-    return [EdgeMeasurement._trusted(int(a), int(b), r, c, None if n is None else int(n))
-            for a, b, r, c, n in rows]
+    raise_first_failure(_edge_rules(i, j, inlier_counts, covariances, has), SchemaError,
+                        lambda k: {"i": i[k], "j": j[k]})
+    return _edges(i, j, rotations, inlier_counts, covariances, has)
 
 
 class ViewGraph:
@@ -183,33 +196,49 @@ class ViewGraph:
         return f"ViewGraph(n_nodes={len(self.nodes)}, n_edges={len(self.edges)})"
 
 
-def _rotation_from_qwxyz(q, where):
+def _float_rows(values, width):
+    """``values`` as an (N, width) float array, and the (N,) mask of the rows
+    that hold ``width`` numbers; the other rows are NaN.  The rows are read
+    one at a time only when they do not convert all at once."""
     try:
-        return Rotation(np.asarray(q, dtype=np.float64))
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{where}: bad quaternion {q!r}: {exc}") from exc
+        rows = np.array(values, dtype=np.float64)
+        if rows.shape == (len(values), width):
+            return rows, np.ones(len(values), dtype=bool)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    rows = np.full((len(values), width), np.nan)
+    ok = np.zeros(len(values), dtype=bool)
+    for k, value in enumerate(values):
+        try:
+            row = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            continue
+        if row.shape == (width,):
+            rows[k], ok[k] = row, True
+    return rows, ok
 
 
-def _float_rows(rows, width):
-    """``rows`` as an (N, width) float array, or None when they do not form one."""
-    if not rows:
-        return np.empty((0, width))
-    try:
-        a = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError):
-        return None
-    return a if a.shape == (len(rows), width) else None
+def _quaternion_rules(values, key, where):
+    """JSON quaternions as (N, 4) rows, and their rules in check order: hold 4
+    numbers, then :class:`Rotation`'s.  Messages name the record as ``where``
+    does and quote its field ``key``."""
+    q, ok = _float_rows(values, 4)
+    prefix = f"{where}: bad quaternion {{{key}!r}}: "
+    checks = _quaternion_checks(q, np.sqrt(np.vecdot(q, q)))
+    return q, [(prefix + "{why}", ok), *((prefix + message, p) for message, p in checks)]
 
 
-def stacked_rotations(quaternions):
-    """Rotations of a list of JSON quaternions, checked at once.
-
-    None when some entry is not a valid quaternion; the caller then goes
-    through :func:`_rotation_from_qwxyz` one entry at a time, so the first
-    bad one raises its own error.
-    """
-    q = _float_rows(quaternions, 4)
-    return None if q is None else checked_rotations(q)
+def _check_records(rules, records, key):
+    """Raise the SchemaError of the first of ``records`` that breaks one of
+    ``rules``, formatted with its fields and ``why``: what ``Rotation`` says of
+    its quaternion ``key``."""
+    def fields(k):
+        try:
+            Rotation(np.asarray(records[k].get(key), dtype=np.float64))
+        except (TypeError, ValueError, OverflowError) as exc:
+            return dict(records[k], why=exc)
+        return records[k]
+    raise_first_failure(rules, SchemaError, fields)
 
 
 def read_json_object(path, keys) -> dict:
@@ -260,54 +289,33 @@ def json_records(doc, key, fields, path, integers=()) -> list[dict]:
     return records
 
 
-def _edge_from_record(rec) -> EdgeMeasurement:
-    """One edge record, built and checked on its own (reference for the batch path)."""
-    where = f"edge ({rec['i']}, {rec['j']})"
-    cov = rec.get("cov")
-    if cov is not None:
-        cov = np.asarray(cov, dtype=np.float64)
-        if cov.shape != (9,):
-            raise SchemaError(f"{where}: 'cov' must be 9 row-major floats")
-        cov = cov.reshape(3, 3)
-    return EdgeMeasurement(
-        i=rec["i"],
-        j=rec["j"],
-        rotation=_rotation_from_qwxyz(rec["qwxyz"], where),
-        covariance=cov,
-        inlier_count=rec.get("inliers"),
-    )
-
-
 def _nodes_from_records(records) -> list[ViewNode]:
-    gts = [rec.get("gt_qwxyz") for rec in records]
-    rotations = stacked_rotations([q for q in gts if q is not None])
-    checked = iter(rotations or ())
-    nodes = []
-    for rec, gt in zip(records, gts):
-        if gt is not None:  # one at a time when some quaternion is bad, in file order
-            gt = next(checked) if rotations is not None else _rotation_from_qwxyz(
-                gt, f"node {rec['id']}")
-        nodes.append(ViewNode(rec["id"], gt))
-    return nodes
+    ids = [rec["id"] for rec in records]
+    has = [rec.get("gt_qwxyz") is not None for rec in records]
+    q, rules = _quaternion_rules([rec["gt_qwxyz"] if h else (1.0, 0.0, 0.0, 0.0)
+                                  for rec, h in zip(records, has)], "gt_qwxyz", "node {id}")
+    _check_records([*rules, (_NEGATIVE_ID, np.array(ids) >= 0)], records, "gt_qwxyz")
+    gts = iter(checked_rotations(q[has]))
+    return [ViewNode(nid, next(gts) if h else None) for nid, h in zip(ids, has)]
 
 
 def _edges_from_records(records) -> list[EdgeMeasurement]:
-    rotations = stacked_rotations([rec["qwxyz"] for rec in records])
+    i, j = [rec["i"] for rec in records], [rec["j"] for rec in records]
+    counts = [rec.get("inliers") for rec in records]
     covs = [rec.get("cov") for rec in records]
-    has = [c is not None for c in covs]
-    stack = _float_rows([c for c in covs if c is not None], 9)
-    if rotations is None or stack is None:
-        # raises at the first bad record, with the error it raises on its own
-        return [_edge_from_record(rec) for rec in records]
-    full = np.zeros((len(records), 3, 3))
-    full[has] = stack.reshape(-1, 3, 3)
-    return checked_edges([rec["i"] for rec in records], [rec["j"] for rec in records],
-                         rotations, [rec.get("inliers") for rec in records], full, has)
+    has = np.array([c is not None for c in covs], dtype=bool)
+    rows, cov_ok = _float_rows([[0.0] * 9 if c is None else c for c in covs], 9)
+    stack = rows.reshape(-1, 3, 3)
+    q, quaternion_rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz",
+                                            "edge ({i}, {j})")
+    _check_records([("edge ({i}, {j}): 'cov' must be 9 row-major floats", cov_ok),
+                    *quaternion_rules, *_edge_rules(i, j, counts, stack, has)], records, "qwxyz")
+    return _edges(i, j, checked_rotations(q), counts, stack, has)
 
 
 def load_graph(path) -> ViewGraph:
-    """Read a graph file.  All records are checked together; a bad one raises
-    the error it would raise on its own, naming the first in file order."""
+    """Read a graph file.  All records are checked in one pass; the first bad
+    one in file order raises the error it would raise on its own."""
     doc = read_json_object(path, ("nodes", "edges"))
     nodes = _nodes_from_records(json_records(doc, "nodes", ("id",), path, integers=("id",)))
     edge_records = json_records(doc, "edges", ("i", "j", "qwxyz"), path,
@@ -353,21 +361,24 @@ def load_pairs(path) -> list[TwoViewGeometry]:
     doc = read_json_object(path, ("pairs",))
     records = json_records(doc, "pairs", ("i", "j", "K_i", "K_j", "qwxyz", "t", "matches"),
                            path, integers=("i", "j"))
-    rotations = stacked_rotations([rec["qwxyz"] for rec in records])
+    q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "pair ({i}, {j})")
+    good = np.logical_and.reduce([passed for _, passed in rules]).tolist()
+    rotations = iter(checked_rotations(q[good]))
     intrinsics = {}
     out = []
-    for k, rec in enumerate(records):
+    for rec, ok in zip(records, good):
+        if not ok:  # the first pair with a bad quaternion; those before it are built
+            _check_records(rules, records, "qwxyz")
         where = f"pair ({rec['i']}, {rec['j']})"
         try:
             geom = TwoViewGeometry(
-                rotation=(_rotation_from_qwxyz(rec["qwxyz"], where) if rotations is None
-                          else rotations[k]),
+                rotation=next(rotations),
                 translation=np.asarray(rec["t"], dtype=np.float64),
                 intrinsics_i=_intrinsics(rec["K_i"], intrinsics),
                 intrinsics_j=_intrinsics(rec["K_j"], intrinsics),
                 matches=np.asarray(rec["matches"], dtype=np.float64),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         out.append(((rec["i"], rec["j"]), geom))
     return out
@@ -480,18 +491,19 @@ def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotat
     if criterion == "auto":
         criterion = default_tree_criterion(g)
     tree = maximum_spanning_tree(g, criterion)
-    adjacency: dict[int, list[tuple[int, Rotation]]] = {nid: [] for nid in g.nodes}
-    for e in tree:
-        # R_ij = R_i R_j^T  =>  R_j = R_ij^T R_i,  R_i = R_ij R_j
-        adjacency[e.i].append((e.j, e.rotation.inverse()))
-        adjacency[e.j].append((e.i, e.rotation))
-    root = min(g.nodes)
-    rotations = {root: Rotation.identity()}
-    stack = [root]
-    while stack:
-        cur = stack.pop()
-        for nxt, rel in sorted(adjacency[cur], key=lambda x: x[0]):
-            if nxt not in rotations:
-                rotations[nxt] = rel.compose(rotations[cur])
-                stack.append(nxt)
-    return rotations
+    ids = sorted(g.nodes)
+    index = {nid: k for k, nid in enumerate(ids)}
+    ends = np.array([(index[e.i], index[e.j]) for e in tree], dtype=np.intp).reshape(-1, 2)
+    q = np.array([e.rotation.quaternion for e in tree]).reshape(-1, 4)
+    # each tree edge both ways: R_ij = R_i R_j^T  =>  R_j = R_ij^T R_i,  R_i = R_ij R_j
+    src, dst = np.concatenate([ends, ends[:, ::-1]]).T
+    rel = np.concatenate([canonical_quats(quat_conj(q)), q])
+    quats = np.empty((len(ids), 4))
+    quats[0] = (1.0, 0.0, 0.0, 0.0)
+    reached = np.arange(len(ids)) == 0
+    while not reached.all():
+        # one tree level per pass: a node not yet reached has at most one reached neighbor
+        step = reached[src] & ~reached[dst]
+        quats[dst[step]] = canonical_quats(quat_mul(rel[step], quats[src[step]]))
+        reached[dst[step]] = True
+    return dict(zip(ids, checked_rotations(quats)))

@@ -1,16 +1,21 @@
 """CLI pipeline: exit codes, idempotence, report layout, help coverage."""
 
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotavg.cli as cli
 from rotavg.errors import NumericalError
 from rotavg.so3 import Rotation
 from rotavg.solver import load_result_rotations
-from rotavg.synth import generate_two_view_scene
-from rotavg.viewgraph import load_graph, save_pairs
+from rotavg.synth import SynthConfig, generate_graph, generate_two_view_scene
+from rotavg.viewgraph import load_graph, save_graph, save_pairs
 
 from conftest import bad_two_view_geometries, moderate_rotation, random_unit_vector
 
@@ -99,7 +104,8 @@ def test_missing_keys_exit_2(tmp_path, capsys):
 
 
 def test_wrongly_typed_ids_exit_2(tmp_path, capsys):
-    """Ids and inlier counts must be JSON integers; anything else is a data error naming it."""
+    """Ids and inlier counts must be JSON integers, and numeric fields numbers; anything
+    else is a data error naming its record."""
     g, r = tmp_path / "g.json", tmp_path / "r.json"
     edge = {"i": 0, "j": 1, "qwxyz": [1.0, 0.0, 0.0, 0.0]}
     cases = [
@@ -110,6 +116,10 @@ def test_wrongly_typed_ids_exit_2(tmp_path, capsys):
          "edges[0]: 'inliers' must be an integer, got 'x'"),
         ([{"id": 0}, {"id": 1}], [dict(edge, j=1.7)], "edges[0]: 'j' must be an integer, got 1.7"),
         ([{"id": 0}, {"id": 1}], [dict(edge, i=0.0)], "edges[0]: 'i' must be an integer, got 0.0"),
+        ([{"id": 0}, {"id": 1}], [dict(edge, cov=["a"] + [0.0] * 8)],
+         "edge (0, 1): 'cov' must be 9 row-major floats"),
+        ([{"id": 0}, {"id": 1}], [dict(edge, cov={"xx": 1.0})],
+         "edge (0, 1): 'cov' must be 9 row-major floats"),
     ]
     for nodes, edges, message in cases:
         g.write_text(json.dumps({"nodes": nodes, "edges": edges}))
@@ -125,6 +135,11 @@ def test_wrongly_typed_ids_exit_2(tmp_path, capsys):
     pairs_path.write_text(json.dumps(doc))
     assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", str(g)]) == 2
     assert "pairs[2]: 'i' must be an integer, got 1.5" in capsys.readouterr().err
+    doc["pairs"][2]["i"] = 2
+    doc["pairs"][3]["K_i"] = {"fx": 600.0}
+    pairs_path.write_text(json.dumps(doc))
+    assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", str(g)]) == 2
+    assert "data error: pair (0, 3): " in capsys.readouterr().err
 
     synth = _synth(tmp_path)
     assert cli.main(["average", "--in", str(synth), "--out", str(r)]) == 0
@@ -185,6 +200,56 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys):
     assert cli.main(["average", "--in", str(g), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert f"edge ({edge['i']}, {edge['j']}): covariance has non-finite entries" in err
+
+
+_JSON_VALUES = (
+    st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                 lambda inner: st.lists(inner, max_size=10)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=12)
+    | st.lists(st.floats() | st.integers(), min_size=3, max_size=10)
+    | st.lists(st.lists(st.floats(), min_size=3, max_size=5), max_size=6))
+# (file, list, field, command reading it)
+_NUMERIC_FIELDS = [("graph", "nodes", "gt_qwxyz", "average"),
+                   ("graph", "edges", "qwxyz", "average"),
+                   ("graph", "edges", "cov", "average"),
+                   ("result", "rotations", "qwxyz", "evaluate")] + [
+    ("pairs", "pairs", name, "weigh") for name in ("K_i", "K_j", "qwxyz", "t", "matches")]
+
+
+@functools.cache
+def _valid_docs():
+    """A graph with ground truth and covariances, its result and a correspondence set."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.json" for name in ("graph", "result", "pairs")}
+        scene = generate_graph(SynthConfig(n_cameras=5, edge_density=1.0,
+                                           noise_sigmas_deg=((1.0, 1.0),), seed=2))
+        save_graph(scene.graph, paths["graph"])
+        assert cli.main(["average", "--in", str(paths["graph"]),
+                         "--out", str(paths["result"])]) == 0
+        save_pairs(_pairs(np.random.default_rng(3)), paths["pairs"])
+        return {name: path.read_text() for name, path in paths.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_NUMERIC_FIELDS), st.integers(0, 3), _JSON_VALUES)
+def test_any_json_value_in_a_numeric_field_exits_0_2_or_3(field, record, value):
+    """Whatever JSON value a numeric field holds, a command reading it ends in
+    success, a data error or a numerical failure: never a usage error, never
+    an uncaught exception."""
+    name, key, attr, command = field
+    docs = {n: json.loads(text) for n, text in _valid_docs().items()}
+    docs[name][key][record][attr] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {n: Path(tmp) / f"{n}.json" for n in docs}
+        for n, doc in docs.items():
+            paths[n].write_text(json.dumps(doc))
+        out = str(Path(tmp) / "out.json")
+        argv = {"average": ["average", "--in", str(paths["graph"]), "--out", out],
+                "evaluate": ["evaluate", "--est", str(paths["result"]),
+                             "--gt", str(paths["graph"])],
+                "weigh": ["weigh", "--pairs", str(paths["pairs"]), "--out", out]}[command]
+        assert cli.main(argv) in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

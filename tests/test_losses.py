@@ -18,7 +18,6 @@ from rotavg.losses import (
     evaluate_loss,
     magsac_loss,
     magsac_weight,
-    regularized_lower_gamma,
     upper_incomplete_gamma,
 )
 
@@ -43,13 +42,6 @@ def test_upper_gamma_vs_quadrature():
             lambda t: t ** (a - 1.0) * math.exp(-t), x, np.inf
         )
         assert abs(upper_incomplete_gamma(a, x) - oracle) < 1e-9
-
-
-def test_lower_gamma_complements_upper():
-    for a, x in ((0.5, 0.2), (1.5, 1.0), (3.0, 7.0)):
-        p = regularized_lower_gamma(a, x)
-        q = upper_incomplete_gamma(a, x) / math.gamma(a)
-        assert abs(p + q - 1.0) < 1e-12
 
 
 def test_gamma_input_validation():

@@ -9,7 +9,7 @@ import pytest
 from rotavg.errors import SchemaError
 from rotavg.so3 import Rotation, exp_so3, relative_residual
 from rotavg.solver import SolverConfig, load_result_rotations, save_result, solve
-from rotavg.synth import DEFAULT_INTRINSICS, generate_two_view_scene
+from rotavg.synth import DEFAULT_INTRINSICS, SynthConfig, generate_graph, generate_two_view_scene
 from rotavg.twoview import CameraIntrinsics, TwoViewGeometry
 from rotavg.viewgraph import (
     EdgeMeasurement,
@@ -452,6 +452,33 @@ def test_consistent_graph_init_zeroes_all_residuals():
     init = spanning_tree_init(g, "unit")
     for e in g.edges:  # tree and non-tree edges alike
         assert np.linalg.norm(relative_residual(init[e.i], init[e.j], e.rotation)) < 1e-10
+
+
+def _per_edge_tree_init(g, criterion):
+    """Depth-first tree init with one Rotation.inverse/compose per tree edge."""
+    adjacency = {nid: [] for nid in g.nodes}
+    for e in maximum_spanning_tree(g, criterion):
+        adjacency[e.i].append((e.j, e.rotation.inverse()))
+        adjacency[e.j].append((e.i, e.rotation))
+    rotations = {min(g.nodes): Rotation.identity()}
+    stack = [min(g.nodes)]
+    while stack:
+        cur = stack.pop()
+        for nxt, rel in sorted(adjacency[cur], key=lambda x: x[0]):
+            if nxt not in rotations:
+                rotations[nxt] = rel.compose(rotations[cur])
+                stack.append(nxt)
+    return rotations
+
+
+@pytest.mark.parametrize("criterion", ["inlier_count", "inverse_cov_trace", "unit"])
+def test_tree_init_matches_per_edge_compose_bytewise(criterion):
+    g = generate_graph(SynthConfig(n_cameras=120, edge_density=0.06,
+                                   noise_sigmas_deg=((0.5, 0.5), (0.5, 5.0)),
+                                   outlier_fraction=0.1, seed=11)).graph
+    init, ref = spanning_tree_init(g, criterion), _per_edge_tree_init(g, criterion)
+    assert sorted(init) == sorted(ref) == g.node_ids
+    assert all(init[nid].quaternion.tobytes() == ref[nid].quaternion.tobytes() for nid in ref)
 
 
 def _spanning_trees(g):
