@@ -30,6 +30,7 @@ from .solver import (WEIGHTING_MODES, SolverConfig, _edge_arrays, load_result_ro
 from .synth import SynthConfig, generate_graph
 from .twoview import COVARIANCE_MODES, rotation_covariances
 from .viewgraph import (
+    TREE_CRITERIA,
     ViewGraph,
     ViewNode,
     checked_edges,
@@ -78,19 +79,16 @@ def _parse_noise_mixture(text: str):
     return tuple(out)
 
 
-def _loss_spec(args) -> LossSpec:
-    scale = args.loss_scale if args.loss_scale is not None else default_loss_scale(args.weighting)
-    if args.loss == "magsac":
-        return LossSpec("magsac", scale=scale, nu=args.magsac_nu, alpha=args.magsac_alpha)
-    return LossSpec(args.loss, scale=scale)
+def _add_scale_flags(p):
+    p.add_argument("--loss-scale", type=float, default=None,
+                   help="residual-norm scale / sigma_max (default depends on weighting)")
+    p.add_argument("--magsac-alpha", type=float, default=LossSpec.alpha,
+                   help="chi quantile of the magsac cutoff")
 
 
 def _add_loss_flags(p):
     p.add_argument("--loss", choices=ALL_KINDS, default="magsac")
-    p.add_argument("--loss-scale", type=float, default=None,
-                   help="residual-norm scale / sigma_max (default depends on weighting)")
-    p.add_argument("--magsac-nu", type=int, default=3)
-    p.add_argument("--magsac-alpha", type=float, default=0.99)
+    _add_scale_flags(p)
     p.add_argument("--weighting", choices=WEIGHTING_MODES, default="cov_full")
 
 
@@ -124,11 +122,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     _add_loss_flags(p)
-    p.add_argument("--init-criterion",
-                   choices=("auto", "inlier_count", "inverse_cov_trace", "unit"),
-                   default="auto")
-    p.add_argument("--max-outer", type=int, default=32)
-    p.add_argument("--max-inner", type=int, default=10)
+    p.add_argument("--init-criterion", choices=TREE_CRITERIA, default="auto")
+    p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer_irls)
+    p.add_argument("--max-inner", type=int, default=SolverConfig.max_inner_gn)
 
     p = sub.add_parser("evaluate", help="compare a result against ground truth")
     p.add_argument("--est", required=True, help="result JSON from 'average'")
@@ -142,9 +138,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--losses", default="soft_l1,magsac")
     p.add_argument("--weightings", default="none,inlier_count,cov_full")
     p.add_argument("--thresholds", default="2,5,10,20")
-    p.add_argument("--loss-scale", type=float, default=None)
-    p.add_argument("--magsac-nu", type=int, default=3)
-    p.add_argument("--magsac-alpha", type=float, default=0.99)
+    _add_scale_flags(p)
     p.add_argument("--csv", default=None)
 
     p = sub.add_parser("bench", help="time the per-edge kernel and a full solve")
@@ -155,20 +149,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        loss=_loss_spec(args),
-        weighting=args.weighting,
-        max_outer_irls=getattr(args, "max_outer", 32),
-        max_inner_gn=getattr(args, "max_inner", 10),
-    )
+def _solver_config(args, loss: str, weighting: str, **caps) -> SolverConfig:
+    """The config of one (loss, weighting) with the scale flags of ``args``."""
+    scale = args.loss_scale if args.loss_scale is not None else default_loss_scale(weighting)
+    spec = LossSpec(loss, scale=scale, alpha=args.magsac_alpha)  # only magsac reads alpha
+    return SolverConfig(loss=spec, weighting=weighting, **caps)
 
 
 def _cmd_synth(args) -> int:
     config = SynthConfig(
         n_cameras=args.cameras,
         edge_density=args.density,
-        noise_sigmas_deg=args.noise if isinstance(args.noise, tuple) else _parse_noise_mixture(args.noise),
+        noise_sigmas_deg=args.noise,  # argparse converts the string default too
         outlier_fraction=args.outliers,
         seed=args.seed,
         report_true_covariance=not args.no_covariance,
@@ -184,15 +176,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_weigh(args) -> int:
     pairs = load_pairs(args.pairs)
-    base = load_graph(args.base) if args.base else None
-    node_ids = set()
-    for (i, j), _ in pairs:
-        node_ids.update((i, j))
-    if base is not None:
-        nodes = [base.nodes[nid] if nid in base.nodes else ViewNode(nid)
-                 for nid in sorted(node_ids | set(base.nodes))]
-    else:
-        nodes = [ViewNode(nid) for nid in sorted(node_ids)]
+    known = load_graph(args.base).nodes if args.base else {}
+    node_ids = {nid for ij, _ in pairs for nid in ij} | set(known)
+    nodes = [known[nid] if nid in known else ViewNode(nid) for nid in sorted(node_ids)]
     geoms = [geom for _, geom in pairs]
     covs, errors = rotation_covariances(geoms, residual_sigma=args.sigma, mode=args.mode)
     for ((i, j), _), exc in zip(pairs, errors):
@@ -209,7 +195,8 @@ def _cmd_weigh(args) -> int:
 
 def _cmd_average(args) -> int:
     g = load_graph(args.infile)
-    config = _solver_config(args)
+    config = _solver_config(args, args.loss, args.weighting,
+                            max_outer_irls=args.max_outer, max_inner_gn=args.max_inner)
     init = spanning_tree_init(g, args.init_criterion)
     result = solve(g, init, config)
     save_result(result, args.out)
@@ -253,12 +240,7 @@ def _cmd_report(args) -> int:
     rows = []
     for loss in losses:
         for weighting in weightings:
-            ns = argparse.Namespace(
-                loss=loss, weighting=weighting, loss_scale=args.loss_scale,
-                magsac_nu=args.magsac_nu, magsac_alpha=args.magsac_alpha,
-            )
-            config = _solver_config(ns)
-            result = solve(g, init, config)
+            result = solve(g, init, _solver_config(args, loss, weighting))
             alignment = align_rotations(result.rotations, gt)
             errors = list(alignment.per_view_errors.values())
             rows.append((loss, weighting, [auc(errors, t) for t in thresholds]))
@@ -290,7 +272,7 @@ def _cmd_bench(args) -> int:
     per_call = (time.perf_counter() - start) / args.repeats
     print(f"graph: {len(quats)} nodes, {len(g.edges)} edges")
     print(f"edge_terms numpy : {per_call * 1e6:10.1f} us/call")
-    config = _solver_config(args)
+    config = _solver_config(args, args.loss, args.weighting)
     start = time.perf_counter()
     result = solve(g, init, config)
     elapsed = time.perf_counter() - start

@@ -86,7 +86,7 @@ class LossSpec:
     ``scale`` is the residual-norm scale in the units of the weighted
     residual (radians when unweighted).  For the marginalized loss it is
     ``sigma_max``; ``nu`` and ``alpha`` fix the chi quantile cutoff
-    ``k * sigma_max``.
+    ``k * sigma_max``; the solver takes only ``nu = 3`` (see :mod:`rotavg.solver`).
     """
 
     kind: str

@@ -221,6 +221,7 @@ def _quaternion_checks(q, norm):
     an (N,) array of norms; ``passed`` is a bool or an (N,) mask.
     """
     return (("non-finite quaternion entries", np.isfinite(q).all(axis=-1)),
+            ("quaternion norm overflows", np.isfinite(norm)),
             ("zero-norm quaternion", norm >= 1e-12))
 
 

@@ -12,11 +12,13 @@ rotations.  The inner loop runs Levenberg-damped Gauss-Newton on the
 resulting weighted least-squares problem over right tangent-space updates
 ``R_i <- R_i exp(delta_i)``, with the smallest-id node held fixed (gauge).
 Every re-weighted problem starts its Levenberg damping afresh from
-``SolverConfig.damping_init``; no damping carries over between outer
-iterations.
+``DAMPING_INIT``; no damping carries over between outer iterations.
 Inner steps are accepted only when they decrease the frozen weighted
 least-squares cost, which (rho being concave in the squared residual)
 guarantees the robust cost never increases across outer iterations.
+Every classic loss is; ``magsac`` is for ``nu <= 3``, and
+:class:`SolverConfig` takes it at ``nu = 3`` only, so only round-off can
+trip the outer loop's non-decrease guard.
 
 All traversal and summation is in sorted edge-key order, so identical
 inputs produce bit-identical results.
@@ -63,7 +65,7 @@ growing lambda.  The tolerance is machine epsilon, not a setting.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +83,8 @@ logger = logging.getLogger(__name__)
 
 WEIGHTING_MODES = ("none", "inlier_count", "cov_trace", "cov_fro", "cov_full")
 
+DAMPING_INIT = 1e-4  # Levenberg lambda at the start of every outer iteration
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -89,9 +93,7 @@ class SolverConfig:
     max_outer_irls: int = 32
     max_inner_gn: int = 10
     gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
     cost_rel_tol: float = 1e-9
-    damping_init: float = 1e-4  # Levenberg damping at the start of every outer iteration
     fallback_to_unit: bool = True
 
     def __post_init__(self):
@@ -99,9 +101,15 @@ class SolverConfig:
             raise ConfigurationError(
                 f"unknown weighting mode {self.weighting!r}; choose from {WEIGHTING_MODES}"
             )
+        if self.loss.kind == "magsac" and self.loss.nu != 3:
+            raise ConfigurationError(
+                f"the solver takes the magsac loss at nu = 3 only, not {self.loss.nu}: for "
+                "nu > 3 rho is not concave in the squared residual, so IRLS can raise the "
+                "cost, and for nu = 2 the weight is unbounded at a zero residual"
+            )
         if self.max_outer_irls < 1 or self.max_inner_gn < 1:
             raise ConfigurationError("iteration caps must be >= 1")
-        for name in ("gradient_tol", "step_tol", "cost_rel_tol", "damping_init"):
+        for name in ("gradient_tol", "cost_rel_tol"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be positive")
 
@@ -320,7 +328,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         # re-weighted problem starts from the initial damping: a lambda grown
         # by round-off rejections at the end of the previous inner run would
         # cripple the first steps on the new weights.
-        lam = config.damping_init
+        lam = DAMPING_INIT
         ls_cost = _weighted_ls_cost(rw, lw)
         for _ in range(config.max_inner_gn):
             h, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
@@ -352,16 +360,16 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
                 lam *= 10.0
             if not accepted:
                 break
-            if np.linalg.norm(delta_free) < config.step_tol:
+            if np.linalg.norm(delta_free) < 1e-12:
                 break
 
         new_cost, new_lw = _robust_cost(g, rw, config.loss)
         if new_cost > prev_cost + 1e-12:
             # IRLS safeguard: reject and stop at the previous iterate, which is
-            # not a verified optimum, so converged stays False
+            # not a verified optimum, so converged stays False (robust_cost
+            # and lw are still its own)
             quats = prev_quats
-            res, amat, rw = residuals(quats)
-            robust_cost, lw = _robust_cost(g, rw, config.loss)
+            res = residuals(quats)[0]
             termination = "irls_non_decrease_guard"
             break
         robust_cost, lw = new_cost, new_lw

@@ -27,6 +27,9 @@ __all__ = ["SynthConfig", "SynthScene", "generate_graph", "generate_two_view_sce
 
 # floor on the reported covariance sigma so zero-noise configs stay PD
 SIGMA_FLOOR_RAD = 1e-8
+# inlier count of an edge: base * sigma_min / sigma * exp(N(0, jitter^2)), at least 5
+INLIER_COUNT_BASE = 200
+INLIER_COUNT_JITTER = 0.7
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,6 @@ class SynthConfig:
     # covariance reported for outlier edges: "confident" (small, as
     # propagation through a wrong model would yield) or "honest" (large)
     outlier_covariance: str = "confident"
-    inlier_count_base: int = 200
-    inlier_count_jitter: float = 0.7
 
     def __post_init__(self):
         if self.n_cameras < 2:
@@ -109,8 +110,8 @@ def generate_graph(config: SynthConfig) -> SynthScene:
                     sigma_meta = max(sigma, SIGMA_FLOOR_RAD)
                     count_factor = sigma_min / sigma_meta
                 covs.append(sigma_meta ** 2 * np.eye(3))
-                jitter = float(np.exp(rng.normal(scale=config.inlier_count_jitter)))
-                counts.append(max(5, round(config.inlier_count_base * count_factor * jitter)))
+                jitter = float(np.exp(rng.normal(scale=INLIER_COUNT_JITTER)))
+                counts.append(max(5, round(INLIER_COUNT_BASE * count_factor * jitter)))
                 keys.append((i, j))
                 edge_sigmas[(i, j)] = sigma_meta
         # inlier R_ij = Exp(eps) R_i R_j^T, each product canonical as Rotation's

@@ -59,6 +59,8 @@ __all__ = [
 
 
 _NEGATIVE_ID = "node id must be non-negative, got {id}"
+# spanning-tree criteria; "auto" picks one of the others with default_tree_criterion
+TREE_CRITERIA = ("auto", "inlier_count", "inverse_cov_trace", "unit")
 
 
 @dataclass(frozen=True)
@@ -485,8 +487,11 @@ def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotat
     The smallest node id becomes the identity root; every tree-edge residual
     is exactly zero after initialization.  Raises
     :class:`~rotavg.errors.DisconnectedGraphError` on empty or disconnected
-    graphs.
+    graphs, and ``ValueError`` on a criterion not in :data:`TREE_CRITERIA`.
     """
+    if criterion not in TREE_CRITERIA:
+        raise ValueError(f"unknown spanning-tree criterion {criterion!r}; "
+                         f"choose from {TREE_CRITERIA}")
     check_connected(g)
     if criterion == "auto":
         criterion = default_tree_criterion(g)

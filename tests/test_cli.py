@@ -15,7 +15,7 @@ from rotavg.errors import NumericalError
 from rotavg.so3 import Rotation
 from rotavg.solver import load_result_rotations
 from rotavg.synth import SynthConfig, generate_graph, generate_two_view_scene
-from rotavg.viewgraph import load_graph, save_graph, save_pairs
+from rotavg.viewgraph import ViewGraph, ViewNode, load_graph, save_graph, save_pairs
 
 from conftest import bad_two_view_geometries, moderate_rotation, random_unit_vector
 
@@ -161,6 +161,32 @@ def test_bad_result_quaternion_exits_2(tmp_path, capsys):
     assert cli.main(["evaluate", "--est", str(r), "--gt", str(synth)]) == 2
     err = capsys.readouterr().err
     assert f"node {rec['id']}: bad quaternion [0, 0, 0, 0]: zero-norm quaternion" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_quaternion_whose_norm_overflows_exits_2(tmp_path, capsys):
+    g = _synth(tmp_path)
+    doc = json.loads(g.read_text())
+    edge, node = doc["edges"][3], doc["nodes"][2]
+    edge["qwxyz"] = [1e308, 1e308, 0, 0]
+    g.write_text(json.dumps(doc))
+    r = str(tmp_path / "r.json")
+    assert cli.main(["average", "--in", str(g), "--out", r]) == 2
+    assert (f"edge ({edge['i']}, {edge['j']}): bad quaternion [1e+308, 1e+308, 0, 0]: "
+            "quaternion norm overflows") in capsys.readouterr().err
+    doc = json.loads(_synth(tmp_path).read_text())
+    doc["nodes"][2]["gt_qwxyz"] = [1e200, 0, 0, 0]
+    g.write_text(json.dumps(doc))
+    assert cli.main(["average", "--in", str(g), "--out", r]) == 2
+    assert (f"node {node['id']}: bad quaternion [1e+200, 0, 0, 0]: quaternion norm overflows"
+            in capsys.readouterr().err)
+    pairs_path = tmp_path / "pairs.json"
+    save_pairs(_pairs(np.random.default_rng(1)), pairs_path)
+    doc = json.loads(pairs_path.read_text())
+    doc["pairs"][1]["qwxyz"] = [1e200, 0, 0, 0]
+    pairs_path.write_text(json.dumps(doc))
+    assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", r]) == 2
+    assert "quaternion norm overflows" in capsys.readouterr().err
 
 
 def test_parser_is_built_once():
@@ -329,6 +355,25 @@ def test_weigh_pipeline(tmp_path):
                      "--loss", "magsac", "--weighting", "cov_full"]) == 0
 
 
+def test_weigh_with_base_keeps_its_nodes(tmp_path):
+    """--base supplies nodes: they keep their gt_qwxyz, ids that only the pairs
+    name get bare nodes, and ids that only the base names stay."""
+    rng = np.random.default_rng(0)
+    pairs_path = tmp_path / "pairs.json"
+    save_pairs(_pairs(rng), pairs_path)  # views 0..3
+    gt = {nid: moderate_rotation(rng) for nid in (0, 1, 2, 7)}
+    base = tmp_path / "base.json"
+    save_graph(ViewGraph([ViewNode(nid, r) for nid, r in gt.items()], []), base)
+    out = tmp_path / "weighted.json"
+    assert cli.main(["weigh", "--pairs", str(pairs_path), "--base", str(base),
+                     "--out", str(out)]) == 0
+    g = load_graph(out)
+    assert g.node_ids == [0, 1, 2, 3, 7]
+    assert {nid: g.nodes[nid].gt_rotation for nid in gt} == gt
+    assert g.nodes[3].gt_rotation is None
+    assert len(g.edges) == 5 and all(e.covariance is not None for e in g.edges)
+
+
 def test_weigh_leaves_bad_pairs_unweighted(tmp_path, capsys, caplog):
     rng = np.random.default_rng(0)
     bad_keys = [(1, 3), (3, 4), (2, 4)]
@@ -394,7 +439,7 @@ def test_bench_runs(tmp_path, capsys):
     ("synth", ["--cameras", "--density", "--noise", "--outliers", "--seed",
                "--no-covariance", "--honest-outlier-covariance", "--out"]),
     ("weigh", ["--pairs", "--out", "--base", "--sigma", "--mode"]),
-    ("average", ["--in", "--out", "--loss", "--loss-scale", "--magsac-nu",
+    ("average", ["--in", "--out", "--loss", "--loss-scale",
                  "--magsac-alpha", "--weighting", "--init-criterion",
                  "--max-outer", "--max-inner"]),
     ("evaluate", ["--est", "--gt", "--thresholds", "--cdf"]),

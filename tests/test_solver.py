@@ -1,5 +1,6 @@
 """Averaging solver: recovery, monotone IRLS, gauge, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,13 @@ def test_config_validation():
         SolverConfig(max_outer_irls=0)
     with pytest.raises(ConfigurationError):
         SolverConfig(gradient_tol=0.0)
+
+
+@pytest.mark.parametrize("nu", [2, 4])
+def test_config_takes_magsac_at_nu_3_only(nu):
+    with pytest.raises(ConfigurationError, match=f"nu = 3 only, not {nu}"):
+        SolverConfig(loss=LossSpec("magsac", scale=0.06, nu=nu))
+    assert SolverConfig(loss=LossSpec("magsac", scale=0.06, nu=3)).loss.nu == 3
 
 
 def _weighted_residual(edges, rotations, weighting):
@@ -251,7 +259,7 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
 
 
 def test_damping_restarts_every_outer_iteration(monkeypatch):
-    """Each re-weighted problem starts its Levenberg loop at damping_init.
+    """Each re-weighted problem starts its Levenberg loop at DAMPING_INIT.
 
     A damping carried over from round-off rejections at the end of the previous
     inner run cripples the steps on the new weights, and the rounding-dependent
@@ -285,8 +293,8 @@ def test_damping_restarts_every_outer_iteration(monkeypatch):
     assert result.outer_iterations >= 2
     assert len(first_trial_lams) == result.outer_iterations
     # steps are accepted on this scene, so the damping does move within a run
-    assert min(all_lams) < config.damping_init / 10.0
-    assert first_trial_lams == [config.damping_init] * result.outer_iterations
+    assert min(all_lams) < solver_mod.DAMPING_INIT / 10.0
+    assert first_trial_lams == [solver_mod.DAMPING_INIT] * result.outer_iterations
 
 
 def test_damping_does_not_grow_on_round_off(monkeypatch):
@@ -308,7 +316,38 @@ def test_damping_does_not_grow_on_round_off(monkeypatch):
     monkeypatch.setattr(solver_mod, "_solve_normal_equations", solve_spy)
     solve(scene.graph, init, config)
     assert lams
-    assert max(lams) <= config.damping_init
+    assert max(lams) <= solver_mod.DAMPING_INIT
+
+
+def test_non_decrease_guard_returns_previous_iterate(monkeypatch):
+    """A re-weighted robust cost above the previous one stops the solve there.
+
+    Every loss the solver takes is concave in the squared residual, so only
+    round-off can raise the cost; here the second re-weighting reads higher.
+    """
+    scene = _noisy_scene(8, n=14)
+    init = spanning_tree_init(scene.graph, "auto")
+    config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02))
+    previous = solve(scene.graph, init, dataclasses.replace(config, max_outer_irls=1))
+    assert previous.termination == "max_outer_irls"
+    calls = [0]
+    real_cost = solver_mod._robust_cost
+
+    def inflated(*args):
+        calls[0] += 1
+        value, weights = real_cost(*args)
+        # call 1 is the init, call k + 1 the re-weighting after outer iteration k
+        return (value + 1.0 if calls[0] == 3 else value), weights
+
+    monkeypatch.setattr(solver_mod, "_robust_cost", inflated)
+    result = solve(scene.graph, init, config)
+    assert result.termination == "irls_non_decrease_guard"
+    assert result.converged is False
+    assert result.outer_iterations == 2
+    for nid in scene.graph.node_ids:
+        assert (result.rotations[nid].quaternion.tobytes()
+                == previous.rotations[nid].quaternion.tobytes())
+    assert result.final_cost == previous.final_cost
 
 
 def test_indefinite_system_gives_non_finite_step():

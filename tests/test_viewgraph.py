@@ -213,15 +213,18 @@ def _break(edge, rule):
         return _constructor_message(i=i, j=j, rotation=rot, covariance=cov)
     edge["qwxyz"] = {"zero-norm quaternion": [0.0, 0.0, 0.0, 0.0],
                      "non-finite quaternion": [float("nan"), 0.0, 0.0, 1.0],
+                     "overflowing quaternion": [1e308, 1e308, 0.0, 0.0],
                      "quaternion length": [1.0, 0.0, 0.0]}[rule]
     return _quaternion_message(edge, edge["qwxyz"])
 
 
 EDGE_RULES = ["self-loop", "negative inliers", "cov length", "non-finite cov", "asymmetric cov",
-              "not-PD cov", "zero-norm quaternion", "non-finite quaternion", "quaternion length"]
+              "not-PD cov", "zero-norm quaternion", "non-finite quaternion", "quaternion length",
+              "overflowing quaternion"]
 
 
 @pytest.mark.parametrize("rule", EDGE_RULES)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_load_graph_names_bad_edge_like_its_constructor(tmp_path, rule):
     records = _edge_records(np.random.default_rng(7))
     expected = _break(records[2], rule)
@@ -562,6 +565,12 @@ def test_default_tree_criterion_preference():
     assert default_tree_criterion(g) == "inverse_cov_trace"
     g = ViewGraph([ViewNode(0), ViewNode(1)], [EdgeMeasurement(0, 1, r)])
     assert default_tree_criterion(g) == "unit"
+
+
+def test_init_rejects_unknown_criterion_before_any_work():
+    """Even a one-node graph, which has no edge to weigh, names the bad criterion."""
+    with pytest.raises(ValueError, match="unknown spanning-tree criterion 'bogus'"):
+        spanning_tree_init(ViewGraph([ViewNode(0)], []), "bogus")
 
 
 def test_init_rejects_disconnected_graph():
