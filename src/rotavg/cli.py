@@ -25,8 +25,8 @@ from .errors import (
 )
 from .evaluate import align_rotations, auc, export_cdf
 from .losses import ALL_KINDS, LossSpec
-from .solver import (WEIGHTING_MODES, SolverConfig, _edge_arrays, load_result_rotations,
-                     save_result, solve)
+from .solver import (WEIGHTING_MODES, SolverConfig, _edge_arrays, default_loss_scale,
+                     load_result_rotations, save_result, solve)
 from .synth import SynthConfig, generate_graph
 from .twoview import COVARIANCE_MODES, rotation_covariances
 from .viewgraph import (
@@ -45,13 +45,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# residual-norm scale defaults: raw residuals are radians, whitened
-# residuals (cov_* modes) are unitless with sigma ~ 1 for true inliers;
-# inlier-count scaling stretches the raw residuals, so its scale is looser
-RAW_SCALE_DEFAULT = 0.02
-INLIER_SCALE_DEFAULT = 0.06
-WHITENED_SCALE_DEFAULT = 3.0
-
 
 class _UsageError(Exception):
     pass
@@ -60,14 +53,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def default_loss_scale(weighting: str) -> float:
-    if weighting.startswith("cov_"):
-        return WHITENED_SCALE_DEFAULT
-    if weighting == "inlier_count":
-        return INLIER_SCALE_DEFAULT
-    return RAW_SCALE_DEFAULT
 
 
 def _parse_noise_mixture(text: str):

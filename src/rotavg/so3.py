@@ -158,7 +158,7 @@ class Rotation:
         q = np.asarray(wxyz, dtype=np.float64)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have 4 entries, got shape {q.shape}")
-        for message, passed in _quaternion_checks(q, math.sqrt(float(q @ q))):
+        for message, passed in _quaternion_checks(q):
             if not passed:
                 raise ValueError(message)
         q = canonical_quats(q)
@@ -186,10 +186,6 @@ class Rotation:
     def matrix(self) -> np.ndarray:
         return quat_to_matrix(self._q)
 
-    @property
-    def axis_angle(self) -> np.ndarray:
-        return log_so3(self)
-
     def inverse(self) -> "Rotation":
         return Rotation._trusted(canonical_quats(quat_conj(self._q)))
 
@@ -214,12 +210,14 @@ class Rotation:
         return geodesic_angle(self, other) <= atol
 
 
-def _quaternion_checks(q, norm):
+def _quaternion_checks(q):
     """(message, passed) for each rule a quaternion must pass, in check order.
 
-    ``q`` is one quaternion (4,) with its norm, or an (N, 4) stack with
-    an (N,) array of norms; ``passed`` is a bool or an (N,) mask.
+    ``q`` is one quaternion (4,) or an (N, 4) stack; ``passed`` is a bool or
+    an (N,) mask.  A rule rejects a squared norm that overflows, unwarned.
     """
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.vecdot(q, q))
     return (("non-finite quaternion entries", np.isfinite(q).all(axis=-1)),
             ("quaternion norm overflows", np.isfinite(norm)),
             ("zero-norm quaternion", norm >= 1e-12))
@@ -231,7 +229,7 @@ def checked_rotations(q):
     The first row that breaks a rule :class:`Rotation` checks raises the
     ``ValueError`` that ``Rotation(row)`` raises.
     """
-    raise_first_failure(_quaternion_checks(q, np.sqrt(np.vecdot(q, q))), ValueError)
+    raise_first_failure(_quaternion_checks(q), ValueError)
     rows = canonical_quats(q)
     rows.setflags(write=False)
     return [Rotation._trusted(row) for row in rows]

@@ -76,12 +76,22 @@ from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
-from .viewgraph import (ViewGraph, _check_records, _quaternion_rules, check_connected,
-                        json_records, read_json_object, write_json)
+from .viewgraph import (EDGE_DATA, ViewGraph, _check_records, _quaternion_rules,
+                        check_connected, edge_data, json_records, read_json_object, write_json)
 
 logger = logging.getLogger(__name__)
 
-WEIGHTING_MODES = ("none", "inlier_count", "cov_trace", "cov_fro", "cov_full")
+# weighting mode -> (the edge datum it reads, or None; its default loss scale).  Raw
+# residuals are radians, whitened ones (cov_*) unitless with sigma ~ 1 for inliers;
+# inlier-count scaling stretches raw residuals, so its scale is looser.
+WEIGHTINGS = {
+    "none": (None, 0.02),
+    "inlier_count": ("inlier_count", 0.06),
+    "cov_trace": ("covariance", 3.0),
+    "cov_fro": ("covariance", 3.0),
+    "cov_full": ("covariance", 3.0),
+}
+WEIGHTING_MODES = tuple(WEIGHTINGS)
 
 DAMPING_INIT = 1e-4  # Levenberg lambda at the start of every outer iteration
 
@@ -94,13 +104,9 @@ class SolverConfig:
     max_inner_gn: int = 10
     gradient_tol: float = 1e-10
     cost_rel_tol: float = 1e-9
-    fallback_to_unit: bool = True
 
     def __post_init__(self):
-        if self.weighting not in WEIGHTING_MODES:
-            raise ConfigurationError(
-                f"unknown weighting mode {self.weighting!r}; choose from {WEIGHTING_MODES}"
-            )
+        default_loss_scale(self.weighting)  # rejects an unknown mode
         if self.loss.kind == "magsac" and self.loss.nu != 3:
             raise ConfigurationError(
                 f"the solver takes the magsac loss at nu = 3 only, not {self.loss.nu}: for "
@@ -126,48 +132,46 @@ class AveragingResult:
     unit_fallback_edges: int = 0
 
 
-def _mean_inliers(g: ViewGraph) -> float:
-    counts = [e.inlier_count for e in g.edges if e.inlier_count is not None]
-    return float(np.mean(counts)) if counts else 1.0
+def default_loss_scale(weighting: str) -> float:
+    """The loss scale of ``weighting``'s residuals when none is given."""
+    if weighting not in WEIGHTINGS:
+        raise ConfigurationError(
+            f"unknown weighting mode {weighting!r}; choose from {WEIGHTING_MODES}")
+    return WEIGHTINGS[weighting][1]
 
 
 def _transform_stack(g: ViewGraph, config: SolverConfig):
     """(E, 3, 3) weighting transforms W_e plus the unit-fallback count.
 
-    ``cov_full`` uses D_e^T, ``cov_trace`` and ``cov_fro`` scale the identity
-    by tr(C_e)^{-1/2} and (||C_e^{-1}||_F / 3)^{1/2}, ``inlier_count`` by
-    (n_e / mean n)^{1/2}.  The whiteners of all weighted edges come from one
-    stacked call.  Edges without the needed datum get the identity (reported
-    in one warning), or raise when ``fallback_to_unit`` is off.
+    Each mode reads the edge datum :data:`WEIGHTINGS` names, stacked by
+    :func:`~rotavg.viewgraph.edge_data`.  ``cov_full`` uses D_e^T,
+    ``cov_trace`` and ``cov_fro`` scale the identity by tr(C_e)^{-1/2} and
+    (||C_e^{-1}||_F / 3)^{1/2}, ``inlier_count`` by (n_e / mean n)^{1/2},
+    the mean over the edges that have a count.  Edges without the datum get
+    the identity, reported in one warning.
     """
-    weighting = config.weighting
+    datum = WEIGHTINGS[config.weighting][0]
     mats = np.tile(np.eye(3), (len(g.edges), 1, 1))
-    if weighting == "none":
+    if datum is None:
         return mats, 0
-    attr, what = (("inlier_count", "inlier count") if weighting == "inlier_count"
-                  else ("covariance", "covariance"))
-    rows = [k for k, e in enumerate(g.edges) if getattr(e, attr) is not None]
-    fallbacks = len(g.edges) - len(rows)
-    if fallbacks and not config.fallback_to_unit:
-        e = next(e for e in g.edges if getattr(e, attr) is None)
-        raise ConfigurationError(f"edge ({e.i}, {e.j}) has no {what} for {weighting} weighting")
-    if rows:
-        data = np.array([getattr(g.edges[k], attr) for k in rows], dtype=np.float64)
-        if weighting == "cov_full":
-            mats[rows] = np.swapaxes(whitener_from_covariance(data), 1, 2)
+    has, data = edge_data(g, datum)
+    if len(data):
+        if config.weighting == "cov_full":
+            mats[has] = np.swapaxes(whitener_from_covariance(data), 1, 2)
         else:
-            if weighting == "inlier_count":
-                scale = np.sqrt(data / _mean_inliers(g))
-            elif weighting == "cov_trace":
+            if config.weighting == "inlier_count":
+                scale = np.sqrt(data / np.mean(data))
+            elif config.weighting == "cov_trace":
                 scale = 1.0 / np.sqrt(np.trace(data, axis1=1, axis2=2))
             else:
                 d = whitener_from_covariance(data)
                 inv = (d @ np.swapaxes(d, 1, 2)).reshape(-1, 9)
                 scale = np.sqrt(np.sqrt(np.vecdot(inv, inv)) / 3.0)  # rounds as np.linalg.norm
-            mats[rows] *= scale[:, None, None]
+            mats[has] *= scale[:, None, None]
+    fallbacks = len(g.edges) - len(data)
     if fallbacks:
         logger.warning("%d of %d edges have a missing %s; using unit weight for them",
-                       fallbacks, len(g.edges), what)
+                       fallbacks, len(g.edges), EDGE_DATA[datum][0])
     return mats, fallbacks
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DisconnectedGraphError, SchemaError, raise_first_failure
 from .so3 import (Rotation, _quaternion_checks, canonical_quats, checked_rotations, quat_conj,
                   quat_mul)
-from .twoview import CameraIntrinsics, TwoViewGeometry, whitener_from_covariance
+from .twoview import CameraIntrinsics, TwoViewGeometry
 
 __all__ = [
     "ViewNode",
@@ -54,13 +54,18 @@ __all__ = [
     "connected_components",
     "check_connected",
     "is_connected",
+    "edge_data",
     "spanning_tree_init",
 ]
 
 
 _NEGATIVE_ID = "node id must be non-negative, got {id}"
-# spanning-tree criteria; "auto" picks one of the others with default_tree_criterion
-TREE_CRITERIA = ("auto", "inlier_count", "inverse_cov_trace", "unit")
+# optional edge datum a weighting or tree criterion reads -> (its name in messages, its shape)
+EDGE_DATA = {"inlier_count": ("inlier count", ()), "covariance": ("covariance", (3, 3))}
+# spanning-tree criterion -> the edge datum its weight reads (None: unit weight), in the
+# order default_tree_criterion prefers them; "auto" picks the first all edges carry
+_TREE_DATA = {"inlier_count": "inlier_count", "inverse_cov_trace": "covariance", "unit": None}
+TREE_CRITERIA = ("auto", *_TREE_DATA)
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,9 @@ class ViewNode:
 class EdgeMeasurement:
     """Relative-rotation measurement R_ij ~ R_i R_j^T with optional covariance.
 
-    The covariance must be finite, symmetric and positive definite.  Its
-    whitener is computed when read, so edges that no solve weighs by their
-    full covariance never pay for it.  :func:`checked_edges` builds many
-    edges under the same rules (:func:`_edge_checks`).
+    The covariance must be finite, symmetric and positive definite.
+    :func:`checked_edges` builds many edges under the same rules
+    (:func:`_edge_checks`); :func:`edge_data` reads one field of all edges.
     """
 
     __slots__ = ("i", "j", "rotation", "covariance", "inlier_count")
@@ -105,11 +109,6 @@ class EdgeMeasurement:
         e = object.__new__(cls)
         e._set(i, j, rotation, covariance, inlier_count)
         return e
-
-    @property
-    def whitener(self):
-        """Lower-triangular D with D D^T = C^{-1}, or None without a covariance."""
-        return None if self.covariance is None else whitener_from_covariance(self.covariance)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -226,7 +225,7 @@ def _quaternion_rules(values, key, where):
     does and quote its field ``key``."""
     q, ok = _float_rows(values, 4)
     prefix = f"{where}: bad quaternion {{{key}!r}}: "
-    checks = _quaternion_checks(q, np.sqrt(np.vecdot(q, q)))
+    checks = _quaternion_checks(q)
     return q, [(prefix + "{why}", ok), *((prefix + message, p) for message, p in checks)]
 
 
@@ -451,43 +450,54 @@ def connected_components(g: ViewGraph) -> list[ViewGraph]:
     return [ViewGraph(nodes[root], edges[root]) for root in sorted(nodes)]
 
 
-def _edge_weight(e: EdgeMeasurement, criterion: str) -> float:
-    if criterion == "inlier_count":
-        if e.inlier_count is None:
-            raise ValueError(f"edge ({e.i}, {e.j}) has no inlier count")
-        return float(e.inlier_count)
-    if criterion == "inverse_cov_trace":
-        if e.covariance is None:
-            raise ValueError(f"edge ({e.i}, {e.j}) has no covariance")
-        return 1.0 / float(np.trace(e.covariance))
-    if criterion == "unit":
-        return 1.0
-    raise ValueError(f"unknown spanning-tree criterion {criterion!r}")
+def edge_data(g: ViewGraph, datum: str):
+    """The (E,) mask of the edges of ``g`` that carry ``datum`` (a key of
+    :data:`EDGE_DATA`: ``"inlier_count"`` or ``"covariance"``), and the float
+    stack of their values in edge order."""
+    values = [getattr(e, datum) for e in g.edges]
+    has = np.array([v is not None for v in values], dtype=bool)
+    stack = np.array([v for v in values if v is not None], dtype=np.float64)
+    return has, stack.reshape((-1,) + EDGE_DATA[datum][1])
+
+
+def _tree_weights(g: ViewGraph, criterion: str):
+    """(E,) spanning-tree weights of the edges of ``g`` under ``criterion``."""
+    if criterion not in _TREE_DATA:
+        raise ValueError(f"unknown spanning-tree criterion {criterion!r}")
+    datum = _TREE_DATA[criterion]
+    if datum is None:
+        return np.ones(len(g.edges))
+    has, values = edge_data(g, datum)
+    if not has.all():
+        e = g.edges[int(np.argmin(has))]
+        raise ValueError(f"edge ({e.i}, {e.j}) has no {EDGE_DATA[datum][0]}")
+    return values if datum == "inlier_count" else 1.0 / np.trace(values, axis1=1, axis2=2)
 
 
 def default_tree_criterion(g: ViewGraph) -> str:
-    """Prefer inlier counts, then inverse covariance trace, then unit weight."""
-    if g.edges and all(e.inlier_count is not None for e in g.edges):
-        return "inlier_count"
-    if g.edges and all(e.covariance is not None for e in g.edges):
-        return "inverse_cov_trace"
-    return "unit"
+    """Prefer inlier counts, then inverse covariance trace, then unit weight:
+    the first criterion whose datum every edge carries."""
+    return next(criterion for criterion, datum in _TREE_DATA.items()
+                if datum is None or (g.edges and edge_data(g, datum)[0].all()))
 
 
 def maximum_spanning_tree(g: ViewGraph, criterion: str) -> list[EdgeMeasurement]:
-    """Kruskal maximum spanning tree; deterministic tie-break on (i, j)."""
+    """Kruskal maximum spanning tree; ties break on (i, j), the edges' own order."""
     parent = {nid: nid for nid in g.nodes}
-    ranked = sorted(g.edges, key=lambda e: (-_edge_weight(e, criterion), e.key))
+    ranked = [g.edges[k] for k in np.argsort(-_tree_weights(g, criterion), kind="stable")]
     return [e for e in ranked if _union(parent, e.i, e.j)]
 
 
 def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotation]:
     """Initialize absolute rotations along a maximum spanning tree.
 
-    The smallest node id becomes the identity root; every tree-edge residual
-    is exactly zero after initialization.  Raises
+    An edge weighs its inlier count, its inverse covariance trace or 1;
+    ``"auto"`` takes the first that every edge has the datum for.  The
+    smallest node id becomes the identity root; every tree-edge residual is
+    exactly zero after initialization.  Raises
     :class:`~rotavg.errors.DisconnectedGraphError` on empty or disconnected
-    graphs, and ``ValueError`` on a criterion not in :data:`TREE_CRITERIA`.
+    graphs, and ``ValueError`` on a criterion not in :data:`TREE_CRITERIA` or
+    an edge without the criterion's datum.
     """
     if criterion not in TREE_CRITERIA:
         raise ValueError(f"unknown spanning-tree criterion {criterion!r}; "

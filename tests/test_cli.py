@@ -3,6 +3,7 @@
 import functools
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,30 +164,53 @@ def test_bad_result_quaternion_exits_2(tmp_path, capsys):
     assert f"node {rec['id']}: bad quaternion [0, 0, 0, 0]: zero-norm quaternion" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_quaternion_whose_norm_overflows_exits_2(tmp_path, capsys):
+    """Each bad file gives one ``data error:`` line on stderr and no numpy warning."""
     g = _synth(tmp_path)
+    capsys.readouterr()
     doc = json.loads(g.read_text())
     edge, node = doc["edges"][3], doc["nodes"][2]
     edge["qwxyz"] = [1e308, 1e308, 0, 0]
     g.write_text(json.dumps(doc))
     r = str(tmp_path / "r.json")
-    assert cli.main(["average", "--in", str(g), "--out", r]) == 2
-    assert (f"edge ({edge['i']}, {edge['j']}): bad quaternion [1e+308, 1e+308, 0, 0]: "
-            "quaternion norm overflows") in capsys.readouterr().err
-    doc = json.loads(_synth(tmp_path).read_text())
-    doc["nodes"][2]["gt_qwxyz"] = [1e200, 0, 0, 0]
-    g.write_text(json.dumps(doc))
-    assert cli.main(["average", "--in", str(g), "--out", r]) == 2
-    assert (f"node {node['id']}: bad quaternion [1e+200, 0, 0, 0]: quaternion norm overflows"
-            in capsys.readouterr().err)
-    pairs_path = tmp_path / "pairs.json"
-    save_pairs(_pairs(np.random.default_rng(1)), pairs_path)
-    doc = json.loads(pairs_path.read_text())
-    doc["pairs"][1]["qwxyz"] = [1e200, 0, 0, 0]
-    pairs_path.write_text(json.dumps(doc))
-    assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", r]) == 2
-    assert "quaternion norm overflows" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["average", "--in", str(g), "--out", r]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: edge ({edge['i']}, {edge['j']}): bad quaternion "
+            "[1e+308, 1e+308, 0, 0]: quaternion norm overflows\n")
+        doc = json.loads(_synth(tmp_path).read_text())
+        capsys.readouterr()
+        doc["nodes"][2]["gt_qwxyz"] = [1e200, 0, 0, 0]
+        g.write_text(json.dumps(doc))
+        assert cli.main(["average", "--in", str(g), "--out", r]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: node {node['id']}: bad quaternion [1e+200, 0, 0, 0]: "
+            "quaternion norm overflows\n")
+        pairs_path = tmp_path / "pairs.json"
+        save_pairs(_pairs(np.random.default_rng(1)), pairs_path)
+        doc = json.loads(pairs_path.read_text())
+        pair = doc["pairs"][1]
+        pair["qwxyz"] = [1e200, 0, 0, 0]
+        pairs_path.write_text(json.dumps(doc))
+        assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", r]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: pair ({pair['i']}, {pair['j']}): bad quaternion [1e+200, 0, 0, 0]: "
+            "quaternion norm overflows\n")
+
+
+def test_report_rejects_unknown_names_exit_1(tmp_path, capsys):
+    """report's free-form lists name the bad entry as the solver config does."""
+    g = str(_synth(tmp_path, cameras=12))
+    capsys.readouterr()
+    assert cli.main(["report", "--in", g, "--weightings", "none,bogus"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: unknown weighting mode 'bogus'; choose from "
+        "('none', 'inlier_count', 'cov_trace', 'cov_fro', 'cov_full')\n")
+    assert cli.main(["report", "--in", g, "--losses", "bogus"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: unknown loss kind 'bogus'; choose from ('trivial', 'huber', "
+        "'soft_l1', 'cauchy', 'tukey', 'gm', 'l_half', 'magsac')\n")
 
 
 def test_parser_is_built_once():

@@ -216,7 +216,6 @@ def test_array_functions_match_rotation_bytewise():
                                  [np.nan, 0.0, 0.0, 1.0], [1.0, np.inf, 0.0, 0.0],
                                  # finite entries whose squared norm overflows
                                  [1e308, 1e308, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0]])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_checked_rotations_reject_what_rotation_rejects(bad):
     with pytest.raises(ValueError) as expected:
         Rotation(np.array(bad))

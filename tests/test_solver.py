@@ -25,6 +25,7 @@ from rotavg.solver import (
     solve,
 )
 from rotavg.synth import SynthConfig, generate_graph
+from rotavg.twoview import whitener_from_covariance
 from rotavg.viewgraph import EdgeMeasurement, ViewGraph, ViewNode, spanning_tree_init
 
 from conftest import random_rotation
@@ -115,7 +116,7 @@ def test_cost_matches_independent_oracle():
     expected = 0.0
     for e in sorted(g.edges, key=lambda e: e.key):
         res = relative_residual(rotations[e.i], rotations[e.j], e.rotation)
-        wres = e.whitener.T @ res
+        wres = whitener_from_covariance(e.covariance).T @ res
         expected += evaluate_loss(config.loss, float(wres @ wres)).value
     assert abs(cost(g, rotations, config) - expected) < 1e-12 * max(1.0, expected)
 
@@ -560,7 +561,7 @@ def test_stationarity_matches_finite_difference_gradient():
             assert abs(grad) < 1e-6
 
 
-def test_missing_metadata_fallback_and_strict_mode(caplog):
+def test_missing_metadata_falls_back_to_unit(caplog):
     rng = np.random.default_rng(10)
     gt = [random_rotation(rng) for _ in range(3)]
     edges = [
@@ -575,25 +576,24 @@ def test_missing_metadata_fallback_and_strict_mode(caplog):
         result = solve(g, init, config)
     assert result.unit_fallback_edges == 1
     assert any("missing covariance" in rec.message for rec in caplog.records)
-    strict = SolverConfig(loss=LossSpec("trivial"), weighting="cov_full",
-                          fallback_to_unit=False)
-    with pytest.raises(ConfigurationError):
-        solve(g, init, strict)
 
 
-def test_missing_metadata_warns_once_per_solve(caplog):
+@pytest.mark.parametrize("weighting", ["inlier_count", "cov_trace", "cov_fro", "cov_full"])
+def test_missing_metadata_warns_once_per_solve(caplog, weighting):
     rng = np.random.default_rng(10)
     gt = [random_rotation(rng) for _ in range(4)]
     edges = [EdgeMeasurement(i, j, gt[i].compose(gt[j].inverse()),
-                             covariance=1e-4 * np.eye(3) if (i + j) % 2 else None)
+                             covariance=1e-4 * np.eye(3) if (i + j) % 2 else None,
+                             inlier_count=40 + i + j if (i + j) % 2 else None)
              for i, j in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3))]
     g = ViewGraph([ViewNode(i, gt[i]) for i in range(4)], edges)
-    config = SolverConfig(loss=LossSpec("trivial"), weighting="cov_full")
+    config = SolverConfig(loss=LossSpec("trivial"), weighting=weighting)
     with caplog.at_level("WARNING", logger="rotavg.solver"):
         result = solve(g, spanning_tree_init(g, "unit"), config)
     assert result.unit_fallback_edges == 2
+    datum = "inlier count" if weighting == "inlier_count" else "covariance"
     assert [rec.message for rec in caplog.records] == [
-        "2 of 5 edges have a missing covariance; using unit weight for them"]
+        f"2 of 5 edges have a missing {datum}; using unit weight for them"]
 
 
 def test_solve_rejects_bad_inputs():

@@ -10,7 +10,7 @@ from rotavg.errors import SchemaError
 from rotavg.so3 import Rotation, exp_so3, relative_residual
 from rotavg.solver import SolverConfig, load_result_rotations, save_result, solve
 from rotavg.synth import DEFAULT_INTRINSICS, SynthConfig, generate_graph, generate_two_view_scene
-from rotavg.twoview import CameraIntrinsics, TwoViewGeometry
+from rotavg.twoview import CameraIntrinsics, TwoViewGeometry, whitener_from_covariance
 from rotavg.viewgraph import (
     EdgeMeasurement,
     ViewGraph,
@@ -85,8 +85,9 @@ def test_graph_accepts_generators():
 
 def test_edge_whitener_cache():
     e = EdgeMeasurement(0, 1, Rotation.identity(), covariance=np.diag([4.0, 1.0, 1.0]))
-    assert np.allclose(e.whitener, np.diag([0.5, 1.0, 1.0]), atol=1e-12)
-    inv = e.whitener @ e.whitener.T
+    d = whitener_from_covariance(e.covariance)
+    assert np.allclose(d, np.diag([0.5, 1.0, 1.0]), atol=1e-12)
+    inv = d @ d.T
     assert np.allclose(inv @ e.covariance, np.eye(3), atol=1e-8)
 
 
@@ -133,7 +134,8 @@ def test_round_trip_preserves_fields(tmp_path):
     assert e.inlier_count == 99
     assert np.array_equal(e.covariance, cov)
     assert e.rotation == g.edges[0].rotation
-    assert np.allclose(e.whitener, np.diag([0.5, 1.0, 1.0]), atol=1e-12)
+    assert np.allclose(whitener_from_covariance(e.covariance), np.diag([0.5, 1.0, 1.0]),
+                       atol=1e-12)
     assert back.nodes[0].gt_rotation == Rotation.identity()
     assert back.nodes[1].gt_rotation is None
 
@@ -224,7 +226,6 @@ EDGE_RULES = ["self-loop", "negative inliers", "cov length", "non-finite cov", "
 
 
 @pytest.mark.parametrize("rule", EDGE_RULES)
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_load_graph_names_bad_edge_like_its_constructor(tmp_path, rule):
     records = _edge_records(np.random.default_rng(7))
     expected = _break(records[2], rule)
@@ -565,6 +566,18 @@ def test_default_tree_criterion_preference():
     assert default_tree_criterion(g) == "inverse_cov_trace"
     g = ViewGraph([ViewNode(0), ViewNode(1)], [EdgeMeasurement(0, 1, r)])
     assert default_tree_criterion(g) == "unit"
+    assert default_tree_criterion(ViewGraph([ViewNode(0)], [])) == "unit"
+    # every edge has a covariance, edge (1, 2) no count
+    mixed = ViewGraph([ViewNode(i) for i in range(3)],
+                      [EdgeMeasurement(0, 1, r, covariance=np.eye(3), inlier_count=3),
+                       EdgeMeasurement(1, 2, r, covariance=np.eye(3))])
+    assert default_tree_criterion(mixed) == "inverse_cov_trace"
+    with pytest.raises(ValueError, match=r"^edge \(1, 2\) has no inlier count$"):
+        spanning_tree_init(mixed, "inlier_count")
+    no_cov = ViewGraph([ViewNode(i) for i in range(3)],
+                       [EdgeMeasurement(0, 1, r, covariance=np.eye(3)), EdgeMeasurement(1, 2, r)])
+    with pytest.raises(ValueError, match=r"^edge \(1, 2\) has no covariance$"):
+        spanning_tree_init(no_cov, "inverse_cov_trace")
 
 
 def test_init_rejects_unknown_criterion_before_any_work():
