@@ -23,7 +23,7 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .evaluate import align_rotations, auc, export_cdf
+from .evaluate import align_rotations, auc, check_threshold, export_cdf
 from .losses import ALL_KINDS, LossSpec
 from .solver import (WEIGHTING_MODES, SolverConfig, _edge_arrays, default_loss_scale,
                      load_result_rotations, save_result, solve)
@@ -62,6 +62,22 @@ def _parse_noise_mixture(text: str):
         frac, _, sigma = item.partition(":")
         out.append((float(frac), float(sigma)))
     return tuple(out)
+
+
+def _parse_thresholds(text: str):
+    """Parse 'a,b,...' into AUC thresholds, each checked as :func:`auc` checks it."""
+    try:
+        thresholds = [float(t) for t in text.split(",")]
+        for t in thresholds:
+            check_threshold(t)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return thresholds
+
+
+def _add_thresholds_flag(p):
+    p.add_argument("--thresholds", type=_parse_thresholds, default="2,5,10,20",
+                   help="comma-separated AUC thresholds in degrees")
 
 
 def _add_scale_flags(p):
@@ -109,12 +125,11 @@ def _build_parser() -> _Parser:
     _add_loss_flags(p)
     p.add_argument("--init-criterion", choices=TREE_CRITERIA, default="auto")
     p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer_irls)
-    p.add_argument("--max-inner", type=int, default=SolverConfig.max_inner_gn)
 
     p = sub.add_parser("evaluate", help="compare a result against ground truth")
     p.add_argument("--est", required=True, help="result JSON from 'average'")
     p.add_argument("--gt", required=True, help="view-graph JSON with gt_qwxyz nodes")
-    p.add_argument("--thresholds", default="2,5,10,20")
+    _add_thresholds_flag(p)
     p.add_argument("--cdf", default=None, help="optional CSV path for the error CDF")
 
     p = sub.add_parser("report", help="AUC table over loss x weighting combinations")
@@ -122,7 +137,7 @@ def _build_parser() -> _Parser:
                    help="view-graph JSON with ground truth")
     p.add_argument("--losses", default="soft_l1,magsac")
     p.add_argument("--weightings", default="none,inlier_count,cov_full")
-    p.add_argument("--thresholds", default="2,5,10,20")
+    _add_thresholds_flag(p)
     _add_scale_flags(p)
     p.add_argument("--csv", default=None)
 
@@ -180,8 +195,7 @@ def _cmd_weigh(args) -> int:
 
 def _cmd_average(args) -> int:
     g = load_graph(args.infile)
-    config = _solver_config(args, args.loss, args.weighting,
-                            max_outer_irls=args.max_outer, max_inner_gn=args.max_inner)
+    config = _solver_config(args, args.loss, args.weighting, max_outer_irls=args.max_outer)
     init = spanning_tree_init(g, args.init_criterion)
     result = solve(g, init, config)
     save_result(result, args.out)
@@ -203,41 +217,39 @@ def _cmd_evaluate(args) -> int:
     common = set(est) & set(gt)
     if not common:
         raise SchemaError("estimate and ground truth share no node ids")
-    thresholds = [float(t) for t in args.thresholds.split(",")]
     alignment = align_rotations(est, gt)
     errors = list(alignment.per_view_errors.values())
-    header = " ".join(f"AUC@{t:g}" for t in thresholds)
+    header = " ".join(f"AUC@{t:g}" for t in args.thresholds)
     print(f"views {len(errors)}  median_err_deg {np.median(errors):.4f}")
     print(header)
-    print(" ".join(f"{auc(errors, t):6.2f}" for t in thresholds))
+    print(" ".join(f"{auc(errors, t):6.2f}" for t in args.thresholds))
     if args.cdf:
         export_cdf(errors, args.cdf)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
+    # every name is checked before the first solve
+    configs = [(loss, weighting, _solver_config(args, loss, weighting))
+               for loss in args.losses.split(",") for weighting in args.weightings.split(",")]
     g = load_graph(args.infile)
     gt = _gt_rotations(g)
-    thresholds = [float(t) for t in args.thresholds.split(",")]
-    losses = args.losses.split(",")
-    weightings = args.weightings.split(",")
     init = spanning_tree_init(g, "auto")
     rows = []
-    for loss in losses:
-        for weighting in weightings:
-            result = solve(g, init, _solver_config(args, loss, weighting))
-            alignment = align_rotations(result.rotations, gt)
-            errors = list(alignment.per_view_errors.values())
-            rows.append((loss, weighting, [auc(errors, t) for t in thresholds]))
+    for loss, weighting, config in configs:
+        result = solve(g, init, config)
+        alignment = align_rotations(result.rotations, gt)
+        errors = list(alignment.per_view_errors.values())
+        rows.append((loss, weighting, [auc(errors, t) for t in args.thresholds]))
     name_w = max(len(f"{l}+{w}") for l, w, _ in rows) + 2
-    head = "setting".ljust(name_w) + "".join(f"AUC@{t:g}".rjust(9) for t in thresholds)
+    head = "setting".ljust(name_w) + "".join(f"AUC@{t:g}".rjust(9) for t in args.thresholds)
     print(head)
     for loss, weighting, aucs in rows:
         print(f"{loss}+{weighting}".ljust(name_w) + "".join(f"{a:9.2f}" for a in aucs))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["loss", "weighting"] + [f"auc@{t:g}" for t in thresholds])
+            writer.writerow(["loss", "weighting"] + [f"auc@{t:g}" for t in args.thresholds])
             for loss, weighting, aucs in rows:
                 writer.writerow([loss, weighting] + [f"{a:.4f}" for a in aucs])
     return EXIT_OK

@@ -115,6 +115,12 @@ def align_rotations(
     )
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless ``threshold`` is a positive number (NaN is not)."""
+    if not threshold > 0.0:
+        raise ValueError(f"threshold must be positive, not {threshold:g}")
+
+
 def auc(errors, threshold: float) -> float:
     """Exact area under the step recall curve, in percent.
 
@@ -125,8 +131,7 @@ def auc(errors, threshold: float) -> float:
         raise ValueError("empty error list")
     if not np.all(np.isfinite(errors)):
         raise ValueError("non-finite errors")
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    check_threshold(threshold)
     return float(np.mean(np.maximum(0.0, 100.0 * (1.0 - errors / threshold))))
 
 

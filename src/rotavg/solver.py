@@ -4,29 +4,36 @@ Minimizes  sum_e rho(||W_e L_e(R_i, R_j, R_ij)||^2)  over all absolute
 rotations, where ``W_e`` is the per-edge weighting transform (identity,
 scalar, or the covariance whitener ``D_e^T``) and ``rho`` a robust loss.
 
-The outer loop freezes IRLS weights from the current residuals: one
+Each outer iteration freezes IRLS weights from the current residuals: one
 array-valued :func:`~rotavg.losses.evaluate_loss` call per re-weighting (and
 one at the initialization) gives the robust cost and the weights of every
 edge, and ``final_cost`` is the last such robust cost, that of the returned
-rotations.  The inner loop runs Levenberg-damped Gauss-Newton on the
+rotations.  It then takes one Levenberg-damped Gauss-Newton step on the
 resulting weighted least-squares problem over right tangent-space updates
-``R_i <- R_i exp(delta_i)``, with the smallest-id node held fixed (gauge).
-Every re-weighted problem starts its Levenberg damping afresh from
-``DAMPING_INIT``; no damping carries over between outer iterations.
-Inner steps are accepted only when they decrease the frozen weighted
+``R_i <- R_i exp(delta_i)``, with the smallest-id node held fixed (gauge),
+and re-weights, as robust Levenberg-Marquardt recomputes the robust weights
+at every step (Triggs et al., "Bundle Adjustment -- A Modern Synthesis",
+2000).  Solving the frozen-weight problem further would only refine a
+problem the next re-weighting replaces.  Every step starts its Levenberg
+damping afresh from ``DAMPING_INIT`` and grows it tenfold per rejected
+trial, up to 12 trials; no damping carries over between outer iterations.
+A trial is accepted only when it does not increase the frozen weighted
 least-squares cost, which (rho being concave in the squared residual)
 guarantees the robust cost never increases across outer iterations.
 Every classic loss is; ``magsac`` is for ``nu <= 3``, and
 :class:`SolverConfig` takes it at ``nu = 3`` only, so only round-off can
-trip the outer loop's non-decrease guard.
+trip the outer loop's non-decrease guard.  The solve ends when a
+re-weighting changes the robust cost by at most ``cost_rel_tol`` relative,
+for every loss alike: the ``trivial`` loss, whose weights never change,
+stops there too rather than at the least-squares optimum to round-off.
 
 All traversal and summation is in sorted edge-key order, so identical
 inputs produce bit-identical results.
 
-The inner loop is array code over a scatter pattern built once per solve
+The step is array code over a scatter pattern built once per solve
 (:func:`_normal_pattern`): every per-edge 3x3 block entry and gradient
 entry has a fixed slot in the dense gauge-reduced normal matrix, and each
-inner iteration computes the blocks of all edges at once and scatters them
+step computes the blocks of all edges at once and scatters them
 with ``np.bincount``, which sums in input order.  Each diagonal slot
 therefore sums its edges in edge order, the i-row before the j-row, and
 each off-diagonal slot takes exactly one edge (``ViewGraph`` rejects
@@ -46,20 +53,21 @@ Cholesky factorization (LAPACK ``potrf``/``potrs``), so memory is
 O(nodes^2): 11 MB for the matrix at 400 cameras.  On view graphs of a few
 hundred cameras this is several times faster than sparse LU, because these
 graphs fill in badly under every LU ordering.  A system that is not
-numerically positive definite yields a non-finite step, which the inner
-loop treats like a rejected trial (grow lambda, retry).
+numerically positive definite yields a non-finite step, which the step
+treats like a rejected trial (grow lambda, retry).
 
 A trial that is accepted keeps its residuals and Jacobian blocks, which
-assemble the next normal equations, so each trial costs one
-:func:`~rotavg.kernels.edge_terms` evaluation.
+give the next re-weighting and assemble the next normal equations, so each
+trial costs one :func:`~rotavg.kernels.edge_terms` evaluation and each
+outer iteration one assembly.
 
-Before a trial, the inner loop compares the decrease predicted by the
+Before a trial, the step compares the decrease predicted by the
 damped Gauss-Newton model of ``1/2 sum_e w_e ||r_e||^2``,
 ``1/2 d^T (lambda d - g)`` (Madsen, Nielsen & Tingleff, 2004), with the
 weighted least-squares cost.  When the prediction is at most machine
 epsilon times the cost, no step can show a decrease above round-off, so
-the inner run ends there, without evaluating the trial and without
-growing lambda.  The tolerance is machine epsilon, not a setting.
+the step ends there without moving, without evaluating the trial and
+without growing lambda.  The tolerance is machine epsilon, not a setting.
 """
 
 from __future__ import annotations
@@ -101,7 +109,6 @@ class SolverConfig:
     loss: LossSpec = field(default_factory=lambda: LossSpec("trivial"))
     weighting: str = "none"
     max_outer_irls: int = 32
-    max_inner_gn: int = 10
     gradient_tol: float = 1e-10
     cost_rel_tol: float = 1e-9
 
@@ -113,8 +120,8 @@ class SolverConfig:
                 "nu > 3 rho is not concave in the squared residual, so IRLS can raise the "
                 "cost, and for nu = 2 the weight is unbounded at a zero residual"
             )
-        if self.max_outer_irls < 1 or self.max_inner_gn < 1:
-            raise ConfigurationError("iteration caps must be >= 1")
+        if self.max_outer_irls < 1:
+            raise ConfigurationError("max_outer_irls must be >= 1")
         for name in ("gradient_tol", "cost_rel_tol"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be positive")
@@ -325,28 +332,23 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
 
     for outer in range(config.max_outer_irls):
         outer_done = outer + 1
-        prev_quats = quats.copy()
+        prev_quats = quats
         prev_cost = robust_cost
 
-        # inner: damped Gauss-Newton on the frozen-weight LS problem. Each
-        # re-weighted problem starts from the initial damping: a lambda grown
-        # by round-off rejections at the end of the previous inner run would
-        # cripple the first steps on the new weights.
-        lam = DAMPING_INIT
-        ls_cost = _weighted_ls_cost(rw, lw)
-        for _ in range(config.max_inner_gn):
-            h, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
-            if np.max(np.abs(grad)) < config.gradient_tol:
-                break
-
-            accepted = False
+        # one Levenberg-Marquardt step on the frozen-weight LS problem, then
+        # re-weight.  Each step starts from the initial damping, so no lambda
+        # grown by rejections carries over to the new weights.
+        h, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
+        if np.max(np.abs(grad)) >= config.gradient_tol:
+            lam = DAMPING_INIT
+            ls_cost = _weighted_ls_cost(rw, lw)
             for _ in range(12):
                 delta_free = _solve_normal_equations(h, grad, lam)
                 if not np.all(np.isfinite(delta_free)):
                     lam *= 10.0
                     continue
                 # the model decrease is at round-off and a larger lam only
-                # shrinks it: end the run without a trial
+                # shrinks it: end the step without a trial
                 predicted = 0.5 * delta_free @ (lam * delta_free - grad)
                 if predicted <= np.finfo(float).eps * ls_cost:
                     break
@@ -354,18 +356,10 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
                 delta[1:] = delta_free.reshape(-1, 3)
                 trial = _apply_step(quats, delta)
                 res_trial, amat_trial, rw_trial = residuals(trial)
-                ls_trial = _weighted_ls_cost(rw_trial, lw)
-                if ls_trial <= ls_cost:
+                if _weighted_ls_cost(rw_trial, lw) <= ls_cost:
                     quats, res, amat, rw = trial, res_trial, amat_trial, rw_trial
-                    ls_cost = ls_trial
-                    lam = max(lam / 3.0, 1e-12)
-                    accepted = True
                     break
                 lam *= 10.0
-            if not accepted:
-                break
-            if np.linalg.norm(delta_free) < 1e-12:
-                break
 
         new_cost, new_lw = _robust_cost(g, rw, config.loss)
         if new_cost > prev_cost + 1e-12:

@@ -43,6 +43,9 @@ def test_usage_errors_exit_1(tmp_path):
                      "--loss", "nope"]) == 1
     assert cli.main(["average", "--in", "g.json", "--out", "r.json",
                      "--unknown-flag"]) == 1
+    # each re-weighting takes one step; there is no inner iteration cap
+    assert cli.main(["average", "--in", "g.json", "--out", "r.json",
+                     "--max-inner", "3"]) == 1
     assert cli.main(["synth", "--cameras", "5", "--out", str(tmp_path / "g.json"),
                      "--threads", "0"]) == 1
     assert cli.main(["synth", "--cameras", "1", "--out", str(tmp_path / "g.json")]) == 1
@@ -199,10 +202,16 @@ def test_quaternion_whose_norm_overflows_exits_2(tmp_path, capsys):
             "quaternion norm overflows\n")
 
 
-def test_report_rejects_unknown_names_exit_1(tmp_path, capsys):
-    """report's free-form lists name the bad entry as the solver config does."""
+def test_report_rejects_unknown_names_exit_1(tmp_path, capsys, monkeypatch):
+    """report's free-form lists name the bad entry as the solver config does,
+    before any solve."""
     g = str(_synth(tmp_path, cameras=12))
     capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("report solved before checking its names")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
     assert cli.main(["report", "--in", g, "--weightings", "none,bogus"]) == 1
     assert capsys.readouterr().err == (
         "usage error: unknown weighting mode 'bogus'; choose from "
@@ -211,6 +220,9 @@ def test_report_rejects_unknown_names_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "usage error: unknown loss kind 'bogus'; choose from ('trivial', 'huber', "
         "'soft_l1', 'cauchy', 'tukey', 'gm', 'l_half', 'magsac')\n")
+    assert cli.main(["report", "--in", g, "--thresholds", "2,nan"]) == 1
+    assert capsys.readouterr() == (
+        "", "usage error: argument --thresholds: threshold must be positive, not nan\n")
 
 
 def test_parser_is_built_once():
@@ -335,6 +347,14 @@ def test_average_and_evaluate_pipeline(tmp_path, capsys):
     aucs = [float(v) for v in out.strip().splitlines()[-1].split()]
     assert all(b >= a for a, b in zip(aucs, aucs[1:]))  # monotone thresholds
     assert cdf.exists() and cdf.read_text().startswith("error_deg,cdf")
+    # a bad threshold is a usage error, reported before any output
+    for bad, why in (("nan", "threshold must be positive, not nan"),
+                     ("0", "threshold must be positive, not 0"),
+                     ("2,-1", "threshold must be positive, not -1"),
+                     ("2,x", "could not convert string to float: 'x'")):
+        assert cli.main(["evaluate", "--est", str(r1), "--gt", str(g),
+                         "--thresholds", bad]) == 1
+        assert capsys.readouterr() == ("", f"usage error: argument --thresholds: {why}\n")
 
 
 def test_average_single_node_without_edges(tmp_path):
@@ -465,7 +485,7 @@ def test_bench_runs(tmp_path, capsys):
     ("weigh", ["--pairs", "--out", "--base", "--sigma", "--mode"]),
     ("average", ["--in", "--out", "--loss", "--loss-scale",
                  "--magsac-alpha", "--weighting", "--init-criterion",
-                 "--max-outer", "--max-inner"]),
+                 "--max-outer"]),
     ("evaluate", ["--est", "--gt", "--thresholds", "--cdf"]),
     ("report", ["--in", "--losses", "--weightings", "--thresholds",
                 "--loss-scale", "--csv"]),

@@ -206,6 +206,8 @@ def test_auc_input_validation():
         auc([np.nan], 5.0)
     with pytest.raises(ValueError):
         auc([1.0], 0.0)
+    with pytest.raises(ValueError, match="threshold must be positive, not nan"):
+        auc([1.0], float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -262,8 +262,8 @@ def test_dense_and_sparse_paths_agree(monkeypatch):
 def test_damping_restarts_every_outer_iteration(monkeypatch):
     """Each re-weighted problem starts its Levenberg loop at DAMPING_INIT.
 
-    A damping carried over from round-off rejections at the end of the previous
-    inner run cripples the steps on the new weights, and the rounding-dependent
+    A damping carried over from rejections in the previous step cripples the
+    step on the new weights, and the rounding-dependent
     damping history then makes gauge-equivalent or dense/sparse runs stop at
     different iterates.
     """
@@ -293,13 +293,37 @@ def test_damping_restarts_every_outer_iteration(monkeypatch):
     result = solve(scene.graph, init, config)
     assert result.outer_iterations >= 2
     assert len(first_trial_lams) == result.outer_iterations
-    # steps are accepted on this scene, so the damping does move within a run
-    assert min(all_lams) < solver_mod.DAMPING_INIT / 10.0
+    # one step per re-weighting: lambda only grows within it, never decays
+    assert min(all_lams) >= solver_mod.DAMPING_INIT
     assert first_trial_lams == [solver_mod.DAMPING_INIT] * result.outer_iterations
 
 
+@pytest.mark.parametrize("loss,weighting", [("soft_l1", "none"), ("magsac", "cov_full"),
+                                            ("trivial", "inlier_count")])
+def test_one_assembly_per_outer_iteration(monkeypatch, loss, weighting):
+    """Each re-weighting takes one LM step: one normal-equation assembly.
+
+    Running the frozen-weight problem further would only refine a problem
+    the next re-weighting replaces.
+    """
+    scene = _noisy_scene(8, n=14)
+    config = SolverConfig(loss=LossSpec(loss, scale=solver_mod.default_loss_scale(weighting)),
+                          weighting=weighting)
+    assemblies = [0]
+    real_blocks = solver_mod._edge_blocks
+
+    def blocks_spy(*args):
+        assemblies[0] += 1
+        return real_blocks(*args)
+
+    monkeypatch.setattr(solver_mod, "_edge_blocks", blocks_spy)
+    result = solve(scene.graph, spanning_tree_init(scene.graph, "auto"), config)
+    assert result.outer_iterations >= 2
+    assert assemblies[0] == result.outer_iterations
+
+
 def test_damping_does_not_grow_on_round_off(monkeypatch):
-    """An inner run whose predicted decrease is at round-off ends, lambda untouched.
+    """A step whose predicted decrease is at round-off ends, lambda untouched.
 
     Without that stop, each trial rejected for a round-off-level cost change
     grows lambda tenfold, up to 1e6 on this scene.
@@ -455,7 +479,7 @@ def test_normal_equations_match_per_edge_reference(monkeypatch):
 
 
 def _normal_equations_at_init(g, config):
-    """(H, grad) of the first inner iteration of ``solve`` on ``g``."""
+    """(H, grad) of the first step of ``solve`` on ``g``."""
     quats, edges_idx, meas = solver_mod._edge_arrays(g, spanning_tree_init(g, "auto"))
     transforms, _ = solver_mod._transform_stack(g, config)
     res, amat = kernels.edge_terms(quats, edges_idx, meas)
