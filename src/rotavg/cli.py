@@ -56,11 +56,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_noise_mixture(text: str):
-    """Parse 'frac:sigma_deg,frac:sigma_deg,...'."""
+    """Parse 'frac:sigma_deg,frac:sigma_deg,...'; :class:`SynthConfig` checks the values."""
     out = []
     for item in text.split(","):
         frac, _, sigma = item.partition(":")
-        out.append((float(frac), float(sigma)))
+        try:
+            out.append((float(frac), float(sigma)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected 'frac:sigma_deg,...', got {text!r}") from None
     return tuple(out)
 
 

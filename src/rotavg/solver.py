@@ -10,11 +10,11 @@ one at the initialization) gives the robust cost and the weights of every
 edge, and ``final_cost`` is the last such robust cost, that of the returned
 rotations.  It then takes one Levenberg-damped Gauss-Newton step on the
 resulting weighted least-squares problem over right tangent-space updates
-``R_i <- R_i exp(delta_i)``, with the smallest-id node held fixed (gauge),
-and re-weights, as robust Levenberg-Marquardt recomputes the robust weights
-at every step (Triggs et al., "Bundle Adjustment -- A Modern Synthesis",
-2000).  Solving the frozen-weight problem further would only refine a
-problem the next re-weighting replaces.  Every step starts its Levenberg
+``R_i <- R_i exp(delta_i)`` of every node, and re-weights, as robust
+Levenberg-Marquardt recomputes the robust weights at every step (Triggs et
+al., "Bundle Adjustment -- A Modern Synthesis", 2000).  Solving the
+frozen-weight problem further would only refine a problem the next
+re-weighting replaces.  Every step starts its Levenberg
 damping afresh from ``DAMPING_INIT`` and grows it tenfold per rejected
 trial, up to 12 trials; no damping carries over between outer iterations.
 A trial is accepted only when it does not increase the frozen weighted
@@ -27,12 +27,20 @@ re-weighting changes the robust cost by at most ``cost_rel_tol`` relative,
 for every loss alike: the ``trivial`` loss, whose weights never change,
 stops there too rather than at the least-squares optimum to round-off.
 
+No node is pinned (free gauge; Triggs et al., section 9).  A common update
+of all nodes leaves the cost unchanged, so it lies in the null space of the
+3n x 3n normal matrix H and the gradient g is orthogonal to it.  lambda >=
+``DAMPING_INIT`` makes H + lambda I positive definite, so no step adds a
+common rotation (sum_i delta_i = 0 up to round-off): from one initialization,
+node labels and edge directions change the result only by round-off.
+``gradient_tol`` bounds the gradient's infinity-norm over all 3n entries.
+
 All traversal and summation is in sorted edge-key order, so identical
 inputs produce bit-identical results.
 
 The step is array code over a scatter pattern built once per solve
 (:func:`_normal_pattern`): every per-edge 3x3 block entry and gradient
-entry has a fixed slot in the dense gauge-reduced normal matrix, and each
+entry has a fixed slot in the dense normal matrix over all nodes, and each
 step computes the blocks of all edges at once and scatters them
 with ``np.bincount``, which sums in input order.  Each diagonal slot
 therefore sums its edges in edge order, the i-row before the j-row, and
@@ -225,16 +233,11 @@ def _weighted_ls_cost(rw, lw):
 
 
 class _Pattern(NamedTuple):
-    """Fixed scatter slots of the gauge-reduced normal equations.
-
-    Node row ``r`` has free index ``r - 1``; row 0 is the gauge.  With
-    ``m = 3 * n_free``, a slot equal to ``m * m`` (``h_slot``) or ``m``
-    (``g_slot``) drops an entry that belongs to the gauge node.
-    """
+    """Fixed scatter slots of the normal equations over all ``m = 3 n`` unknowns."""
 
     h_slot: np.ndarray  # (36 E,) column-major position in the m x m matrix of each block entry
     g_slot: np.ndarray  # (6 E,) gradient position of each per-edge entry
-    m: int              # 3 * n_free unknowns
+    m: int              # 3 * n unknowns
 
 
 def _normal_pattern(edges_idx, n) -> _Pattern:
@@ -243,21 +246,17 @@ def _normal_pattern(edges_idx, n) -> _Pattern:
     Per edge the 36 entries are, row-major over (u, v): B^T B into the
     i-diagonal block (3a+u, 3a+v), B^T B into the j-diagonal block
     (3c+u, 3c+v), and -B^T B into (3a+u, 3c+v) and its mirror (3c+v, 3a+u),
-    with a, c the free indices of the edge's i- and j-node.
+    with a, c the node rows of the edge's i- and j-node.
     """
-    m = 3 * (n - 1)
-    a = edges_idx[:, 0, None] - 1
-    c = edges_idx[:, 1, None] - 1
+    m = 3 * n
+    a = edges_idx[:, 0, None]
+    c = edges_idx[:, 1, None]
     u, v = np.divmod(np.arange(9), 3)
     rows = np.stack([3 * a + u, 3 * c + u, 3 * a + u, 3 * c + v], axis=1)
     cols = np.stack([3 * a + v, 3 * c + v, 3 * c + v, 3 * a + u], axis=1)
-    both = (a >= 0) & (c >= 0)
-    keep = np.stack([a >= 0, c >= 0, both, both], axis=1)
-    h_slot = np.where(keep, cols * m + rows, m * m)
     k = np.arange(3)
-    g_slot = np.concatenate([np.where(a >= 0, 3 * a + k, m), np.where(c >= 0, 3 * c + k, m)],
-                            axis=1)
-    return _Pattern(h_slot=h_slot.ravel(), g_slot=g_slot.ravel(), m=m)
+    g_slot = np.concatenate([3 * a + k, 3 * c + k], axis=1)
+    return _Pattern(h_slot=(cols * m + rows).ravel(), g_slot=g_slot.ravel(), m=m)
 
 
 def _edge_blocks(b, rw, lw, pattern: _Pattern):
@@ -270,19 +269,19 @@ def _edge_blocks(b, rw, lw, pattern: _Pattern):
     btr = lw[:, None] * np.matmul(bt, rw[:, :, None])[:, :, 0]
     m = pattern.m
     h = np.bincount(pattern.h_slot, np.concatenate([btb, btb, -btb, -btb], axis=1).ravel(),
-                    minlength=m * m + 1)[:m * m].reshape(m, m).T
-    grad = np.bincount(pattern.g_slot, np.concatenate([-btr, btr], axis=1).ravel(),
-                       minlength=m + 1)[:m]
+                    minlength=m * m).reshape(m, m).T
+    grad = np.bincount(pattern.g_slot, np.concatenate([-btr, btr], axis=1).ravel(), minlength=m)
     return h, grad
 
 
 def _solve_normal_equations(h, grad, lam):
-    """Solve (H + lam I) delta = -grad over the gauge-reduced system.
+    """Solve (H + lam I) delta = -grad over all 3n unknowns.
 
-    lam goes on the diagonal of an F-ordered copy of the dense H, so H itself
-    is never rebuilt for a retry, and LAPACK factors that copy in place.
-    Returns a non-finite step when H + lam I is not numerically positive
-    definite.
+    H is singular along a common update of all nodes; lam > 0 makes H + lam I
+    positive definite.  lam goes on the diagonal of an F-ordered copy of the
+    dense H, so H itself is never rebuilt for a retry, and LAPACK factors
+    that copy in place.  Returns a non-finite step when H + lam I is not
+    numerically positive definite.
     """
     h = h.copy(order="F")
     h[np.diag_indices_from(h)] += lam
@@ -311,12 +310,9 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             edge_residual_norms={},
             termination="no_edges",
         )
-    n = len(node_ids)
     quats, edges_idx, meas = _edge_arrays(g, init)
     transforms, fallbacks = _transform_stack(g, config)
-
-    # the smallest node id (row 0) is pinned to its initial rotation
-    pattern = _normal_pattern(edges_idx, n)
+    pattern = _normal_pattern(edges_idx, len(node_ids))
 
     def residuals(q):
         res, amat = kernels.edge_terms(q, edges_idx, meas)
@@ -343,18 +339,16 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             lam = DAMPING_INIT
             ls_cost = _weighted_ls_cost(rw, lw)
             for _ in range(12):
-                delta_free = _solve_normal_equations(h, grad, lam)
-                if not np.all(np.isfinite(delta_free)):
+                delta = _solve_normal_equations(h, grad, lam)
+                if not np.all(np.isfinite(delta)):
                     lam *= 10.0
                     continue
                 # the model decrease is at round-off and a larger lam only
                 # shrinks it: end the step without a trial
-                predicted = 0.5 * delta_free @ (lam * delta_free - grad)
+                predicted = 0.5 * delta @ (lam * delta - grad)
                 if predicted <= np.finfo(float).eps * ls_cost:
                     break
-                delta = np.zeros((n, 3))
-                delta[1:] = delta_free.reshape(-1, 3)
-                trial = _apply_step(quats, delta)
+                trial = _apply_step(quats, delta.reshape(-1, 3))
                 res_trial, amat_trial, rw_trial = residuals(trial)
                 if _weighted_ls_cost(rw_trial, lw) <= ls_cost:
                     quats, res, amat, rw = trial, res_trial, amat_trial, rw_trial

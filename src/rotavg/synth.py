@@ -49,10 +49,15 @@ class SynthConfig:
             raise ValueError("need at least 2 cameras")
         if not 0.0 < self.edge_density <= 1.0:
             raise ValueError("edge density must be in (0, 1]")
-        fr = sum(f for f, _ in self.noise_sigmas_deg)
-        if abs(fr - 1.0) > 1e-9:
+        fractions = [f for f, _ in self.noise_sigmas_deg]
+        sigmas = [s for _, s in self.noise_sigmas_deg]
+        if not np.all(np.isfinite(fractions + sigmas)):
+            raise ValueError("mixture fractions and sigmas must be finite")
+        if any(not 0.0 <= f <= 1.0 for f in fractions):
+            raise ValueError("mixture fractions must be in [0, 1]")
+        if abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError("mixture fractions must sum to 1")
-        if any(s < 0.0 for _, s in self.noise_sigmas_deg):
+        if any(s < 0.0 for s in sigmas):
             raise ValueError("mixture sigmas must be non-negative")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier fraction must be in [0, 1)")

@@ -55,6 +55,19 @@ def test_usage_errors_exit_1(tmp_path):
                      "--out", str(tmp_path / "g.json")]) == 1
 
 
+def test_bad_noise_mixture_exits_1(tmp_path, capsys):
+    """A bad --noise is a usage error with a message of its own, not numpy's."""
+    for noise, why in (("1:nan", "mixture fractions and sigmas must be finite"),
+                       ("1:inf", "mixture fractions and sigmas must be finite"),
+                       ("nan:1", "mixture fractions and sigmas must be finite"),
+                       ("-0.5:1,1.5:1", "mixture fractions must be in [0, 1]"),
+                       ("x", "argument --noise: expected 'frac:sigma_deg,...', got 'x'")):
+        assert cli.main(["synth", "--cameras", "8", f"--noise={noise}",
+                         "--out", str(tmp_path / "g.json")]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {why}\n")
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     assert cli.main(["average", "--in", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "r.json")]) == 2

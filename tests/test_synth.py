@@ -35,6 +35,12 @@ def test_config_validation():
         SynthConfig(5, 0.5, ((1.0, 1.0),), outlier_fraction=1.0)
     with pytest.raises(ValueError):
         SynthConfig(5, 0.5, ((1.0, 1.0),), outlier_covariance="nope")
+    # NaN and inf pass comparisons; negative fractions can still sum to 1
+    for mixture, why in ((((1.0, np.nan),), "finite"), (((np.nan, 1.0),), "finite"),
+                         (((1.0, np.inf),), "finite"),
+                         (((-0.5, 1.0), (1.5, 1.0)), r"in \[0, 1\]")):
+        with pytest.raises(ValueError, match=why):
+            SynthConfig(5, 0.5, mixture)
 
 
 # ---------------------------------------------------------------------------
