@@ -2,10 +2,14 @@
 
 Estimates and ground truth differ by the gauge freedom of the averaging
 objective: a common right-multiplied rotation.  The alignment therefore
-fits one rotation ``R_align`` minimizing a robust (Cauchy) cost over the
-per-node discrepancies ``m_i = R_i^T R_i'`` (ground truth vs. estimate) and
-reports ``error_i = ||Log(m_i R_align^T)||``, the geodesic angle between
-the ground truth and the gauge-corrected estimate ``R_i' R_align^T``.
+fits one rotation ``R_align``, the robust (Cauchy) mean of the per-node
+discrepancies ``m_i = R_i^T R_i'`` (ground truth vs. estimate), and reports
+``error_i = ||Log(m_i R_align^T)||``, the geodesic angle between the ground
+truth and the gauge-corrected estimate ``R_i' R_align^T``.  The mean is an
+IRLS (Weiszfeld-type) iteration on the residual logarithms, with no Jacobian,
+damping or linear solve: it moves ``R_align`` by the weighted mean of the
+residuals until that mean vanishes, which is the stationary point of the
+robust cost (Hartley, Trumpf, Dai & Li, "Rotation Averaging", IJCV 2013).
 The per-node discrepancies and residuals are (N, 4) quaternion arrays
 handled by the :mod:`rotavg.so3` array functions.
 """
@@ -16,11 +20,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import kernels
 from .losses import LossSpec, evaluate_loss
-from .so3 import Rotation, canonical_quats, exp_so3, quat_conj, quat_log, quat_mul
+from .so3 import Rotation, canonical_quats, quat_conj, quat_exp, quat_log, quat_mul
 
 __all__ = ["AlignmentResult", "align_rotations", "auc", "export_cdf"]
 
@@ -42,54 +44,35 @@ def _chordal_mean_quat(quats: np.ndarray) -> Rotation:
     return Rotation(vecs[:, -1])
 
 
-def _residuals(quats: np.ndarray, r: Rotation) -> np.ndarray:
-    """Log(m_i R^T) for every row m_i of ``quats``, as (N, 3)."""
-    return quat_log(quat_mul(quats, quat_conj(r.quaternion)))
+def _residuals(quats: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Log(m_i R^T) for every row m_i of ``quats`` and the quaternion ``q`` of R, as (N, 3)."""
+    return quat_log(quat_mul(quats, quat_conj(q)))
 
 
 def fit_alignment_rotation(quats: np.ndarray, loss: LossSpec) -> Rotation:
     """Robust mean of the per-node discrepancies m_i, rows of (N, 4) quaternions.
 
-    IRLS + damped Gauss-Newton on the residuals ``Log(m_i R^T)``.
+    IRLS mean of the residuals ``r_i = Log(m_i R^T)``, started at the chordal
+    mean: each pass weighs the residuals with ``w_i = d(rho)/ds`` at
+    ``s = ||r_i||^2`` and moves ``R <- Exp(step) R`` by their weighted mean
+    ``step = sum w_i r_i / sum w_i``.  A fixed point has ``sum w_i r_i = 0``,
+    the stationarity condition of ``sum rho(||r_i||^2)`` (its gradient in R
+    is ``-R^T sum w_i r_i``).  The loop stops when ``||step||_inf < 1e-14``,
+    when every weight is zero (no residual inside a redescending loss's
+    support) or after 64 passes.
     """
-    r_align = _chordal_mean_quat(quats)
-    lam = 1e-6
-    prev_cost = None
+    q = _chordal_mean_quat(quats).quaternion
     for _ in range(64):
-        res = _residuals(quats, r_align)
-        ev = evaluate_loss(loss, np.sum(res * res, axis=1))
-        cost = float(np.sum(ev.value))
-        if prev_cost is not None and abs(prev_cost - cost) <= 1e-14 * max(1.0, prev_cost):
+        res = _residuals(quats, q)
+        w = evaluate_loss(loss, np.sum(res * res, axis=1)).weight
+        total = np.sum(w)
+        if not total > 0.0:
             break
-        prev_cost = cost
-        w = ev.weight
-        # residual r_i = Log(m_i R^T); for R <- R exp(d): dr/dd = -Jr_inv(r_i) R
-        jac = -kernels.jr_inv(res) @ r_align.matrix
-        jac_t = np.swapaxes(jac, 1, 2)
-        h = np.sum(w[:, None, None] * np.matmul(jac_t, jac), axis=0)
-        grad = np.sum(w[:, None] * np.matmul(jac_t, res[:, :, None])[:, :, 0], axis=0)
-        if np.max(np.abs(grad)) < 1e-14:
+        step = w @ res / total
+        if np.max(np.abs(step)) < 1e-14:
             break
-        accepted = False
-        for _ in range(10):
-            try:
-                factor = scipy.linalg.cho_factor(h + lam * np.eye(3), check_finite=False)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            delta = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
-            trial = r_align.compose(exp_so3(delta))
-            res_t = _residuals(quats, trial)
-            cost_t = float(np.sum(evaluate_loss(loss, np.sum(res_t * res_t, axis=1)).value))
-            if cost_t <= cost:
-                r_align = trial
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted or np.linalg.norm(delta) < 1e-14:
-            break
-    return r_align
+        q = canonical_quats(quat_mul(quat_exp(step), q))
+    return Rotation(q)
 
 
 def align_rotations(
@@ -107,7 +90,7 @@ def align_rotations(
     q_est = np.array([est[nid].quaternion for nid in common])
     discrepancies = canonical_quats(quat_mul(quat_conj(q_gt), q_est))
     r_align = fit_alignment_rotation(discrepancies, loss)
-    errors = np.degrees(np.linalg.norm(_residuals(discrepancies, r_align), axis=1))
+    errors = np.degrees(np.linalg.norm(_residuals(discrepancies, r_align.quaternion), axis=1))
     return AlignmentResult(
         r_align=r_align,
         per_view_errors=dict(zip(common, errors.tolist())),

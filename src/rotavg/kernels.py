@@ -2,8 +2,7 @@
 
 Batched numpy code for the per-edge residuals and Jacobian blocks of the
 view-graph objective, built on the quaternion array functions of
-:mod:`rotavg.so3`.  The gauge alignment in :mod:`rotavg.evaluate` reuses the
-batched inverse right Jacobian of the SO(3) logarithm.
+:mod:`rotavg.so3`.
 
 Conventions (shared with :mod:`rotavg.so3`):
 

@@ -97,8 +97,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; choose from {ALL_KINDS}")
-        if not self.scale > 0.0:
-            raise ValueError("loss scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("loss scale must be positive and finite")
         if self.kind == "magsac":
             if self.nu < 2 or int(self.nu) != self.nu:
                 raise ValueError("nu must be an integer >= 2")

@@ -88,7 +88,7 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, SchemaError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
@@ -219,13 +219,9 @@ def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> 
 def _apply_step(quats, delta):
     """Right-multiplicative update R_i <- R_i exp(delta_i), batched over nodes.
 
-    Each updated row equals ``Rotation(q).compose(exp_so3(d)).quaternion``
-    bit for bit; rows with a zero step are copied unchanged.
+    Each row equals ``Rotation(q).compose(exp_so3(d)).quaternion`` bit for bit.
     """
-    out = quats.copy()
-    rows = np.flatnonzero(np.any(delta != 0.0, axis=1))
-    out[rows] = canonical_quats(quat_mul(canonical_quats(quats[rows]), quat_exp(delta[rows])))
-    return out
+    return canonical_quats(quat_mul(canonical_quats(quats), quat_exp(delta)))
 
 
 def _weighted_ls_cost(rw, lw):
@@ -416,4 +412,7 @@ def load_result_rotations(path) -> dict[int, Rotation]:
     records = json_records(doc, "rotations", ("id", "qwxyz"), path, integers=("id",))
     q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "node {id}")
     _check_records(rules, records, "qwxyz")
-    return {rec["id"]: r for rec, r in zip(records, checked_rotations(q))}
+    rotations = {rec["id"]: r for rec, r in zip(records, checked_rotations(q))}
+    if len(rotations) != len(records):
+        raise SchemaError("duplicate node ids")
+    return rotations

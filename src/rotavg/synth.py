@@ -59,6 +59,8 @@ class SynthConfig:
             raise ValueError("mixture fractions must sum to 1")
         if any(s < 0.0 for s in sigmas):
             raise ValueError("mixture sigmas must be non-negative")
+        if any(s > 180.0 for s in sigmas):
+            raise ValueError("mixture sigmas must be at most 180 degrees")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier fraction must be in [0, 1)")
         if self.outlier_covariance not in ("confident", "honest"):

@@ -237,10 +237,14 @@ def rotation_covariances(geoms, residual_sigma: float = 1.0, mode: str = "rotati
     covariance is NaN.  ``rotation_only``: C = sigma^2 (J^T J)^{-1} with the
     N x 3 rotation Jacobian.  ``marginalize_translation``: invert the 5x5
     system over rotation + unit-translation tangent and keep the top-left
-    3x3 block.  Each pair's result depends on that pair alone.
+    3x3 block.  Each pair's result depends on that pair alone.  A mode not
+    in ``COVARIANCE_MODES`` or a ``residual_sigma`` (pixels) that is not
+    positive and finite raises ``ValueError``.
     """
     if mode not in COVARIANCE_MODES:
         raise ValueError(f"unknown covariance mode {mode!r}")
+    if not 0.0 < residual_sigma < np.inf:
+        raise ValueError(f"residual sigma must be positive and finite, not {residual_sigma:g}")
     geoms = list(geoms)
     covs = np.full((len(geoms), 3, 3), np.nan)
     errors = [None] * len(geoms)

@@ -61,11 +61,53 @@ def test_bad_noise_mixture_exits_1(tmp_path, capsys):
                        ("1:inf", "mixture fractions and sigmas must be finite"),
                        ("nan:1", "mixture fractions and sigmas must be finite"),
                        ("-0.5:1,1.5:1", "mixture fractions must be in [0, 1]"),
+                       ("1:1e200", "mixture sigmas must be at most 180 degrees"),
                        ("x", "argument --noise: expected 'frac:sigma_deg,...', got 'x'")):
         assert cli.main(["synth", "--cameras", "8", f"--noise={noise}",
                          "--out", str(tmp_path / "g.json")]) == 1
         assert capsys.readouterr() == ("", f"usage error: {why}\n")
     assert not (tmp_path / "g.json").exists()
+
+
+def test_non_finite_loss_scale_exits_1(tmp_path, capsys):
+    """An infinite --loss-scale is a usage error, not all-zero weights or a warning."""
+    g = _synth(tmp_path)
+    capsys.readouterr()
+    r = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loss in ("magsac", "cauchy"):
+            assert cli.main(["average", "--in", str(g), "--out", str(r),
+                             "--loss", loss, "--loss-scale", "inf"]) == 1
+            assert capsys.readouterr() == (
+                "", "usage error: loss scale must be positive and finite\n")
+    assert not r.exists()
+
+
+def test_bad_weigh_sigma_exits_1(tmp_path, capsys):
+    """--sigma must be positive and finite; the flag is blamed, not an edge."""
+    pairs_path = tmp_path / "pairs.json"
+    save_pairs(_pairs(np.random.default_rng(0)), pairs_path)
+    out = tmp_path / "weighted.json"
+    for sigma in ("-1", "0", "nan", "inf"):
+        assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", str(out),
+                         f"--sigma={sigma}"]) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: residual sigma must be positive and finite, not {sigma}\n")
+    assert not out.exists()
+
+
+def test_duplicate_result_ids_exit_2(tmp_path, capsys):
+    """A result file naming a node twice is a data error, not scored by its last record."""
+    g = _synth(tmp_path)
+    r = tmp_path / "r.json"
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 0
+    doc = json.loads(r.read_text())
+    doc["rotations"].append({"id": 0, "qwxyz": [1.0, 0.0, 0.0, 0.0]})
+    r.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--est", str(r), "--gt", str(g)]) == 2
+    assert capsys.readouterr() == ("", "data error: duplicate node ids\n")
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

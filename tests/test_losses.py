@@ -113,6 +113,10 @@ def test_loss_spec_validation():
         LossSpec("nope")
     with pytest.raises(ValueError):
         LossSpec("cauchy", scale=0.0)
+    for kind in ("cauchy", "magsac"):
+        for scale in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="loss scale must be positive and finite"):
+                LossSpec(kind, scale=scale)
     with pytest.raises(ValueError):
         LossSpec("magsac", nu=1)
     with pytest.raises(ValueError):

@@ -447,10 +447,7 @@ def test_apply_step_matches_rotation_compose():
     quats[12], delta[12] = [0.0, 0.0, 0.0, 1.0], [-0.3, 0.0, 0.0]
     out = solver_mod._apply_step(quats, delta)
     for row in range(n):
-        if not np.any(delta[row]):
-            expected = quats[row]
-        else:
-            expected = Rotation(quats[row]).compose(exp_so3(delta[row])).quaternion
+        expected = Rotation(quats[row]).compose(exp_so3(delta[row])).quaternion
         assert np.array_equal(out[row], expected), row
 
 

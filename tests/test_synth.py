@@ -38,7 +38,8 @@ def test_config_validation():
     # NaN and inf pass comparisons; negative fractions can still sum to 1
     for mixture, why in ((((1.0, np.nan),), "finite"), (((np.nan, 1.0),), "finite"),
                          (((1.0, np.inf),), "finite"),
-                         (((-0.5, 1.0), (1.5, 1.0)), r"in \[0, 1\]")):
+                         (((-0.5, 1.0), (1.5, 1.0)), r"in \[0, 1\]"),
+                         (((1.0, 1e200),), "at most 180 degrees")):
         with pytest.raises(ValueError, match=why):
             SynthConfig(5, 0.5, mixture)
 

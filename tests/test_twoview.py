@@ -344,6 +344,13 @@ def test_rotation_covariances_match_per_pair(mode, sigma):
         assert np.max(np.abs(cov - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_rotation_covariances_reject_bad_sigma():
+    geoms = _batch(np.random.default_rng(13), [8, 25])
+    for sigma in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="residual sigma must be positive and finite"):
+            rotation_covariances(geoms, residual_sigma=sigma)
+
+
 def test_rotation_covariances_isolate_bad_pairs():
     rng = np.random.default_rng(14)
     good = _batch(rng, [40, 12, 90])
