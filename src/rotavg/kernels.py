@@ -17,24 +17,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from .so3 import hat, quat_conj, quat_log, quat_mul, quat_to_matrix
+from .so3 import quat_conj, quat_log, quat_mul, quat_to_matrix
 
 __all__ = ["edge_terms", "jr_inv"]
 
 
 def jr_inv(phi):
-    """Inverse right Jacobian of the SO(3) logarithm, batched (..., 3)."""
-    theta = np.linalg.norm(phi, axis=-1)
+    """Inverse right Jacobian of the SO(3) logarithm, batched (..., 3).
+
+    I + K/2 + c K^2 with K = [phi]x, written out through K^2 = phi phi^T - theta^2 I.
+    """
+    sq = np.vecdot(phi, phi)
+    theta = np.sqrt(sq)
     small = theta < 1e-4
     t = np.where(small, 1.0, theta)
     # coefficient of K^2; series below 1e-4, closed form (cot) above
     c_series = 1.0 / 12.0 + theta ** 2 / 720.0 + theta ** 4 / 30240.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        c_closed = 1.0 / t ** 2 - (np.cos(t / 2.0) / np.sin(t / 2.0)) / (2.0 * t)
+        c_closed = 1.0 / t ** 2 - 1.0 / (2.0 * t * np.tan(t / 2.0))
     c = np.where(small, c_series, c_closed)
-    K = hat(phi)
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + 0.5 * K + c[..., None, None] * (K @ K)
+    out = phi[..., :, None] * phi[..., None, :]
+    diag = np.arange(3)
+    out[..., diag, diag] -= sq[..., None]
+    out *= c[..., None, None]
+    out[..., diag, diag] += 1.0
+    half = 0.5 * phi
+    for k, (row, col) in enumerate(((2, 1), (0, 2), (1, 0))):  # K[row, col] = phi_k
+        out[..., row, col] += half[..., k]
+        out[..., col, row] -= half[..., k]
+    return out
 
 
 def edge_terms(quats: np.ndarray, edges: np.ndarray, meas: np.ndarray):

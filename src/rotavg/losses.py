@@ -25,6 +25,7 @@ entry raises ``ValueError``; a NaN entry gives a NaN value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,6 +100,10 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}; choose from {ALL_KINDS}")
         if not 0.0 < self.scale < math.inf:
             raise ValueError("loss scale must be positive and finite")
+        # every loss divides by scale^2: it must neither overflow nor underflow
+        if not sys.float_info.min <= self.scale * self.scale < math.inf:
+            raise ValueError(f"loss scale {self.scale!r} is out of range: its square must be "
+                             f"finite and at least the smallest normal float {sys.float_info.min!r}")
         if self.kind == "magsac":
             if self.nu < 2 or int(self.nu) != self.nu:
                 raise ValueError("nu must be an integer >= 2")

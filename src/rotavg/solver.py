@@ -38,31 +38,32 @@ node labels and edge directions change the result only by round-off.
 All traversal and summation is in sorted edge-key order, so identical
 inputs produce bit-identical results.
 
-The step is array code over a scatter pattern built once per solve
-(:func:`_normal_pattern`): every per-edge 3x3 block entry and gradient
-entry has a fixed slot in the dense normal matrix over all nodes, and each
-step computes the blocks of all edges at once and scatters them
-with ``np.bincount``, which sums in input order.  Each diagonal slot
-therefore sums its edges in edge order, the i-row before the j-row, and
-each off-diagonal slot takes exactly one edge (``ViewGraph`` rejects
-duplicate pairs).  The slots lay the matrix out column by column, so it
-comes out F-contiguous, the order LAPACK reads.  A damping retry copies
-it once, adds lambda to the diagonal of the copy and factors the copy in
-place; handed over in C order, the matrix would be transposed into a
-second copy before every factorization.  The batched arithmetic is
-chosen to round exactly like the per-edge and per-node formulas it
-replaced: block products use batched ``np.matmul`` (not ``einsum``),
-squared norms use ``np.vecdot`` (the same dot kernel as a 1-D
-``x @ x``), and the retraction is the :mod:`rotavg.so3` exponential and
-Hamilton product that :class:`~rotavg.so3.Rotation` wraps.
+The step is array code over slots and two m x m buffers (m = 3n) built
+once per solve (:func:`_normal_pattern`): every per-edge 3x3 block entry
+and gradient entry has a fixed position, and each step computes the blocks
+of all edges at once.  The diagonal blocks are summed with
+``np.bincount``, which sums in input order, so each diagonal entry sums
+its edges in edge order, the i-row before the j-row.  Each off-diagonal
+block belongs to exactly one edge (``ViewGraph`` rejects duplicate pairs)
+and is written straight into its place and its mirror; entries outside the
+blocks stay zero.  Both buffers are F-contiguous, the order LAPACK reads.
+Each trial copies H into the second buffer, adds lambda to its diagonal
+and factors its lower triangle there in place, so a damping retry copies H
+again instead of rebuilding it, and no trial allocates or transposes a
+matrix.  The batched arithmetic is chosen to round exactly like the
+per-edge and per-node formulas it replaced: block products use batched
+``np.matmul`` (not ``einsum``), squared norms use ``np.vecdot`` (the same
+dot kernel as a 1-D ``x @ x``), and the retraction is the
+:mod:`rotavg.so3` exponential and Hamilton product that
+:class:`~rotavg.so3.Rotation` wraps.
 
 Every damped system ``(H + lambda I) d = -g`` is solved by one dense
 Cholesky factorization (LAPACK ``potrf``/``potrs``), so memory is
-O(nodes^2): 11 MB for the matrix at 400 cameras.  On view graphs of a few
-hundred cameras this is several times faster than sparse LU, because these
-graphs fill in badly under every LU ordering.  A system that is not
-numerically positive definite yields a non-finite step, which the step
-treats like a rejected trial (grow lambda, retry).
+O(nodes^2): 11 MB for each of the two buffers at 400 cameras.  On view
+graphs of a few hundred cameras this is several times faster than sparse
+LU, because these graphs fill in badly under every LU ordering.  A system
+that is not numerically positive definite yields a non-finite step, which
+the step treats like a rejected trial (grow lambda, retry).
 
 A trial that is accepted keeps its residuals and Jacobian blocks, which
 give the next re-weighting and assemble the next normal equations, so each
@@ -199,9 +200,12 @@ def _edge_arrays(g: ViewGraph, rotations: dict[int, Rotation]):
     return quats, edges_idx.reshape(-1, 2), meas.reshape(-1, 4)
 
 
-def _robust_cost(g: ViewGraph, rw, loss: LossSpec):
-    """sum_e rho(||rw_e||^2) and the IRLS weights, from one loss evaluation."""
-    ev = evaluate_loss(loss, np.vecdot(rw, rw))
+def _robust_cost(g: ViewGraph, sq, loss: LossSpec):
+    """sum_e rho(sq_e) and the IRLS weights, from one loss evaluation.
+
+    ``sq`` holds the squared weighted residual norms ||rw_e||^2.
+    """
+    ev = evaluate_loss(loss, sq)
     bad = np.flatnonzero(~np.isfinite(ev.value))
     if bad.size:
         e = g.edges[bad[0]]
@@ -213,7 +217,8 @@ def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> 
     """Robust objective sum_e rho(||W_e r_e||^2), summed in edge-key order."""
     transforms, _ = _transform_stack(g, config)
     res, _ = kernels.edge_terms(*_edge_arrays(g, rotations))
-    return _robust_cost(g, np.einsum("eab,eb->ea", transforms, res), config.loss)[0]
+    rw = np.einsum("eab,eb->ea", transforms, res)
+    return _robust_cost(g, np.vecdot(rw, rw), config.loss)[0]
 
 
 def _apply_step(quats, delta):
@@ -224,65 +229,79 @@ def _apply_step(quats, delta):
     return canonical_quats(quat_mul(canonical_quats(quats), quat_exp(delta)))
 
 
-def _weighted_ls_cost(rw, lw):
-    return float(np.sum(lw * np.sum(rw * rw, axis=1)))
-
-
 class _Pattern(NamedTuple):
-    """Fixed scatter slots of the normal equations over all ``m = 3 n`` unknowns."""
+    """Fixed slots and storage of the normal equations over all ``m = 3 n`` unknowns.
 
-    h_slot: np.ndarray  # (36 E,) column-major position in the m x m matrix of each block entry
-    g_slot: np.ndarray  # (6 E,) gradient position of each per-edge entry
-    m: int              # 3 * n unknowns
+    Positions in ``h`` are column-major flat indices, as ``h`` is F-ordered.
+    """
+
+    diag_slot: np.ndarray  # (18 E,) bin of each diagonal-block entry, 9 bins per node
+    diag_pos: np.ndarray   # (9 n,) position in h of each bin
+    off_pos: np.ndarray    # (2, 9 E) position in h of each off-diagonal entry and its mirror
+    g_slot: np.ndarray     # (6 E,) gradient position of each per-edge entry
+    h: np.ndarray          # (m, m) F-ordered H, rewritten by each assembly
+    work: np.ndarray       # (m, m) F-ordered H + lam I and its factor, rewritten by each trial
 
 
 def _normal_pattern(edges_idx, n) -> _Pattern:
-    """Slots for the blocks of :func:`_edge_blocks`, built once per solve.
+    """Slots and buffers for the blocks of :func:`_edge_blocks`, built once per solve.
 
-    Per edge the 36 entries are, row-major over (u, v): B^T B into the
-    i-diagonal block (3a+u, 3a+v), B^T B into the j-diagonal block
-    (3c+u, 3c+v), and -B^T B into (3a+u, 3c+v) and its mirror (3c+v, 3a+u),
-    with a, c the node rows of the edge's i- and j-node.
+    Per edge the 18 diagonal-block entries are, row-major over (u, v): B^T B
+    into the i-diagonal block (3a+u, 3a+v), then into the j-diagonal block
+    (3c+u, 3c+v), with a, c the node rows of the edge's i- and j-node; its 9
+    off-diagonal entries -B^T B go to (3a+u, 3c+v) and their mirror (3c+v, 3a+u).
+    Entries of H outside these blocks are zero and never written.
     """
     m = 3 * n
     a = edges_idx[:, 0, None]
     c = edges_idx[:, 1, None]
     u, v = np.divmod(np.arange(9), 3)
-    rows = np.stack([3 * a + u, 3 * c + u, 3 * a + u, 3 * c + v], axis=1)
-    cols = np.stack([3 * a + v, 3 * c + v, 3 * c + v, 3 * a + u], axis=1)
+    diag_slot = np.concatenate([9 * a + 3 * u + v, 9 * c + 3 * u + v], axis=1)
+    node = 3 * np.arange(n)[:, None]
+    diag_pos = (node + v) * m + node + u
+    off_pos = np.stack([(3 * c + v) * m + 3 * a + u, (3 * a + u) * m + 3 * c + v])
     k = np.arange(3)
     g_slot = np.concatenate([3 * a + k, 3 * c + k], axis=1)
-    return _Pattern(h_slot=(cols * m + rows).ravel(), g_slot=g_slot.ravel(), m=m)
+    return _Pattern(diag_slot=diag_slot.ravel(), diag_pos=diag_pos.ravel(),
+                    off_pos=off_pos.reshape(2, -1), g_slot=g_slot.ravel(),
+                    h=np.zeros((m, m), order="F"), work=np.empty((m, m), order="F"))
 
 
 def _edge_blocks(b, rw, lw, pattern: _Pattern):
-    """Dense sum_e w_e J_e^T J_e (m x m, F-contiguous) and the gradient sum_e w_e J_e^T r_e.
+    """Dense sum_e w_e J_e^T J_e and the gradient sum_e w_e J_e^T r_e.
 
     ``b`` holds B_e = W_e A_e; the edge Jacobians are J_i = -B_e, J_j = +B_e.
+    H is written into ``pattern.h`` and that array is returned: the next
+    assembly overwrites it.  Each diagonal entry sums its edges in edge order,
+    the i-row before the j-row; each off-diagonal block belongs to exactly
+    one edge (``ViewGraph`` rejects duplicate pairs) and is written once.
     """
     bt = np.swapaxes(b, 1, 2)
     btb = (lw[:, None, None] * np.matmul(bt, b)).reshape(-1, 9)
     btr = lw[:, None] * np.matmul(bt, rw[:, :, None])[:, :, 0]
-    m = pattern.m
-    h = np.bincount(pattern.h_slot, np.concatenate([btb, btb, -btb, -btb], axis=1).ravel(),
-                    minlength=m * m).reshape(m, m).T
-    grad = np.bincount(pattern.g_slot, np.concatenate([-btr, btr], axis=1).ravel(), minlength=m)
+    h = pattern.h
+    flat = h.ravel(order="F")  # a view: h is F-contiguous
+    diag = np.concatenate([btb, btb], axis=1).ravel()
+    flat[pattern.diag_pos] = np.bincount(pattern.diag_slot, diag, minlength=len(pattern.diag_pos))
+    flat[pattern.off_pos] = -btb.ravel()
+    grad = np.bincount(pattern.g_slot, np.concatenate([-btr, btr], axis=1).ravel(), minlength=len(h))
     return h, grad
 
 
-def _solve_normal_equations(h, grad, lam):
-    """Solve (H + lam I) delta = -grad over all 3n unknowns.
+def _solve_normal_equations(pattern: _Pattern, grad, lam):
+    """Solve (H + lam I) delta = -grad over all 3n unknowns, H the last assembly.
 
     H is singular along a common update of all nodes; lam > 0 makes H + lam I
-    positive definite.  lam goes on the diagonal of an F-ordered copy of the
-    dense H, so H itself is never rebuilt for a retry, and LAPACK factors
-    that copy in place.  Returns a non-finite step when H + lam I is not
-    numerically positive definite.
+    positive definite.  H + lam I is copied into ``pattern.work`` and LAPACK
+    factors its lower triangle there in place, so ``pattern.h`` stays intact
+    for a retry at a larger lam.  Returns a non-finite step when H + lam I is
+    not numerically positive definite.
     """
-    h = h.copy(order="F")
-    h[np.diag_indices_from(h)] += lam
+    work = pattern.work
+    np.copyto(work, pattern.h)
+    work.ravel(order="F")[:: len(work) + 1] += lam  # the diagonal, through a view
     try:
-        factor = scipy.linalg.cho_factor(h, overwrite_a=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         return np.full(len(grad), np.nan)
     return scipy.linalg.cho_solve(factor, -grad, check_finite=False)
@@ -313,10 +332,10 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
     def residuals(q):
         res, amat = kernels.edge_terms(q, edges_idx, meas)
         rw = np.einsum("eab,eb->ea", transforms, res)
-        return res, amat, rw
+        return res, amat, rw, np.vecdot(rw, rw)
 
-    res, amat, rw = residuals(quats)
-    robust_cost, lw = _robust_cost(g, rw, config.loss)
+    res, amat, rw, sq = residuals(quats)
+    robust_cost, lw = _robust_cost(g, sq, config.loss)
 
     converged = False
     termination = "max_outer_irls"
@@ -330,12 +349,12 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         # one Levenberg-Marquardt step on the frozen-weight LS problem, then
         # re-weight.  Each step starts from the initial damping, so no lambda
         # grown by rejections carries over to the new weights.
-        h, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
+        _, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
         if np.max(np.abs(grad)) >= config.gradient_tol:
             lam = DAMPING_INIT
-            ls_cost = _weighted_ls_cost(rw, lw)
+            ls_cost = float(np.sum(lw * sq))
             for _ in range(12):
-                delta = _solve_normal_equations(h, grad, lam)
+                delta = _solve_normal_equations(pattern, grad, lam)
                 if not np.all(np.isfinite(delta)):
                     lam *= 10.0
                     continue
@@ -345,13 +364,13 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
                 if predicted <= np.finfo(float).eps * ls_cost:
                     break
                 trial = _apply_step(quats, delta.reshape(-1, 3))
-                res_trial, amat_trial, rw_trial = residuals(trial)
-                if _weighted_ls_cost(rw_trial, lw) <= ls_cost:
-                    quats, res, amat, rw = trial, res_trial, amat_trial, rw_trial
+                res_trial, amat_trial, rw_trial, sq_trial = residuals(trial)
+                if float(np.sum(lw * sq_trial)) <= ls_cost:
+                    quats, res, amat, rw, sq = trial, res_trial, amat_trial, rw_trial, sq_trial
                     break
                 lam *= 10.0
 
-        new_cost, new_lw = _robust_cost(g, rw, config.loss)
+        new_cost, new_lw = _robust_cost(g, sq, config.loss)
         if new_cost > prev_cost + 1e-12:
             # IRLS safeguard: reject and stop at the previous iterate, which is
             # not a verified optimum, so converged stays False (robust_cost

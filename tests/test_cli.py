@@ -70,7 +70,8 @@ def test_bad_noise_mixture_exits_1(tmp_path, capsys):
 
 
 def test_non_finite_loss_scale_exits_1(tmp_path, capsys):
-    """An infinite --loss-scale is a usage error, not all-zero weights or a warning."""
+    """An infinite --loss-scale, or one whose square is not a finite normal float, is a
+    usage error, not all-zero weights, a warning or a blamed edge."""
     g = _synth(tmp_path)
     capsys.readouterr()
     r = tmp_path / "r.json"
@@ -81,6 +82,13 @@ def test_non_finite_loss_scale_exits_1(tmp_path, capsys):
                              "--loss", loss, "--loss-scale", "inf"]) == 1
             assert capsys.readouterr() == (
                 "", "usage error: loss scale must be positive and finite\n")
+            # finite, but the square overflows or underflows
+            for scale in ("1e300", "1e-300"):
+                assert cli.main(["average", "--in", str(g), "--out", str(r),
+                                 "--loss", loss, "--loss-scale", scale]) == 1
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith(f"usage error: loss scale {float(scale)!r} is out of range")
     assert not r.exists()
 
 

@@ -117,6 +117,12 @@ def test_loss_spec_validation():
         for scale in (np.inf, np.nan, -1.0):
             with pytest.raises(ValueError, match="loss scale must be positive and finite"):
                 LossSpec(kind, scale=scale)
+        # finite scales whose square overflows or is not a normal float
+        for scale in (1e300, 1e-300, 1e-160):
+            with pytest.raises(ValueError, match="its square must be finite and at least"):
+                LossSpec(kind, scale=scale)
+    for scale in (1e150, 1.5e-154):
+        assert LossSpec("cauchy", scale=scale).scale == scale
     with pytest.raises(ValueError):
         LossSpec("magsac", nu=1)
     with pytest.raises(ValueError):

@@ -281,9 +281,9 @@ def test_determinism_bitwise():
     assert a.final_cost == b.final_cost
 
 
-def _superlu_normal_equations(h, grad, lam):
+def _superlu_normal_equations(pattern, grad, lam):
     """Sparse LU (SuperLU) reference for the solver's dense Cholesky solve."""
-    damped = scipy.sparse.csc_matrix(h + lam * np.eye(len(grad)))
+    damped = scipy.sparse.csc_matrix(pattern.h + lam * np.eye(len(grad)))
     return scipy.sparse.linalg.spsolve(damped, -grad)
 
 
@@ -425,12 +425,13 @@ def test_indefinite_system_gives_non_finite_step():
     rw = rng.normal(size=(4, 3))
     # negative robust weights make sum_e w_e J_e^T J_e negative definite
     h, grad = solver_mod._edge_blocks(b, rw, -np.ones(4), pattern)
-    step = solver_mod._solve_normal_equations(h, grad, 1e-4)
+    step = solver_mod._solve_normal_equations(pattern, grad, 1e-4)
     assert step.shape == grad.shape
     assert not np.all(np.isfinite(step))
     # the same system with the sign fixed is positive definite and solves
-    step = solver_mod._solve_normal_equations(-h, grad, 1e-4)
-    assert np.allclose((-h + 1e-4 * np.eye(len(grad))) @ step, -grad)
+    np.negative(h, out=h)
+    step = solver_mod._solve_normal_equations(pattern, grad, 1e-4)
+    assert np.allclose((h + 1e-4 * np.eye(len(grad))) @ step, -grad)
 
 
 def test_apply_step_matches_rotation_compose():
@@ -512,27 +513,67 @@ def test_normal_equations_match_per_edge_reference(monkeypatch):
     assert np.array_equal(matrices[0], ref_h)
 
 
+def test_retry_factors_the_assembled_matrix(monkeypatch):
+    """A rejected trial's retry factors H + 10 lam I, not what the last trial left.
+
+    The first trial is replaced by a rotation far from it, so its cost rises
+    and the step retries with ten times the damping.
+    """
+    scene = _noisy_scene(8, n=14)
+    g = scene.graph
+    init = spanning_tree_init(g, "auto")
+    config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02), weighting="cov_full")
+    lams, matrices = [], []
+    real_solve = solver_mod._solve_normal_equations
+    real_factor = scipy.linalg.cho_factor
+    real_step = solver_mod._apply_step
+
+    def solve_spy(*args):
+        lams.append(args[-1])
+        return real_solve(*args)
+
+    def factor_spy(a, *args, **kwargs):
+        matrices.append(a.copy())
+        return real_factor(a, *args, **kwargs)
+
+    def step_spy(quats, delta):
+        trial = real_step(quats, delta)
+        if len(lams) == 1:
+            return real_step(trial, np.random.default_rng(0).normal(scale=0.5, size=delta.shape))
+        return trial
+
+    monkeypatch.setattr(solver_mod, "_solve_normal_equations", solve_spy)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", factor_spy)
+    monkeypatch.setattr(solver_mod, "_apply_step", step_spy)
+    solve(g, init, config)
+    assert lams[:2] == [solver_mod.DAMPING_INIT, 10 * solver_mod.DAMPING_INIT]
+    ref_h, _ = _reference_normal_equations(g, init, config, 10 * solver_mod.DAMPING_INIT)
+    assert np.array_equal(matrices[1], ref_h)
+
+
 def _normal_equations_at_init(g, config):
-    """(H, grad) of the first step of ``solve`` on ``g``."""
+    """The assembled pattern and the gradient of the first step of ``solve`` on ``g``."""
     quats, edges_idx, meas = solver_mod._edge_arrays(g, spanning_tree_init(g, "auto"))
     transforms, _ = solver_mod._transform_stack(g, config)
     res, amat = kernels.edge_terms(quats, edges_idx, meas)
     rw = np.einsum("eab,eb->ea", transforms, res)
-    _, lw = solver_mod._robust_cost(g, rw, config.loss)
+    _, lw = solver_mod._robust_cost(g, np.vecdot(rw, rw), config.loss)
     pattern = solver_mod._normal_pattern(edges_idx, len(g.nodes))
-    return solver_mod._edge_blocks(transforms @ amat, rw, lw, pattern)
+    _, grad = solver_mod._edge_blocks(transforms @ amat, rw, lw, pattern)
+    return pattern, grad
 
 
 @pytest.mark.parametrize("lam", [1e-4, 1.0])
 def test_cholesky_factors_column_ordered_copy_in_place(monkeypatch, lam):
-    """LAPACK gets H + lam I in column order and factors it without a further copy.
+    """LAPACK gets H + lam I in column order and factors it in the work buffer.
 
     The step is bit-identical to factoring a C-ordered copy, which f2py
     transposes into column order before calling potrf.
     """
     scene = _noisy_scene(8, n=14)
     config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02), weighting="cov_full")
-    h, grad = _normal_equations_at_init(scene.graph, config)
+    pattern, grad = _normal_equations_at_init(scene.graph, config)
+    h = pattern.h
     h_before = h.copy()
     seen = []
     real_factor = scipy.linalg.cho_factor
@@ -543,15 +584,16 @@ def test_cholesky_factors_column_ordered_copy_in_place(monkeypatch, lam):
         return factor
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", factor_spy)
-    step = solver_mod._solve_normal_equations(h, grad, lam)
+    step = solver_mod._solve_normal_equations(pattern, grad, lam)
     (a, c), = seen
     assert a.flags.f_contiguous
     assert np.shares_memory(a, c)
+    assert np.shares_memory(a, pattern.work)
     assert np.array_equal(h, h_before)  # the retry copy, not H, is overwritten
 
     damped = np.array(h, order="C")
     damped[np.diag_indices_from(damped)] += lam
-    expected = scipy.linalg.cho_solve(real_factor(damped, check_finite=False), -grad)
+    expected = scipy.linalg.cho_solve(real_factor(damped, lower=True, check_finite=False), -grad)
     assert step.tobytes() == expected.tobytes()
 
 
