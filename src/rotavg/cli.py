@@ -2,7 +2,8 @@
 
 Stages communicate only via the documented JSON files, so each subcommand
 is usable on its own.  Exit codes: 0 success, 1 usage error, 2 data/schema
-error, 3 numerical failure.
+error (including a file that cannot be read or written, or is not UTF-8),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -300,8 +301,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (SchemaError, FileNotFoundError) as exc:
-        # before ValueError: DisconnectedGraphError is both
+    except (SchemaError, OSError) as exc:
+        # before ValueError: DisconnectedGraphError is both; OSError: a file that
+        # cannot be read or written (missing, a directory, no permission)
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, DegenerateGeometryError, InsufficientDataError,

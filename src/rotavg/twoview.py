@@ -52,6 +52,19 @@ COVARIANCE_MODES = ("rotation_only", "marginalize_translation")
 _E_HAT = hat(np.eye(3))
 
 
+def _intrinsics_checks(k):
+    """(message, passed) for each rule a 3x3 K must pass, in check order.
+
+    ``k`` is one (3, 3) matrix or an (N, 3, 3) stack; ``passed`` is a bool or
+    an (N,) mask.  One matrix stops at the first rule it fails.
+    """
+    yield "K must be finite", np.isfinite(k).all(axis=(-2, -1))
+    yield ("K must be upper-triangular with K[2][2] = 1",
+           (np.abs(k[..., 2, 2] - 1.0) <= 1e-12)
+           & (k[..., 1, 0] == 0) & (k[..., 2, 0] == 0) & (k[..., 2, 1] == 0))
+    yield "focal lengths must be positive", (k[..., 0, 0] > 0) & (k[..., 1, 1] > 0)
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Upper-triangular calibration matrix K (pixels), read-only."""
@@ -62,12 +75,9 @@ class CameraIntrinsics:
         k = np.array(self.k, dtype=np.float64)
         if k.shape != (3, 3):
             raise ValueError("K must be 3x3")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("K must be finite")
-        if abs(k[2, 2] - 1.0) > 1e-12 or k[1, 0] != 0 or k[2, 0] != 0 or k[2, 1] != 0:
-            raise ValueError("K must be upper-triangular with K[2][2] = 1")
-        if k[0, 0] <= 0 or k[1, 1] <= 0:
-            raise ValueError("focal lengths must be positive")
+        for message, passed in _intrinsics_checks(k):
+            if not passed:
+                raise ValueError(message)
         k.flags.writeable = False
         object.__setattr__(self, "k", k)
 
@@ -85,7 +95,8 @@ class TwoViewGeometry:
 
     ``matches`` is an (N, 4) array of rows ``[x, y, x', y']`` in pixels.
     The translation is normalized to unit length on construction; a
-    non-finite translation or match coordinate raises ``ValueError``.
+    non-finite translation or match coordinate, or a translation whose norm
+    overflows or is below 1e-12, raises ``ValueError``.
     """
 
     rotation: Rotation
@@ -98,7 +109,10 @@ class TwoViewGeometry:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(t)):
             raise ValueError("non-finite translation")
-        n = np.linalg.norm(t)
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(t)
+        if n == np.inf:
+            raise ValueError("translation norm overflows")
         if n < 1e-12:
             raise ValueError("zero-baseline translation")
         object.__setattr__(self, "translation", t / n)
@@ -108,6 +122,17 @@ class TwoViewGeometry:
         if not np.all(np.isfinite(m)):
             raise ValueError("non-finite match coordinates")
         object.__setattr__(self, "matches", m)
+
+    @classmethod
+    def _trusted(cls, rotation, translation, intrinsics_i, intrinsics_j,
+                 matches) -> "TwoViewGeometry":
+        """Build a geometry unchecked from a unit translation and (N, 4)
+        matches; fed only by :func:`rotavg.viewgraph.load_pairs`."""
+        geom = object.__new__(cls)
+        geom.__dict__.update(rotation=rotation, translation=translation,
+                             intrinsics_i=intrinsics_i, intrinsics_j=intrinsics_j,
+                             matches=matches)
+        return geom
 
 
 def whitener_from_covariance(cov: np.ndarray) -> np.ndarray:

@@ -20,8 +20,21 @@ with pixel coordinates.
 
 Graph, correspondence-set and result files (:func:`rotavg.solver.save_result`)
 are written as compact one-line JSON with sorted keys by :func:`write_json`;
-pretty-print one with ``python -m json.tool FILE``.  Ids (``id``, ``i``,
-``j``) and inlier counts must be JSON integers.  The loaders read each
+pretty-print one with ``python -m json.tool FILE``.  The writer stays on the
+stdlib ``json.dumps``: orjson's separators and float formatting would change
+the bytes of every output file.  Every loader reads through
+:func:`read_json_object`: orjson decodes the file's bytes, and a document
+it rejects is decoded again by the stdlib ``json``, the reference decoder.
+The fallback reads what the program has always accepted and orjson does
+not (``NaN``, ``Infinity``, ``-Infinity``, numbers that overflow a double,
+lone surrogate escapes), words the error of a malformed document, and is
+chosen by the input alone.  On a document both read they return the same
+values, floats bit for bit.  Bytes that are not UTF-8 are a
+:class:`~rotavg.errors.SchemaError` naming the file.
+
+Ids (``id``, ``i``, ``j``) and inlier counts must be JSON integers below
+2**63 (:data:`INT_LIMIT`), the range in which both decoders give the same
+int.  The loaders read each
 numeric field of all records into one array and check every record in one
 pass over those arrays, under the rules of the one-record constructors
 (:class:`~rotavg.so3.Rotation`, :class:`EdgeMeasurement`).  The first bad
@@ -38,11 +51,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from .errors import DisconnectedGraphError, SchemaError, raise_first_failure
 from .so3 import (Rotation, _quaternion_checks, canonical_quats, checked_rotations, quat_conj,
                   quat_mul)
-from .twoview import CameraIntrinsics, TwoViewGeometry
+from .twoview import CameraIntrinsics, TwoViewGeometry, _intrinsics_checks
 
 __all__ = [
     "ViewNode",
@@ -60,6 +74,9 @@ __all__ = [
 
 
 _NEGATIVE_ID = "node id must be non-negative, got {id}"
+# integer fields must lie below this: orjson reads a larger integer as a float, the stdlib
+# as an int, and numpy stores an int at or above it in an array as a float
+INT_LIMIT = 2**63
 # optional edge datum a weighting or tree criterion reads -> (its name in messages, its shape)
 EDGE_DATA = {"inlier_count": ("inlier count", ()), "covariance": ("covariance", (3, 3))}
 # spanning-tree criterion -> the edge datum its weight reads (None: unit weight), in the
@@ -197,25 +214,28 @@ class ViewGraph:
         return f"ViewGraph(n_nodes={len(self.nodes)}, n_edges={len(self.edges)})"
 
 
-def _float_rows(values, width):
+def _float_rows(values, width, flat=False):
     """``values`` as an (N, width) float array, and the (N,) mask of the rows
-    that hold ``width`` numbers; the other rows are NaN.  The rows are read
-    one at a time only when they do not convert all at once."""
+    that hold ``width`` numbers; the other rows are NaN.  With ``flat``, a
+    value of any shape that holds ``width`` numbers is a row, as
+    ``reshape(width)`` reads it.  The rows are read one at a time only when
+    they do not convert all at once."""
+    n = len(values)
     try:
         rows = np.array(values, dtype=np.float64)
-        if rows.shape == (len(values), width):
-            return rows, np.ones(len(values), dtype=bool)
+        if rows.shape == (n, width) or (flat and rows.size == n * width):
+            return rows.reshape(n, width), np.ones(n, dtype=bool)
     except (TypeError, ValueError, OverflowError):
         pass
-    rows = np.full((len(values), width), np.nan)
-    ok = np.zeros(len(values), dtype=bool)
+    rows = np.full((n, width), np.nan)
+    ok = np.zeros(n, dtype=bool)
     for k, value in enumerate(values):
         try:
             row = np.asarray(value, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             continue
-        if row.shape == (width,):
-            rows[k], ok[k] = row, True
+        if row.shape == (width,) or (flat and row.size == width):
+            rows[k], ok[k] = row.reshape(width), True
     return rows, ok
 
 
@@ -229,26 +249,48 @@ def _quaternion_rules(values, key, where):
     return q, [(prefix + "{why}", ok), *((prefix + message, p) for message, p in checks)]
 
 
-def _check_records(rules, records, key):
+def _raised(build):
+    """The TypeError, ValueError or OverflowError that ``build()`` raises, or None."""
+    try:
+        build()
+    except (TypeError, ValueError, OverflowError) as exc:
+        return exc
+    return None
+
+
+def _check_records(rules, records, key, error=None):
     """Raise the SchemaError of the first of ``records`` that breaks one of
-    ``rules``, formatted with its fields and ``why``: what ``Rotation`` says of
-    its quaternion ``key``."""
+    ``rules``, formatted with its fields, ``why``: what ``Rotation`` says of
+    its quaternion ``key``, and ``error``: what ``error(record)`` raises."""
     def fields(k):
-        try:
-            Rotation(np.asarray(records[k].get(key), dtype=np.float64))
-        except (TypeError, ValueError, OverflowError) as exc:
-            return dict(records[k], why=exc)
-        return records[k]
+        rec = records[k]
+        return dict(rec, why=_raised(lambda: Rotation(np.asarray(rec.get(key), dtype=np.float64))),
+                    error=None if error is None else _raised(lambda: error(rec)))
     raise_first_failure(rules, SchemaError, fields)
 
 
 def read_json_object(path, keys) -> dict:
-    """The JSON object in ``path``, which must hold ``keys``; SchemaError otherwise."""
+    """The JSON object in ``path``, which must hold ``keys``; SchemaError otherwise.
+
+    orjson decodes the file's bytes.  A document it rejects is decoded again
+    by the stdlib ``json``, which also reads ``NaN``, ``Infinity``, numbers
+    beyond a double and lone surrogate escapes, and words the error of a
+    malformed document; bytes that are not UTF-8 are a SchemaError too.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
+        try:
+            # newlines as a text-mode read gives them, so error positions read as before
+            doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or any(k not in doc for k in keys):
         raise SchemaError(f"{path}: expected object with " + " and ".join(map(repr, keys)))
     return doc
@@ -268,10 +310,11 @@ def write_json(doc, path) -> None:
 def json_records(doc, key, fields, path, integers=()) -> list[dict]:
     """The list ``doc[key]``, checked to hold JSON objects that have ``fields``.
 
-    Each name in ``integers`` must hold a JSON integer (not a bool); one that
-    is not in ``fields`` may also be absent or null.  A record that is not an
-    object, lacks a field or holds a wrongly typed one raises
-    :class:`SchemaError` naming it by position, e.g. ``g.json: edges[3]``.
+    Each name in ``integers`` must hold a JSON integer (not a bool) below
+    :data:`INT_LIMIT`; one that is not in ``fields`` may also be absent or
+    null.  A record that is not an object, lacks a field or holds a wrongly
+    typed one raises :class:`SchemaError` naming it by position, e.g.
+    ``g.json: edges[3]``.
     """
     records = doc[key]
     if not isinstance(records, list):
@@ -284,9 +327,13 @@ def json_records(doc, key, fields, path, integers=()) -> list[dict]:
             raise SchemaError(f"{path}: {key}[{k}]: missing key {missing[0]!r}")
         for name in integers:
             value = rec.get(name)
-            if type(value) is not int and (value is not None or name in fields):
+            if value is None and name not in fields:
+                continue
+            if type(value) is not int:
                 raise SchemaError(
                     f"{path}: {key}[{k}]: {name!r} must be an integer, got {value!r}")
+            if value >= INT_LIMIT:
+                raise SchemaError(f"{path}: {key}[{k}]: {name!r} must be below 2**63, got {value}")
     return records
 
 
@@ -345,43 +392,75 @@ def save_graph(g: ViewGraph, path) -> None:
 
 def _intrinsics(k, cache) -> CameraIntrinsics:
     """The CameraIntrinsics of 9 row-major entries; one instance per distinct K in ``cache``."""
-    k = np.asarray(k, dtype=np.float64).reshape(3, 3)
     key = k.tobytes()
     if key not in cache:
-        cache[key] = CameraIntrinsics(k)
+        cache[key] = CameraIntrinsics(k.reshape(3, 3))
     return cache[key]
 
 
-def load_pairs(path) -> list[TwoViewGeometry]:
-    """Load the correspondence-set format; pairs in file order.
+def _pair_geometry(rec) -> TwoViewGeometry:
+    """One pair's geometry, converted and checked on its own: the error it
+    raises is the one :func:`load_pairs` reports for that pair."""
+    return TwoViewGeometry(
+        rotation=Rotation.identity(),  # checked apart, first
+        translation=np.asarray(rec["t"], dtype=np.float64),
+        intrinsics_i=CameraIntrinsics(np.asarray(rec["K_i"], dtype=np.float64).reshape(3, 3)),
+        intrinsics_j=CameraIntrinsics(np.asarray(rec["K_j"], dtype=np.float64).reshape(3, 3)),
+        matches=np.asarray(rec["matches"], dtype=np.float64),
+    )
 
-    Each returned geometry carries its (i, j) ids in the ``.pair`` attribute
-    added here (the dataclass itself is id-agnostic).  Pairs with the same K
-    share one :class:`CameraIntrinsics`, so its K^{-1} is computed once.
+
+def _intrinsics_rows(values):
+    """JSON Ks as (N, 9) row-major rows, and the (N,) mask of those
+    :class:`CameraIntrinsics` accepts."""
+    k, ok = _float_rows(values, 9, flat=True)
+    return k, np.logical_and.reduce([ok, *(p for _, p in _intrinsics_checks(k.reshape(-1, 3, 3)))])
+
+
+def _matches_rows(values):
+    """All pairs' matches as one (M, 4) float array, each pair's start and end
+    row in it, and the (P,) mask of the pairs whose matches
+    :class:`TwoViewGeometry` accepts: a non-empty list of rows of 4 finite numbers."""
+    lists = [m if type(m) is list else [] for m in values]  # like an empty list, bad
+    rows, ok = _float_rows([row for m in lists for row in m], 4)
+    counts = np.array([len(m) for m in lists], dtype=np.intp)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    bad = np.concatenate([[0], np.cumsum(~(ok & np.isfinite(rows).all(axis=1)))])
+    return rows, starts, ends, (counts > 0) & (bad[ends] == bad[starts])
+
+
+def load_pairs(path) -> list[tuple[tuple[int, int], TwoViewGeometry]]:
+    """Load the correspondence-set format: ``((i, j), TwoViewGeometry)`` in file order.
+
+    All pairs are converted and checked in one array pass, under the rules
+    of :class:`TwoViewGeometry` and :class:`CameraIntrinsics`: the first bad
+    pair in file order raises the error it raises on its own, a bad
+    quaternion before any other.  Every geometry's matches are a view into
+    one (M, 4) array, and pairs with the same K share one
+    :class:`CameraIntrinsics`, so its K^{-1} is computed once.
     """
     doc = read_json_object(path, ("pairs",))
     records = json_records(doc, "pairs", ("i", "j", "K_i", "K_j", "qwxyz", "t", "matches"),
                            path, integers=("i", "j"))
     q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "pair ({i}, {j})")
-    good = np.logical_and.reduce([passed for _, passed in rules]).tolist()
-    rotations = iter(checked_rotations(q[good]))
-    intrinsics = {}
+    t, t_ok = _float_rows([rec["t"] for rec in records], 3, flat=True)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.vecdot(t, t))  # rounds as np.linalg.norm of one row does
+    ki, ki_ok = _intrinsics_rows([rec["K_i"] for rec in records])
+    kj, kj_ok = _intrinsics_rows([rec["K_j"] for rec in records])
+    matches, starts, ends, matches_ok = _matches_rows([rec["matches"] for rec in records])
+    ok = (t_ok & np.isfinite(t).all(axis=1) & (norm < np.inf) & (norm >= 1e-12)
+          & ki_ok & kj_ok & matches_ok)
+    _check_records([*rules, ("pair ({i}, {j}): {error}", ok)], records, "qwxyz",
+                   error=_pair_geometry)
+    translations = t / norm[:, None]
+    cache = {}
     out = []
-    for rec, ok in zip(records, good):
-        if not ok:  # the first pair with a bad quaternion; those before it are built
-            _check_records(rules, records, "qwxyz")
-        where = f"pair ({rec['i']}, {rec['j']})"
-        try:
-            geom = TwoViewGeometry(
-                rotation=next(rotations),
-                translation=np.asarray(rec["t"], dtype=np.float64),
-                intrinsics_i=_intrinsics(rec["K_i"], intrinsics),
-                intrinsics_j=_intrinsics(rec["K_j"], intrinsics),
-                matches=np.asarray(rec["matches"], dtype=np.float64),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-        out.append(((rec["i"], rec["j"]), geom))
+    for k, rotation in enumerate(checked_rotations(q)):
+        geom = TwoViewGeometry._trusted(rotation, translations[k], _intrinsics(ki[k], cache),
+                                        _intrinsics(kj[k], cache), matches[starts[k]:ends[k]])
+        out.append(((records[k]["i"], records[k]["j"]), geom))
     return out
 
 

@@ -145,6 +145,45 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    """Bytes that are not UTF-8 are a data error naming the file, not a usage error."""
+    g = tmp_path / "g.json"
+    g.write_bytes(b'{"nodes": [{"id": 0}], \xff"edges": []}')
+    assert cli.main(["average", "--in", str(g), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr() == ("", f"data error: {g}: not UTF-8: 'utf-8' codec can't "
+                                       "decode byte 0xff in position 23: invalid start byte\n")
+
+
+def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    """A path that cannot be read as a file ends in exit 2 with one line, not a traceback."""
+    out = str(tmp_path / "out.json")
+    for argv in (["average", "--in", str(tmp_path), "--out", out],
+                 ["weigh", "--pairs", str(tmp_path), "--out", out],
+                 ["evaluate", "--est", str(tmp_path), "--gt", str(tmp_path)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"data error: [Errno 21] Is a directory: "
+                                           f"'{tmp_path}'\n")
+
+
+@pytest.mark.parametrize("value", [2**63, 2**64])
+@pytest.mark.parametrize("stdlib", [False, True], ids=["orjson", "stdlib"])
+def test_ids_at_or_above_2_63_exit_2(tmp_path, capsys, value, stdlib):
+    """Both decoders reject an id at or above 2**63: orjson reads 2**64 as a float,
+    the stdlib as an int.  A NaN in an unread key sends the file to the stdlib."""
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    doc = {"nodes": [{"id": 0}, {"id": value}],
+           "edges": [{"i": 0, "j": value, "qwxyz": [1.0, 0.0, 0.0, 0.0]}]}
+    if stdlib:
+        doc["note"] = float("nan")
+    g.write_text(json.dumps(doc))
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {g}: nodes[1]: 'id' must be ")
+    if stdlib or value == 2**63:
+        assert err.endswith(f"'id' must be below 2**63, got {value}\n")
+    assert not r.exists()
+
+
 def test_missing_keys_exit_2(tmp_path, capsys):
     """A record without a required key, or not an object, is a data error naming it."""
     g, r = tmp_path / "g.json", tmp_path / "r.json"

@@ -2,9 +2,15 @@
 
 import itertools
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotavg.errors import SchemaError
 from rotavg.so3 import Rotation, exp_so3, relative_residual
@@ -21,6 +27,7 @@ from rotavg.viewgraph import (
     load_graph,
     load_pairs,
     maximum_spanning_tree,
+    read_json_object,
     save_graph,
     save_pairs,
     spanning_tree_init,
@@ -371,6 +378,188 @@ def test_load_pairs_shares_intrinsics_per_distinct_k(tmp_path):
     assert back[0].intrinsics_i is back[0].intrinsics_j is back[1].intrinsics_i
     assert back[1].intrinsics_j is back[2].intrinsics_i
     assert np.array_equal(back[1].intrinsics_j.k, other.k)
+
+
+# ---------------------------------------------------------------------------
+# JSON decoding: orjson, with the stdlib json as the reference and fallback
+# ---------------------------------------------------------------------------
+
+
+def _same(a, b):
+    """Equal JSON values of equal types, floats bit for bit, keys in the same order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _written_files(tmp_path):
+    """A graph, a correspondence set and a result file as the writers write them."""
+    rng = np.random.default_rng(5)
+    scene = generate_graph(SynthConfig(n_cameras=8, edge_density=0.6,
+                                       noise_sigmas_deg=((1.0, 1.0),), seed=5))
+    pairs = [((k, k + 1), generate_two_view_scene(
+        n_points=10, pixel_sigma=0.5, rotation=moderate_rotation(rng),
+        translation=rng.normal(size=3), seed=k)) for k in range(3)]
+    paths = {name: tmp_path / f"{name}.json" for name in ("graph", "pairs", "result")}
+    save_graph(scene.graph, paths["graph"])
+    save_pairs(pairs, paths["pairs"])
+    save_result(solve(scene.graph, spanning_tree_init(scene.graph), SolverConfig()),
+                paths["result"])
+    return paths
+
+
+def test_reader_matches_stdlib_on_written_files(tmp_path):
+    for path in _written_files(tmp_path).values():
+        assert _same(read_json_object(path, ()), json.loads(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("text", [
+    '{"x": NaN}', '{"x": [Infinity, -Infinity]}', '{"x": 1e400, "y": -1e400}',
+    '{"x": "\\ud800"}', '{"x": ["\\udc00b", NaN], "y": 0.1}',
+])
+def test_reader_reads_what_only_the_stdlib_reads(tmp_path, text):
+    """orjson rejects these documents; the stdlib fallback reads them as before."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(path.read_bytes())
+    assert _same(read_json_object(path, ("x",)), json.loads(text))
+
+
+@pytest.mark.parametrize("data", [
+    b"{not json", b'{"x": 1,}', b'{"x": [1, 2}', b"", b'\xef\xbb\xbf{"x": 1}',
+    b'{"x": 1,\r\n "y": ]}', b'{"x": 1,\r "y": ]}', b'{"x": 1} {}',
+])
+def test_malformed_json_message_is_the_stdlib_one(tmp_path, data):
+    """The error names the file and quotes the stdlib's text-mode read of it."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fh, pytest.raises(json.JSONDecodeError) as ref:
+        json.load(fh)
+    with pytest.raises(SchemaError) as err:
+        read_json_object(path, ("x",))
+    assert str(err.value) == f"{path}: malformed JSON: {ref.value}"
+
+
+def test_reader_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    for data in (b'{"x": "\xff"}', b'{"x": "\xed\xa0\x80"}'):  # a byte, an encoded surrogate
+        path.write_bytes(data)
+        with pytest.raises(SchemaError, match=r"not UTF-8: 'utf-8' codec can't decode byte"):
+            read_json_object(path, ("x",))
+
+
+def _reference_pairs(path):
+    """Per-record construction: each pair checked on its own, in file order."""
+    out = []
+    for rec in read_json_object(path, ("pairs",))["pairs"]:
+        where = f"pair ({rec['i']}, {rec['j']})"
+        try:
+            rotation = Rotation(np.asarray(rec["qwxyz"], dtype=np.float64))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{where}: bad quaternion {rec['qwxyz']!r}: {exc}") from None
+        try:
+            geom = TwoViewGeometry(
+                rotation, np.asarray(rec["t"], dtype=np.float64),
+                CameraIntrinsics(np.asarray(rec["K_i"], dtype=np.float64).reshape(3, 3)),
+                CameraIntrinsics(np.asarray(rec["K_j"], dtype=np.float64).reshape(3, 3)),
+                np.asarray(rec["matches"], dtype=np.float64))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+        out.append(((rec["i"], rec["j"]), geom))
+    return out
+
+
+def _pair_bytes(pairs):
+    return [(key, g.rotation.quaternion.tobytes(), g.translation.tobytes(), g.translation.shape,
+             g.intrinsics_i.k.tobytes(), g.intrinsics_j.k.tobytes(), g.matches.tobytes(),
+             g.matches.shape) for key, g in pairs]
+
+
+def _outcome(load, path):
+    try:
+        return _pair_bytes(load(path))
+    except SchemaError as exc:
+        return str(exc)
+
+
+def test_load_pairs_equals_per_record_construction(tmp_path):
+    """Translations, matches and Ks byte for byte, from a file holding translations
+    of wide magnitudes and Ks written flat and as nested rows."""
+    rng = np.random.default_rng(6)
+    other = [[700.0, 0.0, 300.0], [0.0, 710.0, 200.0], [0.0, 0.0, 1.0]]
+    records = []
+    for k in range(40):
+        geom = generate_two_view_scene(n_points=int(rng.integers(8, 30)), pixel_sigma=0.5,
+                                       rotation=moderate_rotation(rng),
+                                       translation=rng.normal(size=3), seed=k)
+        t = rng.normal(size=3) * 10.0 ** rng.integers(-5, 120)
+        records.append({"i": k, "j": k + 1, "qwxyz": geom.rotation.quaternion.tolist(),
+                        "t": t.tolist() if k % 5 else [t.tolist()],
+                        "K_i": DEFAULT_INTRINSICS.k.reshape(9).tolist(),
+                        "K_j": other if k % 3 else DEFAULT_INTRINSICS.k.tolist(),
+                        "matches": (geom.matches * rng.uniform(0.5, 2.0)).tolist()})
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"pairs": records}))
+    back = load_pairs(path)
+    assert _pair_bytes(back) == _pair_bytes(_reference_pairs(path))
+    assert len({id(g.intrinsics_i) for _, g in back} | {id(g.intrinsics_j) for _, g in back}) == 2
+
+
+def test_load_pairs_raises_the_first_bad_pair_across_fields(tmp_path):
+    """File order decides between pairs; within one pair the quaternion goes first."""
+    pairs = [((k, k + 1), generate_two_view_scene(
+        n_points=8, pixel_sigma=0.5, rotation=moderate_rotation(np.random.default_rng(k)),
+        translation=np.array([1.0, 0.0, 0.2]), seed=k)) for k in range(5)]
+    path = tmp_path / "pairs.json"
+    save_pairs(pairs, path)
+    good = json.loads(path.read_text())
+    cases = [
+        ({(1, "matches"): [[1.0, 2.0, 3.0]], (3, "t"): [0.0, 0.0, 0.0]},
+         "pair (1, 2): matches must be an (N, 4) array [x, y, x', y']"),
+        ({(1, "t"): [0.0, 0.0, 0.0], (3, "matches"): [[1.0, 2.0, 3.0]]},
+         "pair (1, 2): zero-baseline translation"),
+        ({(2, "K_j"): [1.0] * 9, (2, "t"): [1.0, 2.0], (4, "qwxyz"): [0, 0, 0, 0]},
+         "pair (2, 3): K must be upper-triangular with K[2][2] = 1"),
+        ({(2, "t"): "x", (2, "qwxyz"): [0, 0, 0, 0]},
+         "pair (2, 3): bad quaternion [0, 0, 0, 0]: zero-norm quaternion"),
+        ({(0, "matches"): [], (1, "qwxyz"): None},
+         "pair (0, 1): matches must be an (N, 4) array [x, y, x', y']"),
+        ({(3, "t"): [1e200, 1e200, 0.0]}, "pair (3, 4): translation norm overflows"),
+    ]
+    for edits, message in cases:
+        doc = json.loads(json.dumps(good))
+        for (k, name), value in edits.items():
+            doc["pairs"][k][name] = value
+        path.write_text(json.dumps(doc))
+        assert _outcome(load_pairs, path) == _outcome(_reference_pairs, path) == message
+
+
+_SHAPED = st.floats() | st.integers(-10, 10) | st.sampled_from([None, True, "1.5", "x", {}])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2), st.sampled_from(["qwxyz", "t", "K_i", "K_j", "matches"]),
+       st.lists(_SHAPED, max_size=10) | st.lists(st.lists(_SHAPED, max_size=5), max_size=4)
+       | _SHAPED)
+def test_load_pairs_equals_per_record_construction_on_any_value(record, field, value):
+    """Whatever a numeric field holds, load_pairs gives the per-record result or error."""
+    pairs = [((k, k + 1), generate_two_view_scene(
+        n_points=8, pixel_sigma=0.5, rotation=Rotation.identity(),
+        translation=np.array([1.0, 0.0, 0.2]), seed=k)) for k in range(3)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.json"
+        save_pairs(pairs, path)
+        doc = json.loads(path.read_text())
+        doc["pairs"][record][field] = value
+        path.write_text(json.dumps(doc))
+        assert _outcome(load_pairs, path) == _outcome(_reference_pairs, path)
 
 
 # ---------------------------------------------------------------------------
