@@ -103,8 +103,8 @@ def quat_exp(v):
     half = 0.5 * theta
     small = theta < 1e-8
     halves = np.ravel(half).tolist()
-    sin_half = np.reshape([math.sin(h) for h in halves], np.shape(half))
-    cos_half = np.reshape([math.cos(h) for h in halves], np.shape(half))
+    sin_half = np.fromiter(map(math.sin, halves), float, len(halves)).reshape(np.shape(half))
+    cos_half = np.fromiter(map(math.cos, halves), float, len(halves)).reshape(np.shape(half))
     s = np.where(small, 0.5 - theta * theta / 48.0, sin_half / np.where(small, 1.0, theta))
     w = np.where(small, 1.0 - half * half / 2.0, cos_half)
     return canonical_quats(np.concatenate([w[..., None], s[..., None] * v], axis=-1))

@@ -38,28 +38,30 @@ node labels and edge directions change the result only by round-off.
 All traversal and summation is in sorted edge-key order, so identical
 inputs produce bit-identical results.
 
-The step is array code over slots and two m x m buffers (m = 3n) built
+The step is array code over slots and one m x m buffer (m = 3n) built
 once per solve (:func:`_normal_pattern`): every per-edge 3x3 block entry
 and gradient entry has a fixed position, and each step computes the blocks
 of all edges at once.  The diagonal blocks are summed with
 ``np.bincount``, which sums in input order, so each diagonal entry sums
 its edges in edge order, the i-row before the j-row.  Each off-diagonal
-block belongs to exactly one edge (``ViewGraph`` rejects duplicate pairs)
-and is written straight into its place and its mirror; entries outside the
-blocks stay zero.  Both buffers are F-contiguous, the order LAPACK reads.
-Each trial copies H into the second buffer, adds lambda to its diagonal
-and factors its lower triangle there in place, so a damping retry copies H
-again instead of rebuilding it, and no trial allocates or transposes a
-matrix.  The batched arithmetic is chosen to round exactly like the
-per-edge and per-node formulas it replaced: block products use batched
-``np.matmul`` (not ``einsum``), squared norms use ``np.vecdot`` (the same
-dot kernel as a 1-D ``x @ x``), and the retraction is the
-:mod:`rotavg.so3` exponential and Hamilton product that
-:class:`~rotavg.so3.Rotation` wraps.
+block belongs to exactly one edge (``ViewGraph`` rejects duplicate pairs),
+so its entries are kept as they are, one value per entry.  The buffer is
+F-contiguous, the order LAPACK reads.  Each trial zeroes it, writes the
+diagonal blocks and, of each off-diagonal block and its mirror, the
+entries below the diagonal, which is all that the lower ``potrf`` reads;
+then it adds lambda to the diagonal and factors there in place.  A damping
+retry writes the kept block values again instead of rebuilding them, and
+no trial allocates or transposes a matrix.  The batched arithmetic is
+chosen to round exactly like the per-edge and per-node formulas it
+replaced: block products use batched ``np.matmul`` (not ``einsum``),
+squared norms use ``np.vecdot`` (the same dot kernel as a 1-D ``x @ x``),
+and the retraction is the :mod:`rotavg.so3` exponential and Hamilton
+product that :class:`~rotavg.so3.Rotation` wraps.
 
 Every damped system ``(H + lambda I) d = -g`` is solved by one dense
-Cholesky factorization (LAPACK ``potrf``/``potrs``), so memory is
-O(nodes^2): 11 MB for each of the two buffers at 400 cameras.  On view
+Cholesky factorization, LAPACK ``potrf``/``potrs`` called directly (the
+routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap), so memory is
+O(nodes^2): 11 MB for the buffer at 400 cameras.  On view
 graphs of a few hundred cameras this is several times faster than sparse
 LU, because these graphs fill in badly under every LU ordering.  A system
 that is not numerically positive definite yields a non-finite step, which
@@ -86,7 +88,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from . import kernels
 from .errors import ConfigurationError, NumericalError, SchemaError
@@ -232,25 +234,25 @@ def _apply_step(quats, delta):
 class _Pattern(NamedTuple):
     """Fixed slots and storage of the normal equations over all ``m = 3 n`` unknowns.
 
-    Positions in ``h`` are column-major flat indices, as ``h`` is F-ordered.
+    Positions in ``work`` are column-major flat indices, as ``work`` is F-ordered.
     """
 
     diag_slot: np.ndarray  # (18 E,) bin of each diagonal-block entry, 9 bins per node
-    diag_pos: np.ndarray   # (9 n,) position in h of each bin
-    off_pos: np.ndarray    # (2, 9 E) position in h of each off-diagonal entry and its mirror
+    diag_pos: np.ndarray   # (9 n,) position in work of each bin
+    off_pos: np.ndarray    # (9 E,) position in work of each off-diagonal entry, or of its mirror
+    #                        when the entry lies above the diagonal
     g_slot: np.ndarray     # (6 E,) gradient position of each per-edge entry
-    h: np.ndarray          # (m, m) F-ordered H, rewritten by each assembly
     work: np.ndarray       # (m, m) F-ordered H + lam I and its factor, rewritten by each trial
 
 
 def _normal_pattern(edges_idx, n) -> _Pattern:
-    """Slots and buffers for the blocks of :func:`_edge_blocks`, built once per solve.
+    """Slots and the buffer for the blocks of :func:`_edge_blocks`, built once per solve.
 
     Per edge the 18 diagonal-block entries are, row-major over (u, v): B^T B
     into the i-diagonal block (3a+u, 3a+v), then into the j-diagonal block
     (3c+u, 3c+v), with a, c the node rows of the edge's i- and j-node; its 9
-    off-diagonal entries -B^T B go to (3a+u, 3c+v) and their mirror (3c+v, 3a+u).
-    Entries of H outside these blocks are zero and never written.
+    off-diagonal entries -B^T B belong at (3a+u, 3c+v) and their mirror
+    (3c+v, 3a+u), of which only the one below the diagonal is written.
     """
     m = 3 * n
     a = edges_idx[:, 0, None]
@@ -259,52 +261,62 @@ def _normal_pattern(edges_idx, n) -> _Pattern:
     diag_slot = np.concatenate([9 * a + 3 * u + v, 9 * c + 3 * u + v], axis=1)
     node = 3 * np.arange(n)[:, None]
     diag_pos = (node + v) * m + node + u
-    off_pos = np.stack([(3 * c + v) * m + 3 * a + u, (3 * a + u) * m + 3 * c + v])
+    off_pos = np.where(a > c, (3 * c + v) * m + 3 * a + u, (3 * a + u) * m + 3 * c + v)
     k = np.arange(3)
     g_slot = np.concatenate([3 * a + k, 3 * c + k], axis=1)
     return _Pattern(diag_slot=diag_slot.ravel(), diag_pos=diag_pos.ravel(),
-                    off_pos=off_pos.reshape(2, -1), g_slot=g_slot.ravel(),
-                    h=np.zeros((m, m), order="F"), work=np.empty((m, m), order="F"))
+                    off_pos=off_pos.ravel(), g_slot=g_slot.ravel(),
+                    work=np.empty((m, m), order="F"))
 
 
 def _edge_blocks(b, rw, lw, pattern: _Pattern):
-    """Dense sum_e w_e J_e^T J_e and the gradient sum_e w_e J_e^T r_e.
+    """Block values of sum_e w_e J_e^T J_e and the gradient sum_e w_e J_e^T r_e.
 
     ``b`` holds B_e = W_e A_e; the edge Jacobians are J_i = -B_e, J_j = +B_e.
-    H is written into ``pattern.h`` and that array is returned: the next
-    assembly overwrites it.  Each diagonal entry sums its edges in edge order,
-    the i-row before the j-row; each off-diagonal block belongs to exactly
-    one edge (``ViewGraph`` rejects duplicate pairs) and is written once.
+    Returns ``((diag, off), grad)``: the (9 n,) summed diagonal-block bins of
+    ``pattern.diag_pos`` and the (9 E,) off-diagonal entries of
+    ``pattern.off_pos``, which :func:`_solve_normal_equations` places.  Each
+    diagonal entry sums its edges in edge order, the i-row before the j-row;
+    each off-diagonal block belongs to exactly one edge (``ViewGraph``
+    rejects duplicate pairs).
     """
     bt = np.swapaxes(b, 1, 2)
-    btb = (lw[:, None, None] * np.matmul(bt, b)).reshape(-1, 9)
+    # a contiguous B^T makes numpy call gemm, not its slower per-matrix syrk route;
+    # both round B^T B alike
+    btb = (lw[:, None, None] * np.matmul(np.ascontiguousarray(bt), b)).reshape(-1, 9)
     btr = lw[:, None] * np.matmul(bt, rw[:, :, None])[:, :, 0]
-    h = pattern.h
-    flat = h.ravel(order="F")  # a view: h is F-contiguous
-    diag = np.concatenate([btb, btb], axis=1).ravel()
-    flat[pattern.diag_pos] = np.bincount(pattern.diag_slot, diag, minlength=len(pattern.diag_pos))
-    flat[pattern.off_pos] = -btb.ravel()
-    grad = np.bincount(pattern.g_slot, np.concatenate([-btr, btr], axis=1).ravel(), minlength=len(h))
-    return h, grad
+    diag = np.bincount(pattern.diag_slot, np.concatenate([btb, btb], axis=1).ravel(),
+                       minlength=len(pattern.diag_pos))
+    grad = np.bincount(pattern.g_slot, np.concatenate([-btr, btr], axis=1).ravel(),
+                       minlength=len(pattern.work))
+    return (diag, -btb.ravel()), grad
 
 
-def _solve_normal_equations(pattern: _Pattern, grad, lam):
-    """Solve (H + lam I) delta = -grad over all 3n unknowns, H the last assembly.
+def _solve_normal_equations(pattern: _Pattern, blocks, grad, lam):
+    """Solve (H + lam I) delta = -grad over all 3n unknowns, H from ``blocks``.
 
     H is singular along a common update of all nodes; lam > 0 makes H + lam I
-    positive definite.  H + lam I is copied into ``pattern.work`` and LAPACK
-    factors its lower triangle there in place, so ``pattern.h`` stays intact
-    for a retry at a larger lam.  Returns a non-finite step when H + lam I is
-    not numerically positive definite.
+    positive definite.  The diagonal blocks and the lower triangle of the
+    off-diagonal blocks are written into the zeroed ``pattern.work``, the only
+    entries the lower ``potrf`` reads, and LAPACK factors H + lam I there in
+    place; a retry at a larger lam writes ``blocks`` again.  Returns a
+    non-finite step when H + lam I is not numerically positive definite.
     """
     work = pattern.work
-    np.copyto(work, pattern.h)
-    work.ravel(order="F")[:: len(work) + 1] += lam  # the diagonal, through a view
-    try:
-        factor = scipy.linalg.cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    work.fill(0.0)
+    flat = work.ravel(order="F")  # a view: work is F-contiguous
+    diag, off = blocks
+    flat[pattern.diag_pos] = diag
+    flat[pattern.off_pos] = off
+    flat[:: len(work) + 1] += lam
+    factor, info = lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        step, info = lapack.dpotrs(factor, -grad, lower=1, overwrite_b=1)
+    if info > 0:  # the leading minor of order info is not positive definite
         return np.full(len(grad), np.nan)
-    return scipy.linalg.cho_solve(factor, -grad, check_finite=False)
+    if info < 0:
+        raise ValueError(f"LAPACK rejected argument {-info} of potrf or potrs")
+    return step
 
 
 def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> AveragingResult:
@@ -349,12 +361,12 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         # one Levenberg-Marquardt step on the frozen-weight LS problem, then
         # re-weight.  Each step starts from the initial damping, so no lambda
         # grown by rejections carries over to the new weights.
-        _, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
+        blocks, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
         if np.max(np.abs(grad)) >= config.gradient_tol:
             lam = DAMPING_INIT
             ls_cost = float(np.sum(lw * sq))
             for _ in range(12):
-                delta = _solve_normal_equations(pattern, grad, lam)
+                delta = _solve_normal_equations(pattern, blocks, grad, lam)
                 if not np.all(np.isfinite(delta)):
                     lam *= 10.0
                     continue

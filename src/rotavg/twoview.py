@@ -93,7 +93,9 @@ class CameraIntrinsics:
 class TwoViewGeometry:
     """Relative pose + intrinsics + inlier matches of one image pair.
 
-    ``matches`` is an (N, 4) array of rows ``[x, y, x', y']`` in pixels.
+    ``matches`` is an (N, 4) array of N >= 1 rows ``[x, y, x', y']`` in
+    pixels, the rule :func:`rotavg.viewgraph.load_pairs` applies, so every
+    geometry :func:`rotavg.viewgraph.save_pairs` writes loads back.
     The translation is normalized to unit length on construction; a
     non-finite translation or match coordinate, or a translation whose norm
     overflows or is below 1e-12, raises ``ValueError``.
@@ -119,6 +121,8 @@ class TwoViewGeometry:
         m = np.asarray(self.matches, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] != 4:
             raise ValueError("matches must be an (N, 4) array [x, y, x', y']")
+        if len(m) == 0:
+            raise ValueError("matches must hold at least one row")
         if not np.all(np.isfinite(m)):
             raise ValueError("non-finite match coordinates")
         object.__setattr__(self, "matches", m)
@@ -194,21 +198,23 @@ def _sampson_gradients(f, m, counts):
     dS/dF = u p^T + p' w^T, where u = p'/den - c [(F p)_0, (F p)_1, 0],
     w = -c [(F^T p')_0, (F^T p')_1, 0] and c = p'^T F p / den^3, so only
     (3, N) factors are formed.  Degenerate matches get finite placeholder
-    columns.
+    columns.  A finite match far enough out may overflow these terms; that
+    raises no warning.
     """
-    xh, yh, fp, ftq, num, den2 = _epipolar_terms(f, m, counts)
-    degenerate = den2 < DEN2_LIMIT
-    den2[degenerate] = 1.0
-    den = np.sqrt(den2)
-    c = num / (den2 * den)
-    u = yh / den
-    u[:2] -= c * fp[:2]
-    w = -c * ftq
-    del fp, ftq, num, den2, den, c
-    grad = np.empty((3, 3, len(degenerate)))
-    for a in range(3):
-        np.multiply(u[a], xh, out=grad[a])
-        grad[a, :2] += yh[a] * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        xh, yh, fp, ftq, num, den2 = _epipolar_terms(f, m, counts)
+        degenerate = den2 < DEN2_LIMIT
+        den2[degenerate] = 1.0
+        den = np.sqrt(den2)
+        c = num / (den2 * den)
+        u = yh / den
+        u[:2] -= c * fp[:2]
+        w = -c * ftq
+        del fp, ftq, num, den2, den, c
+        grad = np.empty((3, 3, len(degenerate)))
+        for a in range(3):
+            np.multiply(u[a], xh, out=grad[a])
+            grad[a, :2] += yh[a] * w
     return grad.reshape(9, -1), degenerate
 
 

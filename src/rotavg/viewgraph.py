@@ -46,6 +46,7 @@ other bad value.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -219,14 +220,15 @@ def _float_rows(values, width, flat=False):
     that hold ``width`` numbers; the other rows are NaN.  With ``flat``, a
     value of any shape that holds ``width`` numbers is a row, as
     ``reshape(width)`` reads it.  The rows are read one at a time only when
-    they do not convert all at once."""
+    they are not all lists of ``width`` entries or do not convert at once."""
     n = len(values)
-    try:
-        rows = np.array(values, dtype=np.float64)
-        if rows.shape == (n, width) or (flat and rows.size == n * width):
+    if set(map(type, values)) == {list} and set(map(len, values)) == {width}:
+        try:
+            # one pass over the numbers, each converted as np.array converts it
+            rows = np.fromiter(itertools.chain.from_iterable(values), np.float64, n * width)
             return rows.reshape(n, width), np.ones(n, dtype=bool)
-    except (TypeError, ValueError, OverflowError):
-        pass
+        except (TypeError, ValueError, OverflowError):
+            pass
     rows = np.full((n, width), np.nan)
     ok = np.zeros(n, dtype=bool)
     for k, value in enumerate(values):

@@ -281,9 +281,20 @@ def test_determinism_bitwise():
     assert a.final_cost == b.final_cost
 
 
-def _superlu_normal_equations(pattern, grad, lam):
+def _symmetric_matrix(pattern, blocks):
+    """The full symmetric H of ``blocks``, whose lower triangle the solver writes."""
+    diag, off = blocks
+    m = len(pattern.work)
+    flat = np.zeros(m * m)  # column-major, as pattern positions are
+    flat[pattern.diag_pos] = diag
+    flat[pattern.off_pos] = off
+    lower = np.tril(flat.reshape(m, m).T)
+    return lower + np.tril(lower, -1).T
+
+
+def _superlu_normal_equations(pattern, blocks, grad, lam):
     """Sparse LU (SuperLU) reference for the solver's dense Cholesky solve."""
-    damped = scipy.sparse.csc_matrix(pattern.h + lam * np.eye(len(grad)))
+    damped = scipy.sparse.csc_matrix(_symmetric_matrix(pattern, blocks) + lam * np.eye(len(grad)))
     return scipy.sparse.linalg.spsolve(damped, -grad)
 
 
@@ -322,12 +333,13 @@ def test_damping_restarts_every_outer_iteration(monkeypatch):
         reweighted[0] = True
         return real_loss(*args)
 
-    def solve_spy(h, grad, lam):
+    def solve_spy(*args):
+        lam = args[-1]
         if reweighted[0]:
             first_trial_lams.append(lam)
             reweighted[0] = False
         all_lams.append(lam)
-        return real_solve(h, grad, lam)
+        return real_solve(*args)
 
     monkeypatch.setattr(solver_mod, "evaluate_loss", loss_spy)
     monkeypatch.setattr(solver_mod, "_solve_normal_equations", solve_spy)
@@ -424,13 +436,14 @@ def test_indefinite_system_gives_non_finite_step():
     b = rng.normal(size=(4, 3, 3))
     rw = rng.normal(size=(4, 3))
     # negative robust weights make sum_e w_e J_e^T J_e negative definite
-    h, grad = solver_mod._edge_blocks(b, rw, -np.ones(4), pattern)
-    step = solver_mod._solve_normal_equations(pattern, grad, 1e-4)
+    blocks, grad = solver_mod._edge_blocks(b, rw, -np.ones(4), pattern)
+    step = solver_mod._solve_normal_equations(pattern, blocks, grad, 1e-4)
     assert step.shape == grad.shape
     assert not np.all(np.isfinite(step))
     # the same system with the sign fixed is positive definite and solves
-    np.negative(h, out=h)
-    step = solver_mod._solve_normal_equations(pattern, grad, 1e-4)
+    fixed = tuple(np.negative(values) for values in blocks)
+    step = solver_mod._solve_normal_equations(pattern, fixed, grad, 1e-4)
+    h = _symmetric_matrix(pattern, fixed)
     assert np.allclose((h + 1e-4 * np.eye(len(grad))) @ step, -grad)
 
 
@@ -487,34 +500,38 @@ def _reference_normal_equations(g, init, config, lam):
 
 
 def test_normal_equations_match_per_edge_reference(monkeypatch):
-    """The first linear solve sees exactly the system a per-edge loop builds."""
+    """The first linear solve sees exactly the system a per-edge loop builds.
+
+    The lower ``potrf`` reads only the lower triangle of what it is handed.
+    """
     scene = _noisy_scene(8, n=14)
     g = scene.graph
     init = spanning_tree_init(g, "auto")
     config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02), weighting="cov_full")
     calls, matrices = [], []
     real_solve = solver_mod._solve_normal_equations
-    real_factor = scipy.linalg.cho_factor
+    real_potrf = scipy.linalg.lapack.dpotrf
 
     def solve_spy(*args):
         calls.append(args)
         return real_solve(*args)
 
-    def factor_spy(h, *args, **kwargs):
-        matrices.append(h.copy())
-        return real_factor(h, *args, **kwargs)
+    def potrf_spy(a, *args, **kwargs):
+        matrices.append(a.copy())
+        return real_potrf(a, *args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "_solve_normal_equations", solve_spy)
-    monkeypatch.setattr(scipy.linalg, "cho_factor", factor_spy)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", potrf_spy)
     solve(g, init, config)
-    _, grad, lam = calls[0]
+    *_, grad, lam = calls[0]
     ref_h, ref_grad = _reference_normal_equations(g, init, config, lam)
     assert np.array_equal(grad, ref_grad)
-    assert np.array_equal(matrices[0], ref_h)
+    assert np.array_equal(np.tril(matrices[0]), np.tril(ref_h))
 
 
 def test_retry_factors_the_assembled_matrix(monkeypatch):
-    """A rejected trial's retry factors H + 10 lam I, not what the last trial left.
+    """A rejected trial's retry factors H + 10 lam I, not what the last trial left:
+    the lower triangle handed to ``potrf`` is the per-edge reference's.
 
     The first trial is replaced by a rotation far from it, so its cost rises
     and the step retries with ten times the damping.
@@ -525,16 +542,16 @@ def test_retry_factors_the_assembled_matrix(monkeypatch):
     config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02), weighting="cov_full")
     lams, matrices = [], []
     real_solve = solver_mod._solve_normal_equations
-    real_factor = scipy.linalg.cho_factor
+    real_potrf = scipy.linalg.lapack.dpotrf
     real_step = solver_mod._apply_step
 
     def solve_spy(*args):
         lams.append(args[-1])
         return real_solve(*args)
 
-    def factor_spy(a, *args, **kwargs):
+    def potrf_spy(a, *args, **kwargs):
         matrices.append(a.copy())
-        return real_factor(a, *args, **kwargs)
+        return real_potrf(a, *args, **kwargs)
 
     def step_spy(quats, delta):
         trial = real_step(quats, delta)
@@ -543,57 +560,61 @@ def test_retry_factors_the_assembled_matrix(monkeypatch):
         return trial
 
     monkeypatch.setattr(solver_mod, "_solve_normal_equations", solve_spy)
-    monkeypatch.setattr(scipy.linalg, "cho_factor", factor_spy)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", potrf_spy)
     monkeypatch.setattr(solver_mod, "_apply_step", step_spy)
     solve(g, init, config)
     assert lams[:2] == [solver_mod.DAMPING_INIT, 10 * solver_mod.DAMPING_INIT]
     ref_h, _ = _reference_normal_equations(g, init, config, 10 * solver_mod.DAMPING_INIT)
-    assert np.array_equal(matrices[1], ref_h)
+    assert np.array_equal(np.tril(matrices[1]), np.tril(ref_h))
 
 
 def _normal_equations_at_init(g, config):
-    """The assembled pattern and the gradient of the first step of ``solve`` on ``g``."""
+    """The pattern, block values and gradient of the first step of ``solve`` on ``g``."""
     quats, edges_idx, meas = solver_mod._edge_arrays(g, spanning_tree_init(g, "auto"))
     transforms, _ = solver_mod._transform_stack(g, config)
     res, amat = kernels.edge_terms(quats, edges_idx, meas)
     rw = np.einsum("eab,eb->ea", transforms, res)
     _, lw = solver_mod._robust_cost(g, np.vecdot(rw, rw), config.loss)
     pattern = solver_mod._normal_pattern(edges_idx, len(g.nodes))
-    _, grad = solver_mod._edge_blocks(transforms @ amat, rw, lw, pattern)
-    return pattern, grad
+    blocks, grad = solver_mod._edge_blocks(transforms @ amat, rw, lw, pattern)
+    return pattern, blocks, grad
 
 
 @pytest.mark.parametrize("lam", [1e-4, 1.0])
 def test_cholesky_factors_column_ordered_copy_in_place(monkeypatch, lam):
     """LAPACK gets H + lam I in column order and factors it in the work buffer.
 
-    The step is bit-identical to factoring a C-ordered copy, which f2py
-    transposes into column order before calling potrf.
+    The step is bit-identical to factoring a C-ordered copy of the full
+    symmetric per-edge reference, which f2py transposes into column order
+    before calling potrf.
     """
     scene = _noisy_scene(8, n=14)
+    g = scene.graph
     config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02), weighting="cov_full")
-    pattern, grad = _normal_equations_at_init(scene.graph, config)
-    h = pattern.h
-    h_before = h.copy()
+    pattern, blocks, grad = _normal_equations_at_init(g, config)
+    blocks_before = [values.copy() for values in blocks]
     seen = []
-    real_factor = scipy.linalg.cho_factor
+    real_potrf = scipy.linalg.lapack.dpotrf
 
-    def factor_spy(a, *args, **kwargs):
-        factor = real_factor(a, *args, **kwargs)
-        seen.append((a, factor[0]))
-        return factor
+    def potrf_spy(a, *args, **kwargs):
+        factor, info = real_potrf(a, *args, **kwargs)
+        seen.append((a, factor))
+        return factor, info
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", factor_spy)
-    step = solver_mod._solve_normal_equations(pattern, grad, lam)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", potrf_spy)
+    step = solver_mod._solve_normal_equations(pattern, blocks, grad, lam)
     (a, c), = seen
     assert a.flags.f_contiguous
     assert np.shares_memory(a, c)
     assert np.shares_memory(a, pattern.work)
-    assert np.array_equal(h, h_before)  # the retry copy, not H, is overwritten
+    for values, before in zip(blocks, blocks_before):  # what a retry writes again
+        assert np.array_equal(values, before)
 
-    damped = np.array(h, order="C")
-    damped[np.diag_indices_from(damped)] += lam
-    expected = scipy.linalg.cho_solve(real_factor(damped, lower=True, check_finite=False), -grad)
+    ref_h, ref_grad = _reference_normal_equations(g, spanning_tree_init(g, "auto"), config, lam)
+    assert np.array_equal(grad, ref_grad)
+    damped = np.array(ref_h, order="C")
+    expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(damped, lower=True, check_finite=False),
+                                      -ref_grad)
     assert step.tobytes() == expected.tobytes()
 
 

@@ -82,6 +82,14 @@ def test_geometry_rejects_non_finite_input():
         CameraIntrinsics(np.diag([np.nan, 1.0, 1.0]))
 
 
+def test_geometry_rejects_zero_matches():
+    """An (0, 4) array has the right shape but no row: the loader's rule, so
+    no geometry that save_pairs writes as "matches": [] exists."""
+    with pytest.raises(ValueError, match="at least one row"):
+        TwoViewGeometry(Rotation.identity(), np.array([0.0, 0.0, 1.0]), IDENTITY_K, IDENTITY_K,
+                        np.zeros((0, 4)))
+
+
 def test_intrinsics_inverse_is_cached_and_read_only():
     k = CameraIntrinsics(np.array([[500.0, 1.0, 320.0], [0.0, 480.0, 240.0], [0.0, 0.0, 1.0]]))
     inv = k.inverse
@@ -349,6 +357,21 @@ def test_rotation_covariances_reject_bad_sigma():
     for sigma in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="residual sigma must be positive and finite"):
             rotation_covariances(geoms, residual_sigma=sigma)
+
+
+@pytest.mark.parametrize("mode", ["rotation_only", "marginalize_translation"])
+def test_sampson_terms_that_overflow_raise_no_warning(mode):
+    """A finite match coordinate of 1e155 overflows its Sampson denominator
+    without a RuntimeWarning in either caller of the Sampson gradients: the
+    other pair's covariance and the other matches' Jacobian rows are unchanged."""
+    geoms = _batch(np.random.default_rng(14), [12, 20])
+    far = geoms[1].matches.copy()
+    far[0, 1] = 1e155
+    near, geoms[1] = geoms[1], dataclasses.replace(geoms[1], matches=far)
+    covs, errors = rotation_covariances(geoms, mode=mode)
+    alone, _ = rotation_covariances(geoms[:1], mode=mode)
+    assert errors[0] is None and covs[0].tobytes() == alone[0].tobytes()
+    assert rotation_jacobian(geoms[1])[1:].tobytes() == rotation_jacobian(near)[1:].tobytes()
 
 
 def test_rotation_covariances_isolate_bad_pairs():

@@ -541,6 +541,32 @@ def test_load_pairs_raises_the_first_bad_pair_across_fields(tmp_path):
         assert _outcome(load_pairs, path) == _outcome(_reference_pairs, path) == message
 
 
+def test_one_match_pair_round_trips_bitwise(tmp_path):
+    geom = generate_two_view_scene(n_points=8, pixel_sigma=0.5, rotation=moderate_rotation(
+        np.random.default_rng(3)), translation=np.array([1.0, 0.0, 0.2]), seed=3)
+    one = TwoViewGeometry(geom.rotation, geom.translation, geom.intrinsics_i, geom.intrinsics_j,
+                          geom.matches[:1])
+    path = tmp_path / "pairs.json"
+    save_pairs([((0, 1), one)], path)
+    assert _pair_bytes(load_pairs(path)) == _pair_bytes([((0, 1), one)])
+
+
+@pytest.mark.parametrize("matches", [[[1, 2, 3], [4, 5, 6, 7, 8]], ["1234"],
+                                     [{"a": 1, "b": 2, "c": 3, "d": 4}], [[1, 2, 3, "4"]]])
+def test_load_pairs_reads_rows_not_a_count_of_numbers(tmp_path, matches):
+    """Matches whose numbers come to a multiple of 4 without being rows of 4:
+    the per-record result, whatever a one-pass conversion would make of them."""
+    pairs = [((k, k + 1), generate_two_view_scene(
+        n_points=8, pixel_sigma=0.5, rotation=Rotation.identity(),
+        translation=np.array([1.0, 0.0, 0.2]), seed=k)) for k in range(3)]
+    path = tmp_path / "pairs.json"
+    save_pairs(pairs, path)
+    doc = json.loads(path.read_text())
+    doc["pairs"][1]["matches"] = matches
+    path.write_text(json.dumps(doc))
+    assert _outcome(load_pairs, path) == _outcome(_reference_pairs, path)
+
+
 _SHAPED = st.floats() | st.integers(-10, 10) | st.sampled_from([None, True, "1.5", "x", {}])
 
 
