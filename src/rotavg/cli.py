@@ -26,15 +26,14 @@ from .errors import (
 )
 from .evaluate import align_rotations, auc, check_threshold, export_cdf
 from .losses import ALL_KINDS, LossSpec
-from .solver import (WEIGHTING_MODES, SolverConfig, _edge_arrays, default_loss_scale,
+from .so3 import checked_rotations
+from .solver import (WEIGHTING_MODES, SolverConfig, _node_quats, default_loss_scale,
                      load_result_rotations, save_result, solve)
 from .synth import SynthConfig, generate_graph
 from .twoview import COVARIANCE_MODES, rotation_covariances
 from .viewgraph import (
     TREE_CRITERIA,
     ViewGraph,
-    ViewNode,
-    checked_edges,
     load_graph,
     load_pairs,
     save_graph,
@@ -173,28 +172,31 @@ def _cmd_synth(args) -> int:
     )
     scene = generate_graph(config)
     save_graph(scene.graph, args.out)
-    print(f"wrote {args.out}: {len(scene.graph.nodes)} nodes, "
-          f"{len(scene.graph.edges)} edges, {len(scene.outlier_edge_ids)} outliers",
+    print(f"wrote {args.out}: {len(scene.graph.ids)} nodes, "
+          f"{len(scene.graph.ends)} edges, {len(scene.outlier_edge_ids)} outliers",
           file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_weigh(args) -> int:
     pairs = load_pairs(args.pairs)
-    known = load_graph(args.base).nodes if args.base else {}
-    node_ids = {nid for ij, _ in pairs for nid in ij} | set(known)
-    nodes = [known[nid] if nid in known else ViewNode(nid) for nid in sorted(node_ids)]
+    base = load_graph(args.base) if args.base else ViewGraph([], [])
+    i, j = [a for (a, _), _ in pairs], [b for (_, b), _ in pairs]
+    ids = sorted({*i, *j, *base.node_ids})
+    gt = dict(zip(base.ids[base.has_gt].tolist(), base.gt_quats[base.has_gt]))
     geoms = [geom for _, geom in pairs]
     covs, errors = rotation_covariances(geoms, residual_sigma=args.sigma, mode=args.mode)
-    for ((i, j), _), exc in zip(pairs, errors):
+    for ((a, b), _), exc in zip(pairs, errors):
         if exc is not None:
-            print(f"pair ({i}, {j}): {exc}; leaving covariance unset", file=sys.stderr)
-    edges = checked_edges([i for (i, _), _ in pairs], [j for (_, j), _ in pairs],
-                          [geom.rotation for geom in geoms],
-                          [len(geom.matches) for geom in geoms],
-                          covs, [exc is None for exc in errors])
-    save_graph(ViewGraph(nodes, edges), args.out)
-    print(f"wrote {args.out}: {len(edges)} weighted edges", file=sys.stderr)
+            print(f"pair ({a}, {b}): {exc}; leaving covariance unset", file=sys.stderr)
+    graph = ViewGraph.from_columns(
+        ids, i, j, [geom.rotation.quaternion for geom in geoms],
+        gt_quats=[gt.get(nid, (1.0, 0.0, 0.0, 0.0)) for nid in ids],
+        has_gt=[nid in gt for nid in ids],
+        covariances=covs, has_covariance=[exc is None for exc in errors],
+        inlier_counts=[len(geom.matches) for geom in geoms])
+    save_graph(graph, args.out)
+    print(f"wrote {args.out}: {len(pairs)} weighted edges", file=sys.stderr)
     return EXIT_OK
 
 
@@ -210,7 +212,7 @@ def _cmd_average(args) -> int:
 
 
 def _gt_rotations(g: ViewGraph):
-    gt = {nid: n.gt_rotation for nid, n in g.nodes.items() if n.gt_rotation is not None}
+    gt = dict(zip(g.ids[g.has_gt].tolist(), checked_rotations(g.gt_quats[g.has_gt])))
     if not gt:
         raise SchemaError("graph carries no ground-truth rotations (gt_qwxyz)")
     return gt
@@ -265,14 +267,14 @@ def _cmd_bench(args) -> int:
         raise _UsageError("--repeats must be >= 1")
     g = load_graph(args.infile)
     init = spanning_tree_init(g, "auto")
-    quats, edges, meas = _edge_arrays(g, init)
+    quats = _node_quats(g, init)
 
-    kernels.edge_terms(quats, edges, meas)  # warm-up
+    kernels.edge_terms(quats, g.ends, g.quats)  # warm-up
     start = time.perf_counter()
     for _ in range(args.repeats):
-        kernels.edge_terms(quats, edges, meas)
+        kernels.edge_terms(quats, g.ends, g.quats)
     per_call = (time.perf_counter() - start) / args.repeats
-    print(f"graph: {len(quats)} nodes, {len(g.edges)} edges")
+    print(f"graph: {len(quats)} nodes, {len(g.ends)} edges")
     print(f"edge_terms numpy : {per_call * 1e6:10.1f} us/call")
     config = _solver_config(args, args.loss, args.weighting)
     start = time.perf_counter()

@@ -96,7 +96,8 @@ from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
 from .viewgraph import (EDGE_DATA, ViewGraph, _check_records, _quaternion_rules,
-                        check_connected, edge_data, json_records, read_json_object, write_json)
+                        check_connected, json_records, read_json_object, refuse_non_finite,
+                        write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -161,18 +162,19 @@ def default_loss_scale(weighting: str) -> float:
 def _transform_stack(g: ViewGraph, config: SolverConfig):
     """(E, 3, 3) weighting transforms W_e plus the unit-fallback count.
 
-    Each mode reads the edge datum :data:`WEIGHTINGS` names, stacked by
-    :func:`~rotavg.viewgraph.edge_data`.  ``cov_full`` uses D_e^T,
+    Each mode reads the edge datum :data:`WEIGHTINGS` names, from its
+    column of ``g``.  ``cov_full`` uses D_e^T,
     ``cov_trace`` and ``cov_fro`` scale the identity by tr(C_e)^{-1/2} and
     (||C_e^{-1}||_F / 3)^{1/2}, ``inlier_count`` by (n_e / mean n)^{1/2},
     the mean over the edges that have a count.  Edges without the datum get
     the identity, reported in one warning.
     """
     datum = WEIGHTINGS[config.weighting][0]
-    mats = np.tile(np.eye(3), (len(g.edges), 1, 1))
+    mats = np.tile(np.eye(3), (len(g.ends), 1, 1))
     if datum is None:
         return mats, 0
-    has, data = edge_data(g, datum)
+    has, column = g.edge_datum(datum)
+    data = column[has].astype(np.float64)
     if len(data):
         if config.weighting == "cov_full":
             mats[has] = np.swapaxes(whitener_from_covariance(data), 1, 2)
@@ -186,20 +188,16 @@ def _transform_stack(g: ViewGraph, config: SolverConfig):
                 inv = (d @ np.swapaxes(d, 1, 2)).reshape(-1, 9)
                 scale = np.sqrt(np.sqrt(np.vecdot(inv, inv)) / 3.0)  # rounds as np.linalg.norm
             mats[has] *= scale[:, None, None]
-    fallbacks = len(g.edges) - len(data)
+    fallbacks = len(g.ends) - len(data)
     if fallbacks:
         logger.warning("%d of %d edges have a missing %s; using unit weight for them",
-                       fallbacks, len(g.edges), EDGE_DATA[datum][0])
+                       fallbacks, len(g.ends), EDGE_DATA[datum])
     return mats, fallbacks
 
 
-def _edge_arrays(g: ViewGraph, rotations: dict[int, Rotation]):
-    """(N, 4) quaternions in ``g.node_ids`` order, (E, 2) node rows, (E, 4) measurements."""
-    index = {nid: row for row, nid in enumerate(g.node_ids)}
-    quats = np.array([rotations[nid].quaternion for nid in g.node_ids]).reshape(-1, 4)
-    edges_idx = np.array([[index[e.i], index[e.j]] for e in g.edges], dtype=np.int64)
-    meas = np.array([e.rotation.quaternion for e in g.edges])
-    return quats, edges_idx.reshape(-1, 2), meas.reshape(-1, 4)
+def _node_quats(g: ViewGraph, rotations: dict[int, Rotation]):
+    """(N, 4) quaternions of ``rotations`` in node-row order."""
+    return np.array([rotations[nid].quaternion for nid in g.node_ids]).reshape(-1, 4)
 
 
 def _robust_cost(g: ViewGraph, sq, loss: LossSpec):
@@ -210,15 +208,15 @@ def _robust_cost(g: ViewGraph, sq, loss: LossSpec):
     ev = evaluate_loss(loss, sq)
     bad = np.flatnonzero(~np.isfinite(ev.value))
     if bad.size:
-        e = g.edges[bad[0]]
-        raise NumericalError(f"non-finite cost contribution on edge ({e.i}, {e.j})")
+        i, j = g.edge_ids[bad[0]].tolist()
+        raise NumericalError(f"non-finite cost contribution on edge ({i}, {j})")
     return float(np.sum(ev.value)), ev.weight
 
 
 def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> float:
     """Robust objective sum_e rho(||W_e r_e||^2), summed in edge-key order."""
     transforms, _ = _transform_stack(g, config)
-    res, _ = kernels.edge_terms(*_edge_arrays(g, rotations))
+    res, _ = kernels.edge_terms(_node_quats(g, rotations), g.ends, g.quats)
     rw = np.einsum("eab,eb->ea", transforms, res)
     return _robust_cost(g, np.vecdot(rw, rw), config.loss)[0]
 
@@ -326,7 +324,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
     missing = [nid for nid in node_ids if nid not in init]
     if missing:
         raise ValueError(f"initialization missing nodes {missing}")
-    if not g.edges:
+    if not len(g.ends):
         # a connected graph without edges is one node: nothing to average
         return AveragingResult(
             rotations={nid: init[nid] for nid in node_ids},
@@ -337,12 +335,12 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             edge_residual_norms={},
             termination="no_edges",
         )
-    quats, edges_idx, meas = _edge_arrays(g, init)
+    quats = _node_quats(g, init)
     transforms, fallbacks = _transform_stack(g, config)
-    pattern = _normal_pattern(edges_idx, len(node_ids))
+    pattern = _normal_pattern(g.ends, len(node_ids))
 
     def residuals(q):
-        res, amat = kernels.edge_terms(q, edges_idx, meas)
+        res, amat = kernels.edge_terms(q, g.ends, g.quats)
         rw = np.einsum("eab,eb->ea", transforms, res)
         return res, amat, rw, np.vecdot(rw, rw)
 
@@ -398,7 +396,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             break
 
     rotations = dict(zip(node_ids, checked_rotations(quats)))
-    keys = [e.key for e in g.edges]
+    keys = list(map(tuple, g.edge_ids.tolist()))
     edge_weights = dict(zip(keys, lw.tolist()))
     # np.vecdot rounds like the 1-D x @ x inside np.linalg.norm
     edge_residual_norms = dict(zip(keys, np.sqrt(np.vecdot(res, res)).tolist()))
@@ -416,24 +414,23 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
 
 def save_result(result: AveragingResult, path) -> None:
     """Write the result JSON (rotations, cost, diagnostics)."""
+    ids = sorted(result.rotations)
+    keys = sorted(result.edge_weights)
+    quats = np.array([result.rotations[nid].quaternion for nid in ids]).reshape(-1, 4)
+    weights = np.array([result.edge_weights[k] for k in keys], dtype=np.float64)
+    norms = np.array([result.edge_residual_norms[k] for k in keys], dtype=np.float64)
+    refuse_non_finite(path, {"qwxyz": quats}, lambda k: f"node {ids[k]}")
+    refuse_non_finite(path, {"final_cost": [result.final_cost]}, lambda k: "the result")
+    refuse_non_finite(path, {"weight": weights, "residual_norm": norms},
+                      lambda k: "edge ({}, {})".format(*keys[k]))
     write_json({
-        "rotations": [
-            {"id": nid, "qwxyz": result.rotations[nid].quaternion.tolist()}
-            for nid in sorted(result.rotations)
-        ],
-        "final_cost": result.final_cost,
+        "rotations": [{"id": nid, "qwxyz": q} for nid, q in zip(ids, quats.tolist())],
+        "final_cost": float(result.final_cost),
         "iterations": result.outer_iterations,
         "converged": result.converged,
         "termination": result.termination,
-        "edge_weights": [
-            {
-                "i": i,
-                "j": j,
-                "weight": result.edge_weights[(i, j)],
-                "residual_norm": result.edge_residual_norms[(i, j)],
-            }
-            for (i, j) in sorted(result.edge_weights)
-        ],
+        "edge_weights": [{"i": i, "j": j, "weight": w, "residual_norm": r}
+                         for (i, j), w, r in zip(keys, weights.tolist(), norms.tolist())],
     }, path)
 
 

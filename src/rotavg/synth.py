@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .so3 import Rotation, canonical_quats, checked_rotations, quat_conj, quat_exp, quat_mul
+from .so3 import Rotation, canonical_quats, quat_conj, quat_exp, quat_mul
 from .twoview import CameraIntrinsics, TwoViewGeometry
-from .viewgraph import ViewGraph, ViewNode, checked_edges, is_connected
+from .viewgraph import ViewGraph, is_connected
 
 __all__ = ["SynthConfig", "SynthScene", "generate_graph", "generate_two_view_scene"]
 
@@ -92,7 +92,6 @@ def generate_graph(config: SynthConfig) -> SynthScene:
 
     for _ in range(64):
         gt_q = canonical_quats(_unit_rows(rng.normal(size=(config.n_cameras, 4))))
-        nodes = [ViewNode(i, r) for i, r in enumerate(checked_rotations(gt_q))]
         # the loop draws every random number in order; the edge rotations
         # are formed afterwards, all at once
         keys, covs, counts = [], [], []
@@ -122,16 +121,17 @@ def generate_graph(config: SynthConfig) -> SynthScene:
                 keys.append((i, j))
                 edge_sigmas[(i, j)] = sigma_meta
         # inlier R_ij = Exp(eps) R_i R_j^T, each product canonical as Rotation's
-        ij = np.array(keys, dtype=np.int64).reshape(-1, 2)[inlier_rows]
+        ends = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        ij = ends[inlier_rows]
         gt_j_inv = canonical_quats(quat_conj(gt_q[ij[:, 1]]))
         truth = canonical_quats(quat_mul(gt_q[ij[:, 0]], gt_j_inv))
         edge_q = np.empty((len(keys), 4))
         edge_q[inlier_rows] = quat_mul(quat_exp(np.reshape(noise, (-1, 3))), truth)
         edge_q[outlier_rows] = _unit_rows(np.reshape(outlier_q, (-1, 4)))
-        edges = checked_edges([i for i, _ in keys], [j for _, j in keys], checked_rotations(edge_q),
-                              counts, np.reshape(covs, (-1, 3, 3)),
-                              [config.report_true_covariance] * len(keys))
-        graph = ViewGraph(nodes, edges)
+        graph = ViewGraph.from_columns(
+            np.arange(config.n_cameras), ends[:, 0], ends[:, 1], edge_q, gt_quats=gt_q,
+            covariances=np.reshape(covs, (-1, 3, 3)) if config.report_true_covariance else None,
+            inlier_counts=counts)
         if is_connected(graph):
             return SynthScene(
                 graph=graph,

@@ -18,11 +18,24 @@ Correspondence-set JSON schema (consumed by :mod:`rotavg.twoview`)::
 
 with pixel coordinates.
 
+A :class:`ViewGraph` holds its nodes and edges as columns, checked once
+when the graph is built; the loaders, :func:`save_graph`, the solver and
+the tree init read and write the columns.  :class:`ViewNode` and
+:class:`EdgeMeasurement` are the one-record constructors, and the records
+``g.nodes`` and ``g.edges`` return, built on first read.
+
 Graph, correspondence-set and result files (:func:`rotavg.solver.save_result`)
-are written as compact one-line JSON with sorted keys by :func:`write_json`;
-pretty-print one with ``python -m json.tool FILE``.  The writer stays on the
-stdlib ``json.dumps``: orjson's separators and float formatting would change
-the bytes of every output file.  Every loader reads through
+are written by :func:`write_json` as one line of compact JSON with sorted
+keys and a final newline, encoded by orjson; pretty-print one with
+``python -m json.tool FILE``.  Every float is written in the shortest form
+that reads back as the same double, so orjson and the stdlib ``json`` both
+decode it bit for bit.  The notation is orjson's, not ``json.dumps``'s:
+``0.00006078534989628322`` where the stdlib writes
+``6.078534989628322e-05``, and no space after a separator.  Files in the
+stdlib's notation, indented or not, load as before.  JSON has no NaN or
+infinity, and orjson would write one as ``null``, so the writers refuse a
+non-finite float with a :class:`~rotavg.errors.NumericalError` naming the
+file, the field and the record.  Every loader reads through
 :func:`read_json_object`: orjson decodes the file's bytes, and a document
 it rejects is decoded again by the stdlib ``json``, the reference decoder.
 The fallback reads what the program has always accepted and orjson does
@@ -49,12 +62,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import orjson
 
-from .errors import DisconnectedGraphError, SchemaError, raise_first_failure
+from .errors import DisconnectedGraphError, NumericalError, SchemaError, raise_first_failure
 from .so3 import (Rotation, _quaternion_checks, canonical_quats, checked_rotations, quat_conj,
                   quat_mul)
 from .twoview import CameraIntrinsics, TwoViewGeometry, _intrinsics_checks
@@ -69,7 +83,6 @@ __all__ = [
     "connected_components",
     "check_connected",
     "is_connected",
-    "edge_data",
     "spanning_tree_init",
 ]
 
@@ -78,12 +91,20 @@ _NEGATIVE_ID = "node id must be non-negative, got {id}"
 # integer fields must lie below this: orjson reads a larger integer as a float, the stdlib
 # as an int, and numpy stores an int at or above it in an array as a float
 INT_LIMIT = 2**63
-# optional edge datum a weighting or tree criterion reads -> (its name in messages, its shape)
-EDGE_DATA = {"inlier_count": ("inlier count", ()), "covariance": ("covariance", (3, 3))}
+# optional edge datum a weighting or tree criterion reads -> its name in messages
+EDGE_DATA = {"inlier_count": "inlier count", "covariance": "covariance"}
 # spanning-tree criterion -> the edge datum its weight reads (None: unit weight), in the
 # order default_tree_criterion prefers them; "auto" picks the first all edges carry
 _TREE_DATA = {"inlier_count": "inlier_count", "inverse_cov_trace": "covariance", "unit": None}
 TREE_CRITERIA = ("auto", *_TREE_DATA)
+# what a column holds where its datum is absent: values every rule accepts
+_IDENTITY = [1.0, 0.0, 0.0, 0.0]
+_EYE = np.eye(3).reshape(9).tolist()
+
+
+def _id_rules(ids):
+    """(message, passed) for each rule a node id (one, or an (N,) array) must pass."""
+    return [(_NEGATIVE_ID, ids >= 0), ("node id must be below 2**63, got {id}", ids < INT_LIMIT)]
 
 
 @dataclass(frozen=True)
@@ -92,16 +113,17 @@ class ViewNode:
     gt_rotation: Optional[Rotation] = None
 
     def __post_init__(self):
-        if self.id < 0:
-            raise SchemaError(_NEGATIVE_ID.format(id=self.id))
+        for message, passed in _id_rules(self.id):
+            if not passed:
+                raise SchemaError(message.format(id=self.id))
 
 
 class EdgeMeasurement:
     """Relative-rotation measurement R_ij ~ R_i R_j^T with optional covariance.
 
-    The covariance must be finite, symmetric and positive definite.
-    :func:`checked_edges` builds many edges under the same rules
-    (:func:`_edge_checks`); :func:`edge_data` reads one field of all edges.
+    The covariance must be finite, symmetric and positive definite, and the
+    inlier count non-negative and below 2**63.  A :class:`ViewGraph` checks
+    all its edges at once under the same rules (:func:`_edge_checks`).
     """
 
     __slots__ = ("i", "j", "rotation", "covariance", "inlier_count")
@@ -112,21 +134,8 @@ class EdgeMeasurement:
         for message, passed in _edge_checks(i, j, 0 if count is None else count, c):
             if not passed:
                 raise SchemaError(message.format(i=i, j=j))
-        self._set(int(i), int(j), rotation, c, count)
-
-    def _set(self, i, j, rotation, covariance, inlier_count):
-        self.i = i
-        self.j = j
-        self.rotation = rotation
-        self.covariance = covariance
-        self.inlier_count = inlier_count
-
-    @classmethod
-    def _trusted(cls, i, j, rotation, covariance, inlier_count) -> "EdgeMeasurement":
-        """Build an edge unchecked; fed only by :func:`_edges`."""
-        e = object.__new__(cls)
-        e._set(i, j, rotation, covariance, inlier_count)
-        return e
+        self.i, self.j, self.rotation, self.covariance, self.inlier_count = (
+            int(i), int(j), rotation, c, count)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -137,13 +146,14 @@ def _edge_checks(i, j, inlier_count, covariance):
     """Yield (message, passed) for each rule an edge must pass, in check order.
 
     One edge passes scalars and a covariance that is None or an array, and
-    stops at the first rule it fails.  A batch passes (E,) arrays (0 for an
-    absent count) and an (E, 3, 3) stack (a valid matrix for an absent
-    covariance), and gets (E,) masks; its matrices that are not finite are
-    left out of the later rules.  ``message`` is formatted with ``i`` and ``j``.
+    stops at the first rule it fails.  A batch passes (E,) arrays and an
+    (E, 3, 3) stack, and gets (E,) masks; its matrices that are not finite
+    are left out of the later rules.  ``message`` is formatted with ``i``
+    and ``j``.
     """
     yield "self-loop edge ({i}, {j})", i != j
     yield "edge ({i}, {j}): negative inlier count", inlier_count >= 0
+    yield "edge ({i}, {j}): inlier count must be below 2**63", inlier_count < INT_LIMIT
     c = covariance
     if c is None:
         return
@@ -159,60 +169,200 @@ def _edge_checks(i, j, inlier_count, covariance):
            np.linalg.eigvalsh(c).min(axis=-1) > 0.0)
 
 
-def _edge_rules(i, j, inlier_counts, covariances, has):
-    """:func:`_edge_checks` of E edges; ``covariances`` (E, 3, 3) is read where ``has`` is set."""
-    counts = np.array([0 if n is None else n for n in inlier_counts])
-    stack = np.where(has[:, None, None], covariances, np.eye(3))
-    return _edge_checks(np.array(i), np.array(j), counts, stack)
+def _int_column(values):
+    """Integers as an (N,) int64 array, or an object array when int64 cannot hold one."""
+    try:
+        return np.array(values, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        return np.array(values, dtype=object).reshape(-1)
 
 
-def _edges(i, j, rotations, inlier_counts, covariances, has):
-    """The edges of arrays that passed :func:`_edge_rules`, built unchecked."""
-    covs = [c if h else None for c, h in zip(covariances, has.tolist())]
-    return [EdgeMeasurement._trusted(int(a), int(b), r, c, None if n is None else int(n))
-            for a, b, r, c, n in zip(i, j, rotations, covs, inlier_counts)]
+def _filled(values, has, n, filler):
+    """An optional datum of ``n`` rows as an array holding ``filler`` where the datum
+    is absent, and the (n,) mask of the rows that hold it.  ``values`` None: absent
+    on every row; ``has`` None: present on every row."""
+    filler = np.asarray(filler)
+    if values is None:
+        return np.tile(filler, (n,) + (1,) * filler.ndim), np.zeros(n, dtype=bool)
+    has = np.ones(n, dtype=bool) if has is None else np.asarray(has, dtype=bool).reshape(n)
+    values = np.asarray(values).reshape((n,) + filler.shape)
+    return np.where(has.reshape((n,) + (1,) * filler.ndim), values, filler), has
 
 
-def checked_edges(i, j, rotations, inlier_counts, covariances, has_covariance):
-    """``EdgeMeasurement(i[k], j[k], rotations[k], cov_k, inlier_counts[k])`` for every k.
+def _node_rows(ids, values):
+    """Rows in the sorted int64 ``ids`` of the node ids ``values``, and the mask of
+    those that are nodes."""
+    if values.dtype != np.int64:  # an id int64 cannot hold is no node's
+        values = np.array([v if 0 <= v < INT_LIMIT else -1 for v in values.tolist()],
+                          dtype=np.int64)
+    if not len(ids):
+        return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=bool)
+    rows = np.searchsorted(ids, values).clip(max=len(ids) - 1)
+    return rows, ids[rows] == values
 
-    ``cov_k`` is ``covariances[k]`` (an (E, 3, 3) array) where
-    ``has_covariance[k]`` is set, else None.  All edges are checked at once
-    under the constructor's rules, and the first bad edge raises the error
-    its constructor raises.
-    """
-    has = np.asarray(has_covariance, dtype=bool)
-    covariances = np.asarray(covariances, dtype=np.float64)
-    raise_first_failure(_edge_rules(i, j, inlier_counts, covariances, has), SchemaError,
-                        lambda k: {"i": i[k], "j": j[k]})
-    return _edges(i, j, rotations, inlier_counts, covariances, has)
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 class ViewGraph:
-    """Immutable view graph: nodes indexed by id, edges sorted by (i, j)."""
+    """Immutable view graph held as columns: nodes sorted by id, edges by (i, j).
+
+    Nodes: ``ids`` (N,) int64, and ground-truth quaternions ``gt_quats``
+    (N, 4) where ``has_gt`` is set.  Edges: ``ends`` (E, 2), the node rows
+    of i and j; measured quaternions ``quats`` (E, 4); ``covariances``
+    (E, 3, 3) where ``has_covariance`` is set; ``inlier_counts`` (E,) int64
+    where ``has_inlier_count`` is set.  Quaternions are canonical, and a
+    row without its datum holds the identity or a zero count.  The arrays
+    are read-only.
+
+    ``ViewGraph(nodes, edges)`` takes :class:`ViewNode` and
+    :class:`EdgeMeasurement` records, :meth:`from_columns` arrays; both
+    check every rule once, as arrays.  ``nodes`` and ``edges`` give the
+    graph as records, built on first read.
+    """
 
     def __init__(self, nodes, edges):
-        # each argument is read twice below; a generator would be empty the second time
+        # each argument is read several times below; a generator would be empty the second time
         nodes, edges = list(nodes), list(edges)
-        self.nodes = {n.id: n for n in nodes}
-        if len(self.nodes) != len(nodes):
+        gts = [n.gt_rotation for n in nodes]
+        covs = [e.covariance for e in edges]
+        counts = [e.inlier_count for e in edges]
+        self._build(
+            _int_column([n.id for n in nodes]),
+            np.array([_IDENTITY if r is None else r.quaternion for r in gts]).reshape(-1, 4),
+            np.array([r is not None for r in gts], dtype=bool),
+            _int_column([e.i for e in edges]), _int_column([e.j for e in edges]),
+            np.array([e.rotation.quaternion for e in edges]).reshape(-1, 4),
+            np.array([np.eye(3) if c is None else c for c in covs]).reshape(-1, 3, 3),
+            np.array([c is not None for c in covs], dtype=bool),
+            _int_column([0 if n is None else n for n in counts]),
+            np.array([n is not None for n in counts], dtype=bool))
+
+    @classmethod
+    def from_columns(cls, ids, i, j, quats, *, gt_quats=None, has_gt=None, covariances=None,
+                     has_covariance=None, inlier_counts=None, has_inlier_count=None):
+        """The graph of nodes ``ids`` and edges ``(i[k], j[k], quats[k])``.
+
+        ``gt_quats`` (N, 4), ``covariances`` (E, 3, 3) and ``inlier_counts``
+        (E,) are optional, each read only where its ``has_*`` mask is set
+        (every row when the mask is omitted).  Every record is checked under
+        the rules of :class:`ViewNode`, :class:`~rotavg.so3.Rotation` and
+        :class:`EdgeMeasurement`, all at once: the first bad node, then the
+        first bad edge, raises the SchemaError its record raises on its own
+        (a bad quaternion's message names its node or edge).  The graph rules of
+        ``ViewGraph(nodes, edges)`` follow.
+        """
+        ids, i, j = _int_column(ids), _int_column(i), _int_column(j)
+        gt, has_gt = _filled(gt_quats, has_gt, len(ids), _IDENTITY)
+        cov, has_cov = _filled(covariances, has_covariance, len(i), np.eye(3))
+        counts, has_count = _filled(None if inlier_counts is None else _int_column(inlier_counts),
+                                    has_inlier_count, len(i), 0)
+        g = cls.__new__(cls)
+        g._build(ids, gt, has_gt, i, j, np.asarray(quats, dtype=np.float64).reshape(-1, 4),
+                 cov, has_cov, counts, has_count)
+        return g
+
+    def _build(self, ids, gt_quats, has_gt, i, j, quats, covariances, has_covariance,
+               inlier_counts, has_inlier_count):
+        """Check every record, then :meth:`_assemble`; absent data hold their fillers."""
+        raise_first_failure(
+            [*(("node {id}: " + m, p) for m, p in _quaternion_checks(gt_quats)), *_id_rules(ids)],
+            SchemaError, lambda k: {"id": ids[k]})
+        raise_first_failure(
+            [*(("edge ({i}, {j}): " + m, p) for m, p in _quaternion_checks(quats)),
+             *_edge_checks(i, j, inlier_counts, covariances)],
+            SchemaError, lambda k: {"i": i[k], "j": j[k]})
+        self._assemble(ids, gt_quats, has_gt, i, j, quats, covariances, has_covariance,
+                       inlier_counts, has_inlier_count)
+
+    def _assemble(self, ids, gt_quats, has_gt, i, j, quats, covariances, has_covariance,
+                  inlier_counts, has_inlier_count):
+        """Store columns whose records passed their rules, after the graph rules: unique
+        node ids, then, for the first edge in input order that breaks one, endpoints
+        that are nodes and one edge per unordered pair."""
+        if len(np.unique(ids)) != len(ids):
             raise SchemaError("duplicate node ids")
-        seen_pairs = set()
-        for e in edges:
-            if e.i not in self.nodes or e.j not in self.nodes:
-                raise SchemaError(f"edge ({e.i}, {e.j}): endpoint not in node set")
-            pair = (min(e.i, e.j), max(e.i, e.j))
-            if pair in seen_pairs:
-                raise SchemaError(f"duplicate edge for pair {pair}")
-            seen_pairs.add(pair)
-        self.edges = sorted(edges, key=lambda e: e.key)
+        node_order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[node_order].astype(np.int64)
+        a, found_a = _node_rows(sorted_ids, i)
+        b, found_b = _node_rows(sorted_ids, j)
+        found = found_a & found_b
+        pair = np.where(found, np.minimum(a, b) * len(ids) + np.maximum(a, b),
+                        -1 - np.arange(len(a)))
+        repeat = np.ones(len(pair), dtype=bool)
+        repeat[np.unique(pair, return_index=True)[1]] = False
+        raise_first_failure(
+            [("edge ({i}, {j}): endpoint not in node set", found),
+             ("duplicate edge for pair {pair}", ~repeat)],
+            SchemaError, lambda k: {"i": int(i[k]), "j": int(j[k]),
+                                    "pair": (int(min(i[k], j[k])), int(max(i[k], j[k])))})
+        edge_order = np.lexsort((b, a))
+        self._store(ids=sorted_ids, gt_quats=canonical_quats(gt_quats[node_order]),
+                    has_gt=has_gt[node_order],
+                    ends=np.stack([a, b], axis=1)[edge_order],
+                    quats=canonical_quats(quats[edge_order]),
+                    covariances=covariances[edge_order],
+                    has_covariance=has_covariance[edge_order],
+                    inlier_counts=np.asarray(inlier_counts)[edge_order].astype(np.int64),
+                    has_inlier_count=has_inlier_count[edge_order])
+
+    def _store(self, **columns):
+        for name, column in columns.items():
+            setattr(self, name, _frozen(column))
+
+    def _subgraph(self, node_rows, edge_rows, new_rows) -> "ViewGraph":
+        """The nodes ``node_rows`` and edges ``edge_rows`` (both ascending) as a graph,
+        an edge end's row becoming ``new_rows`` of it; nothing is checked again."""
+        g = ViewGraph.__new__(ViewGraph)
+        g._store(ids=self.ids[node_rows], gt_quats=self.gt_quats[node_rows],
+                 has_gt=self.has_gt[node_rows], ends=new_rows[self.ends[edge_rows]],
+                 quats=self.quats[edge_rows], covariances=self.covariances[edge_rows],
+                 has_covariance=self.has_covariance[edge_rows],
+                 inlier_counts=self.inlier_counts[edge_rows],
+                 has_inlier_count=self.has_inlier_count[edge_rows])
+        return g
 
     @property
     def node_ids(self) -> list[int]:
-        return sorted(self.nodes)
+        return self.ids.tolist()
+
+    @property
+    def edge_ids(self) -> np.ndarray:
+        """(E, 2) node ids (i, j) of the edges."""
+        return self.ids[self.ends]
+
+    def edge_datum(self, datum: str):
+        """The (E,) mask of the edges that carry ``datum`` (a key of :data:`EDGE_DATA`)
+        and its column."""
+        if datum == "inlier_count":
+            return self.has_inlier_count, self.inlier_counts
+        return self.has_covariance, self.covariances
+
+    @cached_property
+    def nodes(self) -> dict[int, ViewNode]:
+        """Node id -> :class:`ViewNode`, in id order."""
+        gts = [Rotation._trusted(q) if h else None
+               for q, h in zip(self.gt_quats, self.has_gt.tolist())]
+        return {nid: ViewNode(nid, r) for nid, r in zip(self.node_ids, gts)}
+
+    @cached_property
+    def edges(self) -> list[EdgeMeasurement]:
+        """The edges as :class:`EdgeMeasurement` records, in (i, j) order; the
+        columns were checked, so the records are not checked again."""
+        covs = [c if h else None for c, h in zip(self.covariances, self.has_covariance.tolist())]
+        counts = [n if h else None for n, h in zip(self.inlier_counts.tolist(),
+                                                   self.has_inlier_count.tolist())]
+        out = []
+        for (i, j), q, c, n in zip(self.edge_ids.tolist(), self.quats, covs, counts):
+            e = EdgeMeasurement.__new__(EdgeMeasurement)
+            e.i, e.j, e.rotation, e.covariance, e.inlier_count = i, j, Rotation._trusted(q), c, n
+            out.append(e)
+        return out
 
     def __repr__(self):
-        return f"ViewGraph(n_nodes={len(self.nodes)}, n_edges={len(self.edges)})"
+        return f"ViewGraph(n_nodes={len(self.ids)}, n_edges={len(self.ends)})"
 
 
 def _float_rows(values, width, flat=False):
@@ -301,12 +451,27 @@ def read_json_object(path, keys) -> dict:
 def write_json(doc, path) -> None:
     """Write ``doc`` as one line of JSON with sorted keys, then a newline.
 
-    ``json.dumps`` without an indent runs CPython's C encoder; ``json.dump``
-    and any indent format every value from Python.
+    orjson writes each float in the shortest form that reads back as the
+    same double.  It writes NaN and infinities as ``null``: callers check
+    their floats first (:func:`refuse_non_finite`).
     """
-    text = json.dumps(doc, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    data = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def refuse_non_finite(path, columns, where) -> None:
+    """Raise NumericalError unless every float of ``columns`` is finite.
+
+    ``columns`` maps a field name to an array with one row per record, in
+    the order they are checked; ``where(k)`` names record k in the message.
+    """
+    for name, values in columns.items():
+        values = np.asarray(values, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))))
+        if len(bad):
+            raise NumericalError(f"{path}: cannot write {name!r} of {where(int(bad[0]))}: "
+                                 "JSON has no non-finite numbers")
 
 
 def json_records(doc, key, fields, path, integers=()) -> list[dict]:
@@ -339,56 +504,54 @@ def json_records(doc, key, fields, path, integers=()) -> list[dict]:
     return records
 
 
-def _nodes_from_records(records) -> list[ViewNode]:
-    ids = [rec["id"] for rec in records]
-    has = [rec.get("gt_qwxyz") is not None for rec in records]
-    q, rules = _quaternion_rules([rec["gt_qwxyz"] if h else (1.0, 0.0, 0.0, 0.0)
-                                  for rec, h in zip(records, has)], "gt_qwxyz", "node {id}")
-    _check_records([*rules, (_NEGATIVE_ID, np.array(ids) >= 0)], records, "gt_qwxyz")
-    gts = iter(checked_rotations(q[has]))
-    return [ViewNode(nid, next(gts) if h else None) for nid, h in zip(ids, has)]
-
-
-def _edges_from_records(records) -> list[EdgeMeasurement]:
-    i, j = [rec["i"] for rec in records], [rec["j"] for rec in records]
-    counts = [rec.get("inliers") for rec in records]
-    covs = [rec.get("cov") for rec in records]
-    has = np.array([c is not None for c in covs], dtype=bool)
-    rows, cov_ok = _float_rows([[0.0] * 9 if c is None else c for c in covs], 9)
-    stack = rows.reshape(-1, 3, 3)
-    q, quaternion_rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz",
-                                            "edge ({i}, {j})")
-    _check_records([("edge ({i}, {j}): 'cov' must be 9 row-major floats", cov_ok),
-                    *quaternion_rules, *_edge_rules(i, j, counts, stack, has)], records, "qwxyz")
-    return _edges(i, j, checked_rotations(q), counts, stack, has)
-
-
 def load_graph(path) -> ViewGraph:
     """Read a graph file.  All records are checked in one pass; the first bad
     one in file order raises the error it would raise on its own."""
     doc = read_json_object(path, ("nodes", "edges"))
-    nodes = _nodes_from_records(json_records(doc, "nodes", ("id",), path, integers=("id",)))
-    edge_records = json_records(doc, "edges", ("i", "j", "qwxyz"), path,
-                                integers=("i", "j", "inliers"))
-    return ViewGraph(nodes, _edges_from_records(edge_records))
+    nodes = json_records(doc, "nodes", ("id",), path, integers=("id",))
+    edges = json_records(doc, "edges", ("i", "j", "qwxyz"), path, integers=("i", "j", "inliers"))
+
+    ids = _int_column([rec["id"] for rec in nodes])
+    gt_values = [rec.get("gt_qwxyz") for rec in nodes]
+    has_gt = np.array([q is not None for q in gt_values], dtype=bool)
+    gt, gt_rules = _quaternion_rules([_IDENTITY if q is None else q for q in gt_values],
+                                     "gt_qwxyz", "node {id}")
+    _check_records([*gt_rules, *_id_rules(ids)], nodes, "gt_qwxyz")
+
+    i, j = _int_column([rec["i"] for rec in edges]), _int_column([rec["j"] for rec in edges])
+    count_values = [rec.get("inliers") for rec in edges]
+    has_count = np.array([n is not None for n in count_values], dtype=bool)
+    counts = _int_column([0 if n is None else n for n in count_values])
+    cov_values = [rec.get("cov") for rec in edges]
+    has_cov = np.array([c is not None for c in cov_values], dtype=bool)
+    rows, cov_ok = _float_rows([_EYE if c is None else c for c in cov_values], 9)
+    covs = rows.reshape(-1, 3, 3)
+    q, quaternion_rules = _quaternion_rules([rec["qwxyz"] for rec in edges], "qwxyz",
+                                            "edge ({i}, {j})")
+    _check_records([("edge ({i}, {j}): 'cov' must be 9 row-major floats", cov_ok),
+                    *quaternion_rules, *_edge_checks(i, j, counts, covs)], edges, "qwxyz")
+    g = ViewGraph.__new__(ViewGraph)
+    g._assemble(ids, gt, has_gt, i, j, q, covs, has_cov, counts, has_count)
+    return g
 
 
 def save_graph(g: ViewGraph, path) -> None:
-    nodes = []
-    for nid in g.node_ids:
-        n = g.nodes[nid]
-        rec = {"id": n.id}
-        if n.gt_rotation is not None:
-            rec["gt_qwxyz"] = n.gt_rotation.quaternion.tolist()
-        nodes.append(rec)
-    edges = []
-    for e in g.edges:
-        rec = {"i": e.i, "j": e.j, "qwxyz": e.rotation.quaternion.tolist()}
-        if e.covariance is not None:
-            rec["cov"] = e.covariance.reshape(9).tolist()
-        if e.inlier_count is not None:
-            rec["inliers"] = e.inlier_count
-        edges.append(rec)
+    ij = g.edge_ids
+    refuse_non_finite(path, {"gt_qwxyz": g.gt_quats}, lambda k: f"node {g.ids[k]}")
+    refuse_non_finite(path, {"qwxyz": g.quats, "cov": g.covariances},
+                      lambda k: "edge ({}, {})".format(*ij[k]))
+    nodes = [{"id": nid, "gt_qwxyz": q} if has else {"id": nid}
+             for nid, q, has in zip(g.node_ids, g.gt_quats.tolist(), g.has_gt.tolist())]
+    # one list per column, not per edge: every list made here is one more object for
+    # the garbage collector to traverse
+    i, j = ij.T.tolist()
+    edges = [{"i": a, "j": b, "qwxyz": q} for a, b, q in zip(i, j, g.quats.tolist())]
+    for rec, cov in zip(itertools.compress(edges, g.has_covariance.tolist()),
+                        g.covariances[g.has_covariance].reshape(-1, 9).tolist()):
+        rec["cov"] = cov
+    for rec, count in zip(itertools.compress(edges, g.has_inlier_count.tolist()),
+                          g.inlier_counts[g.has_inlier_count].tolist()):
+        rec["inliers"] = count
     write_json({"nodes": nodes, "edges": edges}, path)
 
 
@@ -468,51 +631,55 @@ def load_pairs(path) -> list[tuple[tuple[int, int], TwoViewGeometry]]:
 
 def save_pairs(pairs, path) -> None:
     """Inverse of :func:`load_pairs`; pairs = [((i, j), TwoViewGeometry)]."""
-    write_json({"pairs": [{
-        "i": i,
-        "j": j,
-        "K_i": geom.intrinsics_i.k.reshape(9).tolist(),
-        "K_j": geom.intrinsics_j.k.reshape(9).tolist(),
-        "qwxyz": geom.rotation.quaternion.tolist(),
-        "t": geom.translation.tolist(),
-        "matches": geom.matches.tolist(),
-    } for (i, j), geom in pairs]}, path)
+    geoms = [geom for _, geom in pairs]
+    columns = {
+        "K_i": np.array([geom.intrinsics_i.k for geom in geoms]).reshape(-1, 9),
+        "K_j": np.array([geom.intrinsics_j.k for geom in geoms]).reshape(-1, 9),
+        "qwxyz": np.array([geom.rotation.quaternion for geom in geoms]).reshape(-1, 4),
+        "t": np.array([geom.translation for geom in geoms]).reshape(-1, 3),
+    }
+    matches_finite = [0.0 if np.isfinite(geom.matches).all() else np.nan for geom in geoms]
+    refuse_non_finite(path, {**columns, "matches": matches_finite},
+                      lambda k: "pair ({}, {})".format(*pairs[k][0]))
+    records = [{"i": i, "j": j, "matches": geom.matches.tolist()} for (i, j), geom in pairs]
+    for name, column in columns.items():
+        for rec, value in zip(records, column.tolist()):
+            rec[name] = value
+    write_json({"pairs": records}, path)
 
 
-def _find(parent: dict[int, int], a: int) -> int:
-    """Root of ``a`` in the union-find forest ``parent`` (path halving)."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
+def _component_roots(g: ViewGraph) -> np.ndarray:
+    """(N,) row of the first node (the smallest id) of each node's connected component.
 
-
-def _union(parent: dict[int, int], a: int, b: int) -> bool:
-    """Join the sets of a and b under the smaller root; False if already one."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
-    parent[max(ra, rb)] = min(ra, rb)
-    return True
-
-
-def _component_forest(g: ViewGraph) -> dict[int, int]:
-    """Union-find forest over all edges; each root is its component's smallest id."""
-    parent = {nid: nid for nid in g.nodes}
-    for e in g.edges:
-        _union(parent, e.i, e.j)
-    return parent
+    Each pass hooks the larger of the two roots of every edge whose ends
+    have different roots to the smallest root it meets, then points every
+    node at its new root; each root only ever moves to a smaller row, and
+    every component that meets another merges, so the passes are
+    logarithmically many.
+    """
+    root = np.arange(len(g.ids))
+    a, b = g.ends.T
+    while True:
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        if not cross.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[cross], np.minimum(ra, rb)[cross])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 def is_connected(g: ViewGraph) -> bool:
     """True when the graph has exactly one connected component."""
-    parent = _component_forest(g)
-    return len({_find(parent, nid) for nid in g.nodes}) == 1
+    return bool(len(g.ids)) and not _component_roots(g).any()
 
 
 def check_connected(g: ViewGraph) -> None:
     """Raise :class:`DisconnectedGraphError` unless ``g`` has exactly one component."""
-    if not g.nodes:
+    if not len(g.ids):
         raise DisconnectedGraphError("graph has no nodes")
     if not is_connected(g):
         raise DisconnectedGraphError(
@@ -521,24 +688,37 @@ def check_connected(g: ViewGraph) -> None:
 
 def connected_components(g: ViewGraph) -> list[ViewGraph]:
     """Partition into connected components, ordered by smallest node id."""
-    parent = _component_forest(g)
-    nodes: dict[int, list[ViewNode]] = {}
-    for nid in g.node_ids:
-        nodes.setdefault(_find(parent, nid), []).append(g.nodes[nid])
-    edges: dict[int, list[EdgeMeasurement]] = {root: [] for root in nodes}
-    for e in g.edges:
-        edges[_find(parent, e.i)].append(e)
-    return [ViewGraph(nodes[root], edges[root]) for root in sorted(nodes)]
+    if not len(g.ids):
+        return []
+    roots = _component_roots(g)
+    # nodes and edges grouped by component, each group in the graph's own order
+    node_order = np.argsort(roots, kind="stable")
+    edge_roots = roots[g.ends[:, 0]]
+    edge_order = np.argsort(edge_roots, kind="stable")
+    firsts = np.flatnonzero(roots == np.arange(len(roots)))
+    sizes = np.bincount(roots)[firsts]
+    new_rows = np.empty(len(roots), dtype=np.int64)
+    new_rows[node_order] = np.arange(len(roots)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    edge_splits = np.cumsum(np.bincount(edge_roots, minlength=len(roots))[firsts])[:-1]
+    return [g._subgraph(nodes, edges, new_rows) for nodes, edges in
+            zip(np.split(node_order, np.cumsum(sizes)[:-1]), np.split(edge_order, edge_splits))]
 
 
-def edge_data(g: ViewGraph, datum: str):
-    """The (E,) mask of the edges of ``g`` that carry ``datum`` (a key of
-    :data:`EDGE_DATA`: ``"inlier_count"`` or ``"covariance"``), and the float
-    stack of their values in edge order."""
-    values = [getattr(e, datum) for e in g.edges]
-    has = np.array([v is not None for v in values], dtype=bool)
-    stack = np.array([v for v in values if v is not None], dtype=np.float64)
-    return has, stack.reshape((-1,) + EDGE_DATA[datum][1])
+def _find(parent: list[int], a: int) -> int:
+    """Root of ``a`` in the union-find forest ``parent`` (path halving)."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the sets of a and b under the smaller root; False if already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[max(ra, rb)] = min(ra, rb)
+    return True
 
 
 def _tree_weights(g: ViewGraph, criterion: str):
@@ -547,26 +727,35 @@ def _tree_weights(g: ViewGraph, criterion: str):
         raise ValueError(f"unknown spanning-tree criterion {criterion!r}")
     datum = _TREE_DATA[criterion]
     if datum is None:
-        return np.ones(len(g.edges))
-    has, values = edge_data(g, datum)
+        return np.ones(len(g.ends))
+    has, values = g.edge_datum(datum)
     if not has.all():
-        e = g.edges[int(np.argmin(has))]
-        raise ValueError(f"edge ({e.i}, {e.j}) has no {EDGE_DATA[datum][0]}")
-    return values if datum == "inlier_count" else 1.0 / np.trace(values, axis1=1, axis2=2)
+        i, j = g.edge_ids[np.argmin(has)].tolist()
+        raise ValueError(f"edge ({i}, {j}) has no {EDGE_DATA[datum]}")
+    if datum == "inlier_count":
+        return values.astype(np.float64)
+    return 1.0 / np.trace(values, axis1=1, axis2=2)
 
 
 def default_tree_criterion(g: ViewGraph) -> str:
     """Prefer inlier counts, then inverse covariance trace, then unit weight:
     the first criterion whose datum every edge carries."""
     return next(criterion for criterion, datum in _TREE_DATA.items()
-                if datum is None or (g.edges and edge_data(g, datum)[0].all()))
+                if datum is None or (len(g.ends) and g.edge_datum(datum)[0].all()))
+
+
+def _tree_rows(g: ViewGraph, criterion: str) -> list[int]:
+    """Edge rows of the Kruskal maximum spanning tree; ties break on (i, j), the
+    edges' own order."""
+    parent = list(range(len(g.ids)))
+    a, b = g.ends.T.tolist()
+    ranked = np.argsort(-_tree_weights(g, criterion), kind="stable").tolist()
+    return [k for k in ranked if _union(parent, a[k], b[k])]
 
 
 def maximum_spanning_tree(g: ViewGraph, criterion: str) -> list[EdgeMeasurement]:
-    """Kruskal maximum spanning tree; ties break on (i, j), the edges' own order."""
-    parent = {nid: nid for nid in g.nodes}
-    ranked = [g.edges[k] for k in np.argsort(-_tree_weights(g, criterion), kind="stable")]
-    return [e for e in ranked if _union(parent, e.i, e.j)]
+    """The edges of the Kruskal maximum spanning tree, in the order it takes them."""
+    return [g.edges[k] for k in _tree_rows(g, criterion)]
 
 
 def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotation]:
@@ -586,20 +775,18 @@ def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotat
     check_connected(g)
     if criterion == "auto":
         criterion = default_tree_criterion(g)
-    tree = maximum_spanning_tree(g, criterion)
-    ids = sorted(g.nodes)
-    index = {nid: k for k, nid in enumerate(ids)}
-    ends = np.array([(index[e.i], index[e.j]) for e in tree], dtype=np.intp).reshape(-1, 2)
-    q = np.array([e.rotation.quaternion for e in tree]).reshape(-1, 4)
+    tree = _tree_rows(g, criterion)
+    ends = g.ends[tree].reshape(-1, 2)
+    q = g.quats[tree].reshape(-1, 4)
     # each tree edge both ways: R_ij = R_i R_j^T  =>  R_j = R_ij^T R_i,  R_i = R_ij R_j
     src, dst = np.concatenate([ends, ends[:, ::-1]]).T
     rel = np.concatenate([canonical_quats(quat_conj(q)), q])
-    quats = np.empty((len(ids), 4))
+    quats = np.empty((len(g.ids), 4))
     quats[0] = (1.0, 0.0, 0.0, 0.0)
-    reached = np.arange(len(ids)) == 0
+    reached = np.arange(len(g.ids)) == 0
     while not reached.all():
         # one tree level per pass: a node not yet reached has at most one reached neighbor
         step = reached[src] & ~reached[dst]
         quats[dst[step]] = canonical_quats(quat_mul(rel[step], quats[src[step]]))
         reached[dst[step]] = True
-    return dict(zip(ids, checked_rotations(quats)))
+    return dict(zip(g.node_ids, checked_rotations(quats)))

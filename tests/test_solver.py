@@ -191,8 +191,8 @@ def test_one_loss_call_per_reweighting(monkeypatch):
 def test_cost_without_edges_is_zero():
     g = ViewGraph([ViewNode(0)], [])
     assert cost(g, {0: Rotation.identity()}, SolverConfig(loss=MAGSAC_RAW)) == 0.0
-    quats, edges_idx, meas = solver_mod._edge_arrays(g, {0: Rotation.identity()})
-    assert (quats.shape, edges_idx.shape, meas.shape) == ((1, 4), (0, 2), (0, 4))
+    quats = solver_mod._node_quats(g, {0: Rotation.identity()})
+    assert (quats.shape, g.ends.shape, g.quats.shape) == ((1, 4), (0, 2), (0, 4))
 
 
 def test_solve_reduces_cost_from_init():
@@ -268,6 +268,21 @@ def test_relabelling_and_edge_flips_leave_the_solve_unchanged(loss, weighting, s
     assert abs(moved.final_cost - base.final_cost) <= 1e-12 * base.final_cost
     for nid in g.node_ids:
         assert geodesic_angle(base.rotations[nid], moved.rotations[label[nid]]) <= 1e-9, nid
+
+
+def test_result_keys_are_node_ids_not_rows():
+    """Edge weights and residual norms are keyed by node ids when the ids are not 0..n-1;
+    an order-preserving relabelling leaves every value bit for bit."""
+    g = _noisy_scene(3).graph
+    label = {nid: 7 * nid + 100 for nid in g.node_ids}
+    config = SolverConfig(loss=MAGSAC_RAW, weighting="cov_full")
+    init = spanning_tree_init(g, "auto")
+    base = solve(g, init, config)
+    moved = solve(_relabelled(g, label, [False] * len(g.edges)),
+                  {label[nid]: r for nid, r in init.items()}, config)
+    for got, ref in ((moved.edge_weights, base.edge_weights),
+                     (moved.edge_residual_norms, base.edge_residual_norms)):
+        assert list(got.items()) == [((label[i], label[j]), v) for (i, j), v in ref.items()]
 
 
 def test_determinism_bitwise():
@@ -570,9 +585,10 @@ def test_retry_factors_the_assembled_matrix(monkeypatch):
 
 def _normal_equations_at_init(g, config):
     """The pattern, block values and gradient of the first step of ``solve`` on ``g``."""
-    quats, edges_idx, meas = solver_mod._edge_arrays(g, spanning_tree_init(g, "auto"))
+    quats = solver_mod._node_quats(g, spanning_tree_init(g, "auto"))
+    edges_idx = g.ends
     transforms, _ = solver_mod._transform_stack(g, config)
-    res, amat = kernels.edge_terms(quats, edges_idx, meas)
+    res, amat = kernels.edge_terms(quats, edges_idx, g.quats)
     rw = np.einsum("eab,eb->ea", transforms, res)
     _, lw = solver_mod._robust_cost(g, np.vecdot(rw, rw), config.loss)
     pattern = solver_mod._normal_pattern(edges_idx, len(g.nodes))
@@ -650,7 +666,7 @@ def test_edge_residual_norms_match_linalg_norm():
     g = scene.graph
     result = solve(g, spanning_tree_init(g, "auto"),
                    SolverConfig(loss=MAGSAC_RAW, weighting="cov_full"))
-    res, _ = kernels.edge_terms(*solver_mod._edge_arrays(g, result.rotations))
+    res, _ = kernels.edge_terms(solver_mod._node_quats(g, result.rotations), g.ends, g.quats)
     for k, e in enumerate(g.edges):
         assert result.edge_residual_norms[e.key] == float(np.linalg.norm(res[k])), e.key
 

@@ -1,8 +1,10 @@
 """View graph: schema, serialization, connectivity, spanning-tree init."""
 
+import dataclasses
 import itertools
 import json
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,16 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotavg.errors import SchemaError
+import rotavg.cli as cli
+from rotavg.errors import NumericalError, SchemaError
+from rotavg.losses import LossSpec
 from rotavg.so3 import Rotation, exp_so3, relative_residual
-from rotavg.solver import SolverConfig, load_result_rotations, save_result, solve
+from rotavg.solver import (AveragingResult, SolverConfig, load_result_rotations, save_result,
+                           solve)
 from rotavg.synth import DEFAULT_INTRINSICS, SynthConfig, generate_graph, generate_two_view_scene
 from rotavg.twoview import CameraIntrinsics, TwoViewGeometry, whitener_from_covariance
 from rotavg.viewgraph import (
     EdgeMeasurement,
     ViewGraph,
     ViewNode,
-    checked_edges,
     connected_components,
     default_tree_criterion,
     load_graph,
@@ -269,26 +273,111 @@ def test_load_graph_names_first_bad_node(tmp_path):
         load_graph(path)
 
 
-def test_checked_edges_match_constructor():
-    rng = np.random.default_rng(9)
-    records = _edge_records(rng, n=12)
-    i = [r["i"] for r in records]
-    j = [r["j"] for r in records]
-    rotations = [random_rotation(rng) for _ in records]
+_COLUMNS = ("ids", "gt_quats", "has_gt", "ends", "quats", "covariances", "has_covariance",
+            "inlier_counts", "has_inlier_count")
+
+
+def _columns(g):
+    return [(name, getattr(g, name).dtype, getattr(g, name).shape, getattr(g, name).tobytes())
+            for name in _COLUMNS]
+
+
+def _graph_records(rng, n=12):
+    """Nodes and edges of a valid ring as plain values: (ids, gts, i, j, quats, covs, counts),
+    None where a node has no ground truth or an edge no covariance or count."""
+    records = _edge_records(rng, n=n)
+    ids = rng.permutation(n).tolist()  # nodes out of id order
+    gts = [random_rotation(rng).quaternion if k % 2 else None for k in range(n)]
+    records = records[::-1]  # edges out of (i, j) order
+    covs = [np.array(r["cov"]).reshape(3, 3) if k % 4 != 1 else None for k, r in enumerate(records)]
     counts = [r["inliers"] if k % 3 else None for k, r in enumerate(records)]
-    covs = np.array([r["cov"] for r in records]).reshape(-1, 3, 3)
-    has = [k % 4 != 1 for k in range(len(records))]
-    covs[~np.array(has)] = np.nan  # ignored where there is no covariance
-    edges = checked_edges(i, j, rotations, counts, covs, has)
-    for k, e in enumerate(edges):
-        ref = EdgeMeasurement(i[k], j[k], rotations[k], covs[k] if has[k] else None, counts[k])
+    return [ids, gts, [r["i"] for r in records], [r["j"] for r in records],
+            [random_rotation(rng).quaternion for _ in records], covs, counts]
+
+
+def _from_records(ids, gts, i, j, quats, covs, counts):
+    nodes = [ViewNode(nid, None if q is None else Rotation(q)) for nid, q in zip(ids, gts)]
+    edges = [EdgeMeasurement(a, b, Rotation(q), c, n)
+             for a, b, q, c, n in zip(i, j, quats, covs, counts)]
+    return ViewGraph(nodes, edges)
+
+
+def _from_columns(ids, gts, i, j, quats, covs, counts):
+    return ViewGraph.from_columns(
+        ids, i, j, quats,
+        gt_quats=[np.full(4, np.nan) if q is None else q for q in gts],
+        has_gt=[q is not None for q in gts],
+        covariances=[np.full((3, 3), np.nan) if c is None else c for c in covs],
+        has_covariance=[c is not None for c in covs],
+        inlier_counts=[-1 if n is None else n for n in counts],
+        has_inlier_count=[n is not None for n in counts])
+
+
+def _built(build, values):
+    try:
+        return _columns(build(*values))
+    except SchemaError as exc:
+        return str(exc)
+
+
+def test_records_and_columns_build_the_same_graph():
+    values = _graph_records(np.random.default_rng(9))
+    g, h = _from_records(*values), _from_columns(*values)
+    assert _columns(g) == _columns(h)
+    assert g.node_ids == sorted(values[0])
+    assert [e.key for e in h.edges] == sorted(zip(values[2], values[3]))
+    for e, ref in zip(h.edges, g.edges):
         assert (e.key, e.rotation, e.inlier_count) == (ref.key, ref.rotation, ref.inlier_count)
         assert (e.covariance is None) == (ref.covariance is None)
         assert e.covariance is None or e.covariance.tobytes() == ref.covariance.tobytes()
-    covs[6, 0, 2] = np.nan
-    covs[8] = np.diag([1.0, 0.0, 1.0])
-    with pytest.raises(SchemaError, match=r"^edge \(6, 7\): covariance has non-finite entries$"):
-        checked_edges(i, j, rotations, counts, covs, has)
+    assert h.nodes == g.nodes
+    assert [nid for nid, n in h.nodes.items() if n.gt_rotation is not None] == sorted(
+        nid for nid, q in zip(values[0], values[1]) if q is not None)
+
+
+def _break_column(values, what, k):
+    """Make record k of the columns ``values`` break the rule ``what``."""
+    ids, gts, i, j, quats, covs, counts = values
+    if what == "negative id":
+        ids[k] = -3
+    elif what == "large id":
+        ids[k] = 2**63
+    elif what == "duplicate id":
+        ids[k] = ids[k - 1]
+    elif what == "self-loop":
+        j[k] = i[k]
+    elif what == "negative count":
+        counts[k] = -1
+    elif what == "large count":
+        counts[k] = 2**64
+    elif what == "dangling":
+        j[k] = 2**70
+    elif what == "duplicate pair":
+        i[k], j[k] = j[k - 1], i[k - 1]
+    else:
+        covs[k] = np.eye(3)
+        covs[k][1, 2] = {"non-finite cov": np.inf, "asymmetric cov": 1e-6,
+                         "not-PD cov": 2.0}[what]
+        if what == "not-PD cov":
+            covs[k][2, 1] = 2.0
+
+
+@pytest.mark.parametrize("first, second", [
+    ("self-loop", None), ("negative count", None), ("large count", None),
+    ("non-finite cov", None), ("asymmetric cov", None), ("not-PD cov", None),
+    ("negative id", None), ("large id", None), ("duplicate id", None), ("dangling", None),
+    ("duplicate pair", None), ("not-PD cov", "self-loop"), ("dangling", "duplicate pair"),
+    ("duplicate pair", "negative count"), ("negative id", "non-finite cov")])
+def test_records_and_columns_raise_the_same_error(first, second):
+    """The first bad record raises, from columns, the error its own constructor
+    or ``ViewGraph(nodes, edges)`` raises."""
+    values = _graph_records(np.random.default_rng(10))
+    _break_column(values, first, 4)
+    if second:
+        _break_column(values, second, 7)
+    expected = _built(_from_records, values)
+    assert isinstance(expected, str)
+    assert _built(_from_columns, values) == expected
 
 
 def test_pairs_round_trip(tmp_path):
@@ -315,6 +404,9 @@ def test_pairs_round_trip(tmp_path):
         load_pairs(bad)
 
 
+_WRITE_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+
+
 def _indented(path):
     """Rewrite a file in the indented layout of earlier releases; return the compact text."""
     text = path.read_text()
@@ -339,7 +431,8 @@ def test_files_are_compact_json_and_indented_files_still_load(tmp_path):
     save_result(result, paths["result"])
     for path in paths.values():
         text = path.read_text()
-        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        # the stdlib decodes what orjson wrote to values orjson writes back byte for byte
+        assert text == orjson.dumps(json.loads(text), option=_WRITE_OPTIONS).decode()
         assert text.count("\n") == 1
 
     def graph_values(h):
@@ -807,3 +900,205 @@ def test_init_rejects_disconnected_graph():
                    EdgeMeasurement(2, 3, Rotation.identity())])
     with pytest.raises(ValueError, match="connected_components"):
         spanning_tree_init(g, "unit")
+
+
+# ---------------------------------------------------------------------------
+# writers: orjson, floats bit for bit, nothing non-finite
+# ---------------------------------------------------------------------------
+
+
+def test_save_graph_refuses_non_finite_floats(tmp_path):
+    g = ViewGraph([ViewNode(0, Rotation.identity()), ViewNode(1)],
+                  [EdgeMeasurement(0, 1, Rotation.identity(), covariance=np.eye(3))])
+    bad = g.covariances.copy()
+    bad[0, 1, 1] = np.inf
+    g.covariances = bad  # the constructors reject it; stand in for a column gone bad
+    path = tmp_path / "g.json"
+    with pytest.raises(NumericalError, match=r"g\.json: cannot write 'cov' of edge \(0, 1\)"):
+        save_graph(g, path)
+    assert not path.exists()
+
+
+def test_save_result_refuses_non_finite_floats(tmp_path):
+    result = AveragingResult(rotations={0: Rotation.identity(), 1: Rotation.identity()},
+                             final_cost=0.5, outer_iterations=1, converged=True,
+                             edge_weights={(0, 1): np.nan}, edge_residual_norms={(0, 1): 0.1})
+    path = tmp_path / "r.json"
+    with pytest.raises(NumericalError, match=r"cannot write 'weight' of edge \(0, 1\)"):
+        save_result(result, path)
+    with pytest.raises(NumericalError, match=r"cannot write 'final_cost' of the result"):
+        save_result(dataclasses.replace(result, final_cost=-np.inf,
+                                        edge_weights={(0, 1): 1.0}), path)
+    assert not path.exists()
+
+
+def test_save_pairs_refuses_non_finite_floats(tmp_path):
+    pairs = [((k, k + 1), generate_two_view_scene(
+        n_points=8, pixel_sigma=0.5, rotation=Rotation.identity(),
+        translation=np.array([1.0, 0.0, 0.2]), seed=k)) for k in range(3)]
+    matches = pairs[1][1].matches.copy()
+    matches[5, 2] = np.nan
+    object.__setattr__(pairs[1][1], "matches", matches)  # TwoViewGeometry rejects it
+    path = tmp_path / "pairs.json"
+    with pytest.raises(NumericalError, match=r"cannot write 'matches' of pair \(1, 2\)"):
+        save_pairs(pairs, path)
+    assert not path.exists()
+
+
+# every finite double, and the ones a float formatter gets wrong first
+_SPECIAL = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1e16,
+            sys.float_info.max, -sys.float_info.max, 0.1, 1.0 / 3.0]
+_FLOATS = st.sampled_from(_SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+_IDS = st.sampled_from([0, 2**63 - 1]) | st.integers(0, 2**63 - 1)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _write_read(save, value, path):
+    save(value, path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_graph_files_round_trip_bit_exact(data):
+    ids = data.draw(st.lists(_IDS, min_size=2, max_size=6, unique=True))
+    n = len(ids)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] < p[1]), unique=True, max_size=8))
+    e = len(pairs)
+    # quaternions near unit norm keep their small and signed-zero entries
+    quat = st.tuples(st.floats(0.5, 2.0), _FLOATS.filter(lambda x: abs(x) <= 1.0),
+                     st.sampled_from(_SPECIAL[:6]), st.floats(-1.0, 1.0))
+    gts = data.draw(st.lists(st.none() | quat, min_size=n, max_size=n))
+    diagonal = st.sampled_from([5e-324, 1e-310, 1e-5, 1e16]) | st.floats(1e-100, 1e100)
+    covs = data.draw(st.lists(st.none() | st.tuples(diagonal, diagonal, diagonal,
+                                                    st.sampled_from([0.0, -0.0])),
+                              min_size=e, max_size=e))
+    counts = data.draw(st.lists(st.none() | _IDS, min_size=e, max_size=e))
+    g = ViewGraph.from_columns(
+        ids, [ids[a] for a, _ in pairs], [ids[b] for _, b in pairs],
+        data.draw(st.lists(quat, min_size=e, max_size=e)),
+        gt_quats=[q or (1.0, 0.0, 0.0, 0.0) for q in gts], has_gt=[q is not None for q in gts],
+        covariances=[np.eye(3) if c is None else
+                     np.diag(c[:3]) + c[3] * (1.0 - np.eye(3)) for c in covs],
+        has_covariance=[c is not None for c in covs],
+        inlier_counts=[0 if c is None else c for c in counts],
+        has_inlier_count=[c is not None for c in counts])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        doc = _write_read(save_graph, g, path)
+        assert _columns(load_graph(path)) == _columns(g)
+    assert [rec["id"] for rec in doc["nodes"]] == g.node_ids
+    assert _bits([rec["gt_qwxyz"] for rec in doc["nodes"] if "gt_qwxyz" in rec]) == \
+        _bits(g.gt_quats[g.has_gt])
+    assert [[rec["i"], rec["j"]] for rec in doc["edges"]] == g.edge_ids.tolist()
+    assert _bits([rec["qwxyz"] for rec in doc["edges"]]) == _bits(g.quats)
+    assert _bits([rec["cov"] for rec in doc["edges"] if "cov" in rec]) == \
+        _bits(g.covariances[g.has_covariance])
+    assert [rec["inliers"] for rec in doc["edges"] if "inliers" in rec] == \
+        g.inlier_counts[g.has_inlier_count].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_IDS, min_size=1, max_size=6, unique=True), st.data())
+def test_result_files_round_trip_bit_exact(ids, data):
+    n = len(ids)
+    quats = data.draw(st.lists(st.tuples(st.floats(0.5, 2.0), *[_FLOATS.filter(
+        lambda x: abs(x) <= 1.0)] * 3), min_size=n, max_size=n))
+    rotations = {nid: Rotation(q) for nid, q in zip(ids, quats)}
+    keys = sorted({(a, b) for a in ids for b in ids if a < b})
+    result = AveragingResult(
+        rotations=rotations, final_cost=data.draw(_FLOATS), outer_iterations=3, converged=False,
+        edge_weights=dict(zip(keys, data.draw(st.lists(_FLOATS, min_size=len(keys),
+                                                        max_size=len(keys))))),
+        edge_residual_norms=dict(zip(keys, data.draw(st.lists(_FLOATS, min_size=len(keys),
+                                                               max_size=len(keys))))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.json"
+        doc = _write_read(save_result, result, path)
+        back = load_result_rotations(path)
+    assert list(back) == sorted(ids)
+    assert all(back[nid].quaternion.tobytes() == rotations[nid].quaternion.tobytes()
+               for nid in ids)
+    assert _bits([rec["qwxyz"] for rec in doc["rotations"]]) == \
+        _bits([rotations[nid].quaternion for nid in sorted(ids)])
+    assert _bits(doc["final_cost"]) == _bits(result.final_cost)
+    assert [(rec["i"], rec["j"]) for rec in doc["edge_weights"]] == keys
+    assert _bits([rec["weight"] for rec in doc["edge_weights"]]) == \
+        _bits([result.edge_weights[k] for k in keys])
+    assert _bits([rec["residual_norm"] for rec in doc["edge_weights"]]) == \
+        _bits([result.edge_residual_norms[k] for k in keys])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_IDS, _IDS), min_size=1, max_size=4), st.data())
+def test_pairs_files_round_trip_bit_exact(keys, data):
+    positive = _FLOATS.filter(lambda x: x > 0.0)
+    pairs = []
+    for key in keys:
+        fx, fy, s, cx, cy = (data.draw(positive), data.draw(positive), data.draw(_FLOATS),
+                             data.draw(_FLOATS), data.draw(_FLOATS))
+        k = CameraIntrinsics(np.array([[fx, s, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]]))
+        rows = data.draw(st.integers(1, 3))
+        matches = np.array(data.draw(st.lists(_FLOATS, min_size=4 * rows, max_size=4 * rows)))
+        t = np.array(data.draw(st.tuples(st.floats(0.5, 2.0), _FLOATS.filter(
+            lambda x: abs(x) <= 1.0), st.sampled_from(_SPECIAL[:6]))))
+        pairs.append((key, TwoViewGeometry(Rotation(t.tolist() + [0.25]), t, k, k,
+                                           matches.reshape(rows, 4))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.json"
+        doc = _write_read(save_pairs, pairs, path)
+        back = load_pairs(path)
+    assert [key for key, _ in back] == keys
+    for (_, a), (_, b), rec in zip(pairs, back, doc["pairs"]):
+        assert b.intrinsics_i.k.tobytes() == a.intrinsics_i.k.tobytes()
+        assert b.rotation.quaternion.tobytes() == a.rotation.quaternion.tobytes()
+        assert b.matches.tobytes() == a.matches.tobytes()
+        for name, value in (("K_i", a.intrinsics_i.k), ("K_j", a.intrinsics_j.k),
+                            ("qwxyz", a.rotation.quaternion), ("t", a.translation),
+                            ("matches", a.matches)):
+            assert _bits(rec[name]) == _bits(value.reshape(np.shape(rec[name]))), name
+
+
+# ---------------------------------------------------------------------------
+# the column path builds no per-edge object
+# ---------------------------------------------------------------------------
+
+
+def test_pipeline_builds_no_per_edge_objects(tmp_path, monkeypatch):
+    scene = generate_graph(SynthConfig(n_cameras=12, edge_density=0.6,
+                                       noise_sigmas_deg=((1.0, 1.0),), seed=4))
+    n = len(scene.graph.ids)
+    assert len(scene.graph.ends) > 2 * n  # so a per-edge object outnumbers the per-node ones
+    graph, out = tmp_path / "g.json", tmp_path / "out.json"
+    save_graph(scene.graph, graph)
+    pairs_path = tmp_path / "pairs.json"
+    rng = np.random.default_rng(4)
+    save_pairs([((k, k + 1), generate_two_view_scene(
+        n_points=12, pixel_sigma=0.5, rotation=moderate_rotation(rng),
+        translation=np.array([1.0, 0.0, 0.2]), seed=k)) for k in range(3 * n)], pairs_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a per-edge record")
+
+    monkeypatch.setattr(ViewGraph, "edges", property(refuse))
+    monkeypatch.setattr(ViewGraph, "nodes", property(refuse))
+    monkeypatch.setattr(EdgeMeasurement, "__init__", refuse)
+    made = []
+    real_init, real_trusted = Rotation.__init__, Rotation._trusted.__func__
+    monkeypatch.setattr(Rotation, "__init__", lambda r, q: made.append(1) or real_init(r, q))
+    monkeypatch.setattr(Rotation, "_trusted",
+                        classmethod(lambda cls, q: made.append(1) or real_trusted(cls, q)))
+
+    g = load_graph(graph)
+    save_graph(g, out)
+    assert len(made) == 0
+    init = spanning_tree_init(g)
+    assert len(made) == n
+    solve(g, init, SolverConfig(loss=LossSpec("magsac", scale=3.0), weighting="cov_full"))
+    assert len(made) == 2 * n
+    # weigh: load_pairs makes one rotation per pair, as its geometries hold them
+    assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", str(out)]) == 0
