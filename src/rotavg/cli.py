@@ -127,7 +127,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     _add_loss_flags(p)
-    p.add_argument("--init-criterion", choices=TREE_CRITERIA, default="auto")
+    p.add_argument("--init-criterion", choices=TREE_CRITERIA, default="auto",
+                   help="spanning-tree edge weight: 'auto' weighs inlier counts when every "
+                        "edge has one and all edges alike otherwise; 'unit' weighs all alike")
     p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer_irls)
 
     p = sub.add_parser("evaluate", help="compare a result against ground truth")

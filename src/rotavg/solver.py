@@ -70,7 +70,10 @@ the step treats like a rejected trial (grow lambda, retry).
 A trial that is accepted keeps its residuals and Jacobian blocks, which
 give the next re-weighting and assemble the next normal equations, so each
 trial costs one :func:`~rotavg.kernels.edge_terms` evaluation and each
-outer iteration one assembly.
+outer iteration one assembly.  A loss value, IRLS weight or assembled
+entry that is not finite (a loss scale so small that the loss overflows)
+raises :class:`~rotavg.errors.NumericalError` naming an edge; the loss and
+the assembly run under ``np.errstate``, so the overflow warns nothing.
 
 Before a trial, the step compares the decrease predicted by the
 damped Gauss-Newton model of ``1/2 sum_e w_e ||r_e||^2``,
@@ -91,13 +94,13 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import kernels
-from .errors import ConfigurationError, NumericalError, SchemaError
+from .errors import ConfigurationError, NumericalError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
 from .viewgraph import (EDGE_DATA, ViewGraph, _check_records, _quaternion_rules,
-                        check_connected, json_records, read_json_object, refuse_non_finite,
-                        write_json)
+                        check_connected, check_unique_ids, json_records, read_json_object,
+                        refuse_non_finite, write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -203,14 +206,22 @@ def _node_quats(g: ViewGraph, rotations: dict[int, Rotation]):
 def _robust_cost(g: ViewGraph, sq, loss: LossSpec):
     """sum_e rho(sq_e) and the IRLS weights, from one loss evaluation.
 
-    ``sq`` holds the squared weighted residual norms ||rw_e||^2.
+    ``sq`` holds the squared weighted residual norms ||rw_e||^2.  A loss scale
+    small enough to overflow the loss shows here as a non-finite value or
+    weight, which raises NumericalError naming the first such edge.
     """
-    ev = evaluate_loss(loss, sq)
-    bad = np.flatnonzero(~np.isfinite(ev.value))
-    if bad.size:
-        i, j = g.edge_ids[bad[0]].tolist()
-        raise NumericalError(f"non-finite cost contribution on edge ({i}, {j})")
+    with np.errstate(all="ignore"):
+        ev = evaluate_loss(loss, sq)
+    for what, values in (("cost contribution", ev.value), ("IRLS weight", ev.weight)):
+        _refuse_non_finite_edges(g, what, ~np.isfinite(values))
     return float(np.sum(ev.value)), ev.weight
+
+
+def _refuse_non_finite_edges(g: ViewGraph, what: str, bad) -> None:
+    """Raise NumericalError naming the first edge of the (E,) mask ``bad``, if any."""
+    if bad.any():
+        i, j = g.edge_ids[np.argmax(bad)].tolist()
+        raise NumericalError(f"non-finite {what} on edge ({i}, {j})")
 
 
 def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> float:
@@ -290,6 +301,26 @@ def _edge_blocks(b, rw, lw, pattern: _Pattern):
     return (diag, -btb.ravel()), grad
 
 
+def _check_normal_equations(g: ViewGraph, blocks, grad) -> None:
+    """Raise NumericalError naming an edge when the assembled system is not finite.
+
+    Only the (9 n,) diagonal bins and the (3 n,) gradient are checked: an
+    edge's off-diagonal entries are its diagonal contributions negated, and a
+    sum with a non-finite term is not finite, so the bins cover every block.
+    The edge named is the first with a non-finite block, else the first at a
+    node whose diagonal sum or gradient is not finite.
+    """
+    diag, off = blocks
+    if np.isfinite(diag).all() and np.isfinite(grad).all():
+        return
+    bad_edge = ~np.isfinite(off.reshape(-1, 9)).all(axis=1)
+    if not bad_edge.any():  # every block is finite: a diagonal sum or the gradient is not
+        bad_node = ~(np.isfinite(diag.reshape(-1, 9)).all(axis=1)
+                     & np.isfinite(grad.reshape(-1, 3)).all(axis=1))
+        bad_edge = bad_node[g.ends].any(axis=1)
+    _refuse_non_finite_edges(g, "normal equations", bad_edge)
+
+
 def _solve_normal_equations(pattern: _Pattern, blocks, grad, lam):
     """Solve (H + lam I) delta = -grad over all 3n unknowns, H from ``blocks``.
 
@@ -359,7 +390,9 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         # one Levenberg-Marquardt step on the frozen-weight LS problem, then
         # re-weight.  Each step starts from the initial damping, so no lambda
         # grown by rejections carries over to the new weights.
-        blocks, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
+        with np.errstate(all="ignore"):  # an overflow is caught just below
+            blocks, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
+        _check_normal_equations(g, blocks, grad)
         if np.max(np.abs(grad)) >= config.gradient_tol:
             lam = DAMPING_INIT
             ls_cost = float(np.sum(lw * sq))
@@ -440,7 +473,6 @@ def load_result_rotations(path) -> dict[int, Rotation]:
     records = json_records(doc, "rotations", ("id", "qwxyz"), path, integers=("id",))
     q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "node {id}")
     _check_records(rules, records, "qwxyz")
-    rotations = {rec["id"]: r for rec, r in zip(records, checked_rotations(q))}
-    if len(rotations) != len(records):
-        raise SchemaError("duplicate node ids")
-    return rotations
+    ids = [rec["id"] for rec in records]
+    check_unique_ids(np.array(ids, dtype=np.int64), f"{path}: ")
+    return dict(zip(ids, checked_rotations(q)))

@@ -91,15 +91,29 @@ _NEGATIVE_ID = "node id must be non-negative, got {id}"
 # integer fields must lie below this: orjson reads a larger integer as a float, the stdlib
 # as an int, and numpy stores an int at or above it in an array as a float
 INT_LIMIT = 2**63
-# optional edge datum a weighting or tree criterion reads -> its name in messages
+# optional edge datum a weighting reads -> its name in messages
 EDGE_DATA = {"inlier_count": "inlier count", "covariance": "covariance"}
-# spanning-tree criterion -> the edge datum its weight reads (None: unit weight), in the
-# order default_tree_criterion prefers them; "auto" picks the first all edges carry
-_TREE_DATA = {"inlier_count": "inlier_count", "inverse_cov_trace": "covariance", "unit": None}
-TREE_CRITERIA = ("auto", *_TREE_DATA)
+# spanning-tree weights: "auto" weighs an edge by its inlier count when every edge has
+# one and weighs all edges alike otherwise; "unit" always weighs them alike
+TREE_CRITERIA = ("auto", "unit")
 # what a column holds where its datum is absent: values every rule accepts
 _IDENTITY = [1.0, 0.0, 0.0, 0.0]
 _EYE = np.eye(3).reshape(9).tolist()
+
+
+def _repeats(values):
+    """(N,) mask of the entries of ``values`` that equal an earlier one."""
+    repeat = np.ones(len(values), dtype=bool)
+    repeat[np.unique(values, return_index=True)[1]] = False
+    return repeat
+
+
+def check_unique_ids(ids, origin="") -> None:
+    """Raise SchemaError naming the first of the (N,) node ``ids`` that repeats an
+    earlier one, after ``origin`` (such as ``"g.json: "``)."""
+    repeat = _repeats(ids)
+    if repeat.any():
+        raise SchemaError(f"{origin}duplicate node id {ids[np.argmax(repeat)]}")
 
 
 def _id_rules(ids):
@@ -278,12 +292,12 @@ class ViewGraph:
                        inlier_counts, has_inlier_count)
 
     def _assemble(self, ids, gt_quats, has_gt, i, j, quats, covariances, has_covariance,
-                  inlier_counts, has_inlier_count):
+                  inlier_counts, has_inlier_count, origin=""):
         """Store columns whose records passed their rules, after the graph rules: unique
         node ids, then, for the first edge in input order that breaks one, endpoints
-        that are nodes and one edge per unordered pair."""
-        if len(np.unique(ids)) != len(ids):
-            raise SchemaError("duplicate node ids")
+        that are nodes and one edge per unordered pair.  ``origin`` prefixes the
+        duplicate-id message (the file the ids came from)."""
+        check_unique_ids(ids, origin)
         node_order = np.argsort(ids, kind="stable")
         sorted_ids = ids[node_order].astype(np.int64)
         a, found_a = _node_rows(sorted_ids, i)
@@ -291,11 +305,9 @@ class ViewGraph:
         found = found_a & found_b
         pair = np.where(found, np.minimum(a, b) * len(ids) + np.maximum(a, b),
                         -1 - np.arange(len(a)))
-        repeat = np.ones(len(pair), dtype=bool)
-        repeat[np.unique(pair, return_index=True)[1]] = False
         raise_first_failure(
             [("edge ({i}, {j}): endpoint not in node set", found),
-             ("duplicate edge for pair {pair}", ~repeat)],
+             ("duplicate edge for pair {pair}", ~_repeats(pair))],
             SchemaError, lambda k: {"i": int(i[k]), "j": int(j[k]),
                                     "pair": (int(min(i[k], j[k])), int(max(i[k], j[k])))})
         edge_order = np.lexsort((b, a))
@@ -531,7 +543,7 @@ def load_graph(path) -> ViewGraph:
     _check_records([("edge ({i}, {j}): 'cov' must be 9 row-major floats", cov_ok),
                     *quaternion_rules, *_edge_checks(i, j, counts, covs)], edges, "qwxyz")
     g = ViewGraph.__new__(ViewGraph)
-    g._assemble(ids, gt, has_gt, i, j, q, covs, has_cov, counts, has_count)
+    g._assemble(ids, gt, has_gt, i, j, q, covs, has_cov, counts, has_count, f"{path}: ")
     return g
 
 
@@ -721,35 +733,17 @@ def _union(parent: list[int], a: int, b: int) -> bool:
     return True
 
 
-def _tree_weights(g: ViewGraph, criterion: str):
-    """(E,) spanning-tree weights of the edges of ``g`` under ``criterion``."""
-    if criterion not in _TREE_DATA:
-        raise ValueError(f"unknown spanning-tree criterion {criterion!r}")
-    datum = _TREE_DATA[criterion]
-    if datum is None:
-        return np.ones(len(g.ends))
-    has, values = g.edge_datum(datum)
-    if not has.all():
-        i, j = g.edge_ids[np.argmin(has)].tolist()
-        raise ValueError(f"edge ({i}, {j}) has no {EDGE_DATA[datum]}")
-    if datum == "inlier_count":
-        return values.astype(np.float64)
-    return 1.0 / np.trace(values, axis1=1, axis2=2)
-
-
-def default_tree_criterion(g: ViewGraph) -> str:
-    """Prefer inlier counts, then inverse covariance trace, then unit weight:
-    the first criterion whose datum every edge carries."""
-    return next(criterion for criterion, datum in _TREE_DATA.items()
-                if datum is None or (len(g.ends) and g.edge_datum(datum)[0].all()))
-
-
 def _tree_rows(g: ViewGraph, criterion: str) -> list[int]:
-    """Edge rows of the Kruskal maximum spanning tree; ties break on (i, j), the
-    edges' own order."""
+    """Edge rows of the Kruskal maximum spanning tree under ``criterion`` (one of
+    :data:`TREE_CRITERIA`); ties break on (i, j), the edges' own order."""
+    if criterion not in TREE_CRITERIA:
+        raise ValueError(f"unknown spanning-tree criterion {criterion!r}; "
+                         f"choose from {TREE_CRITERIA}")
     parent = list(range(len(g.ids)))
     a, b = g.ends.T.tolist()
-    ranked = np.argsort(-_tree_weights(g, criterion), kind="stable").tolist()
+    ranked = range(len(a))
+    if criterion == "auto" and g.has_inlier_count.all():
+        ranked = np.argsort(-g.inlier_counts, kind="stable").tolist()
     return [k for k in ranked if _union(parent, a[k], b[k])]
 
 
@@ -761,21 +755,16 @@ def maximum_spanning_tree(g: ViewGraph, criterion: str) -> list[EdgeMeasurement]
 def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotation]:
     """Initialize absolute rotations along a maximum spanning tree.
 
-    An edge weighs its inlier count, its inverse covariance trace or 1;
-    ``"auto"`` takes the first that every edge has the datum for.  The
-    smallest node id becomes the identity root; every tree-edge residual is
-    exactly zero after initialization.  Raises
+    Under ``"auto"`` an edge weighs its inlier count when every edge has one;
+    otherwise, and under ``"unit"``, every edge weighs 1.  The smallest node
+    id becomes the identity root; every tree-edge residual is exactly zero
+    after initialization.  Raises ``ValueError`` on a criterion not in
+    :data:`TREE_CRITERIA`, then
     :class:`~rotavg.errors.DisconnectedGraphError` on empty or disconnected
-    graphs, and ``ValueError`` on a criterion not in :data:`TREE_CRITERIA` or
-    an edge without the criterion's datum.
+    graphs.
     """
-    if criterion not in TREE_CRITERIA:
-        raise ValueError(f"unknown spanning-tree criterion {criterion!r}; "
-                         f"choose from {TREE_CRITERIA}")
-    check_connected(g)
-    if criterion == "auto":
-        criterion = default_tree_criterion(g)
     tree = _tree_rows(g, criterion)
+    check_connected(g)
     ends = g.ends[tree].reshape(-1, 2)
     q = g.quats[tree].reshape(-1, 4)
     # each tree edge both ways: R_ij = R_i R_j^T  =>  R_j = R_ij^T R_i,  R_i = R_ij R_j

@@ -92,6 +92,45 @@ def test_non_finite_loss_scale_exits_1(tmp_path, capsys):
     assert not r.exists()
 
 
+@pytest.mark.parametrize("loss, scale, message", [
+    ("magsac", "1e-104", "non-finite IRLS weight on edge (0, 15)"),
+    ("gm", "2e-154", "non-finite IRLS weight on edge (0, 15)"),
+    ("magsac", "2e-103", "non-finite normal equations on edge (0, 15)"),
+    ("cauchy", "2e-154", "non-finite cost contribution on edge (0, 7)"),
+])
+def test_loss_scale_that_overflows_exits_3(tmp_path, capsys, loss, scale, message):
+    """A loss scale that passes LossSpec but overflows the loss, its weights or the
+    normal equations is a numerical failure naming an edge, with no RuntimeWarning
+    on the way (tier-1 turns one into an error)."""
+    g = tmp_path / "g.json"
+    assert cli.main(["synth", "--cameras", "20", "--density", "0.25", "--outliers", "0.1",
+                     "--seed", "0", "--out", str(g)]) == 0
+    r = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["average", "--in", str(g), "--out", str(r),
+                     "--loss", loss, "--loss-scale", scale]) == 3
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+    assert not r.exists()
+    # a scale this small that overflows nothing still solves
+    assert cli.main(["average", "--in", str(g), "--out", str(r),
+                     "--loss", "magsac", "--loss-scale", "1e-100"]) == 0
+
+
+@pytest.mark.parametrize("criterion", ["inlier_count", "inverse_cov_trace", "bogus"])
+def test_init_criterion_takes_auto_or_unit(tmp_path, capsys, criterion):
+    g = _synth(tmp_path)
+    r = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["average", "--in", str(g), "--out", str(r),
+                     "--init-criterion", criterion]) == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: argument --init-criterion: invalid choice: ")
+    assert not r.exists()
+    for ok in ("auto", "unit"):
+        assert cli.main(["average", "--in", str(g), "--out", str(r),
+                         "--init-criterion", ok]) == 0
+
+
 def test_bad_weigh_sigma_exits_1(tmp_path, capsys):
     """--sigma must be positive and finite; the flag is blamed, not an edge."""
     pairs_path = tmp_path / "pairs.json"
@@ -115,7 +154,21 @@ def test_duplicate_result_ids_exit_2(tmp_path, capsys):
     r.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(["evaluate", "--est", str(r), "--gt", str(g)]) == 2
-    assert capsys.readouterr() == ("", "data error: duplicate node ids\n")
+    assert capsys.readouterr() == ("", f"data error: {r}: duplicate node id 0\n")
+
+
+def test_duplicate_graph_ids_exit_2(tmp_path, capsys):
+    """The first record in file order whose id repeats an earlier one is named, with its
+    file: nodes 0, ..., 4, 9, 3, 5, ... repeat 3 before 9."""
+    g = _synth(tmp_path)
+    doc = json.loads(g.read_text())
+    doc["nodes"][5:5] = [{"id": 9}, {"id": 3}]
+    g.write_text(json.dumps(doc))
+    capsys.readouterr()
+    r = tmp_path / "r.json"
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 2
+    assert capsys.readouterr() == ("", f"data error: {g}: duplicate node id 3\n")
+    assert not r.exists()
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import rotavg.solver as solver_mod
 from rotavg import kernels
-from rotavg.errors import ConfigurationError
+from rotavg.errors import ConfigurationError, NumericalError
 from rotavg.evaluate import align_rotations
 from rotavg.losses import LossSpec, evaluate_loss
 from rotavg.so3 import Rotation, exp_so3, geodesic_angle, relative_residual
@@ -594,6 +595,36 @@ def _normal_equations_at_init(g, config):
     pattern = solver_mod._normal_pattern(edges_idx, len(g.nodes))
     blocks, grad = solver_mod._edge_blocks(transforms @ amat, rw, lw, pattern)
     return pattern, blocks, grad
+
+
+def _raised_edge(g, blocks, grad):
+    """The edge (i, j) that ``_check_normal_equations`` names."""
+    with pytest.raises(NumericalError,
+                       match=r"^non-finite normal equations on edge \(\d+, \d+\)$") as exc:
+        solver_mod._check_normal_equations(g, blocks, grad)
+    return tuple(int(v) for v in re.findall(r"\d+", str(exc.value)))
+
+
+def test_non_finite_normal_equations_name_an_edge():
+    """The edge named is the first whose own block is not finite, else the first
+    at a node whose diagonal sum or gradient is not finite."""
+    g = _noisy_scene(3).graph
+    _, (diag, off), grad = _normal_equations_at_init(g, SolverConfig(loss=MAGSAC_RAW))
+    solver_mod._check_normal_equations(g, (diag, off), grad)  # finite: no error
+
+    k = len(g.ends) - 1  # the last edge; its end c has an earlier edge too
+    c = int(g.ends[k, 1])
+    first_at_c = tuple(g.edge_ids[np.flatnonzero((g.ends == c).any(axis=1))[0]].tolist())
+    assert first_at_c != tuple(g.edge_ids[k].tolist())
+    bad_off, bad_diag = off.copy(), diag.copy()
+    bad_off[9 * k + 4] = np.inf
+    bad_diag[9 * c + 4] = np.inf
+    assert _raised_edge(g, (bad_diag, bad_off), grad) == tuple(g.edge_ids[k].tolist())
+    # every block finite, the sum at c overflowed
+    assert _raised_edge(g, (bad_diag, off), grad) == first_at_c
+    bad_grad = grad.copy()
+    bad_grad[3 * c + 2] = np.nan
+    assert _raised_edge(g, (diag, off), bad_grad) == first_at_c
 
 
 @pytest.mark.parametrize("lam", [1e-4, 1.0])

@@ -27,7 +27,6 @@ from rotavg.viewgraph import (
     ViewGraph,
     ViewNode,
     connected_components,
-    default_tree_criterion,
     load_graph,
     load_pairs,
     maximum_spanning_tree,
@@ -90,7 +89,7 @@ def test_graph_accepts_generators():
     g = ViewGraph((ViewNode(i) for i in range(3)), (e for e in edges))
     assert g.node_ids == [0, 1, 2]
     assert [e.key for e in g.edges] == [(0, 1), (1, 2)]
-    with pytest.raises(SchemaError, match="duplicate node ids"):
+    with pytest.raises(SchemaError, match=r"^duplicate node id 0$"):
         ViewGraph((ViewNode(i) for i in (0, 1, 0)), iter([]))
 
 
@@ -783,7 +782,7 @@ def _per_edge_tree_init(g, criterion):
     return rotations
 
 
-@pytest.mark.parametrize("criterion", ["inlier_count", "inverse_cov_trace", "unit"])
+@pytest.mark.parametrize("criterion", ["auto", "unit"])
 def test_tree_init_matches_per_edge_compose_bytewise(criterion):
     g = generate_graph(SynthConfig(n_cameras=120, edge_density=0.06,
                                    noise_sigmas_deg=((0.5, 0.5), (0.5, 5.0)),
@@ -815,7 +814,7 @@ def test_maximum_spanning_tree_vs_brute_force():
         g, _ = _consistent_graph(rng, n, density=0.8, counts=True)
         if len(connected_components(g)) != 1:
             continue
-        tree = maximum_spanning_tree(g, "inlier_count")
+        tree = maximum_spanning_tree(g, "auto")
         best = max(
             sum(e.inlier_count for e in combo)
             for combo in _spanning_trees(g)
@@ -827,7 +826,7 @@ def test_maximum_spanning_tree_beats_random_trees():
     rng = np.random.default_rng(5)
     g, _ = _consistent_graph(rng, 12, density=0.5, counts=True)
     assert len(connected_components(g)) == 1
-    mst_weight = sum(e.inlier_count for e in maximum_spanning_tree(g, "inlier_count"))
+    mst_weight = sum(e.inlier_count for e in maximum_spanning_tree(g, "auto"))
 
     def random_tree_weight():
         # random spanning tree by shuffled Kruskal
@@ -860,32 +859,64 @@ def test_tree_follows_high_weight_path():
         EdgeMeasurement(1, 2, Rotation.identity(), inlier_count=80),
     ]
     g = ViewGraph([ViewNode(i) for i in range(3)], edges)
-    tree = maximum_spanning_tree(g, "inlier_count")
+    tree = maximum_spanning_tree(g, "auto")
     assert sorted(e.key for e in tree) == [(0, 1), (1, 2)]
 
 
+def _tree_keys(g, criterion):
+    return sorted(e.key for e in maximum_spanning_tree(g, criterion))
+
+
 def test_default_tree_criterion_preference():
+    """``auto`` weighs inlier counts when every edge has one and all edges alike
+    otherwise; ``unit`` always weighs them alike.  Covariances weigh nothing."""
     r = Rotation.identity()
+
+    def triangle(counts, covs=(3 * np.eye(3), np.eye(3), np.eye(3))):
+        # the least certain edge is (0, 1): an inverse-covariance tree would leave it out
+        return ViewGraph([ViewNode(i) for i in range(3)],
+                         [EdgeMeasurement(i, j, r, covariance=c, inlier_count=n)
+                          for (i, j), n, c in zip([(0, 1), (0, 2), (1, 2)], counts, covs)])
+
+    counted = triangle([1, 100, 100])
+    assert _tree_keys(counted, "auto") == [(0, 2), (1, 2)]
+    # the unit tree takes the edges in (i, j) order
+    assert _tree_keys(counted, "unit") == [(0, 1), (0, 2)]
+    # a count missing on one edge: no count weighs anything, not even (1, 2)'s 100
+    assert _tree_keys(triangle([1, None, 100]), "auto") == [(0, 1), (0, 2)]
+    assert _tree_keys(triangle([None] * 3), "auto") == [(0, 1), (0, 2)]
+    assert _tree_keys(triangle([None] * 3, covs=[None] * 3), "auto") == [(0, 1), (0, 2)]
+    assert spanning_tree_init(ViewGraph([ViewNode(0)], []), "auto") == {0: r}
+
+
+def test_auto_tree_without_counts_is_the_unit_tree_bytewise():
+    """Every edge carries a covariance and none an inlier count: ``auto`` is ``unit``."""
+    g = generate_graph(SynthConfig(n_cameras=50, edge_density=0.25,
+                                   noise_sigmas_deg=((0.5, 0.5), (0.5, 5.0)),
+                                   outlier_fraction=0.1, seed=3)).graph
+    uncounted = ViewGraph.from_columns(
+        g.ids, *g.edge_ids.T, g.quats, gt_quats=g.gt_quats, has_gt=g.has_gt,
+        covariances=g.covariances, has_covariance=g.has_covariance,
+        inlier_counts=g.inlier_counts, has_inlier_count=np.zeros(len(g.ends), dtype=bool))
+    assert g.has_covariance.all() and g.has_inlier_count.all()
+    # the counted tree is another tree, so the stripped graph tests something
+    assert _tree_keys(g, "auto") != _tree_keys(g, "unit") == _tree_keys(uncounted, "auto")
+    auto, unit = spanning_tree_init(uncounted, "auto"), spanning_tree_init(uncounted, "unit")
+    assert list(auto) == list(unit) == g.node_ids
+    assert all(auto[nid].quaternion.tobytes() == unit[nid].quaternion.tobytes() for nid in auto)
+
+
+@pytest.mark.parametrize("criterion", ["inlier_count", "inverse_cov_trace", "bogus"])
+def test_removed_and_unknown_criteria_raise(criterion):
+    """Both entry points check the criterion, on a graph that carries every datum."""
     g = ViewGraph([ViewNode(0), ViewNode(1)],
-                  [EdgeMeasurement(0, 1, r, covariance=np.eye(3), inlier_count=3)])
-    assert default_tree_criterion(g) == "inlier_count"
-    g = ViewGraph([ViewNode(0), ViewNode(1)],
-                  [EdgeMeasurement(0, 1, r, covariance=np.eye(3))])
-    assert default_tree_criterion(g) == "inverse_cov_trace"
-    g = ViewGraph([ViewNode(0), ViewNode(1)], [EdgeMeasurement(0, 1, r)])
-    assert default_tree_criterion(g) == "unit"
-    assert default_tree_criterion(ViewGraph([ViewNode(0)], [])) == "unit"
-    # every edge has a covariance, edge (1, 2) no count
-    mixed = ViewGraph([ViewNode(i) for i in range(3)],
-                      [EdgeMeasurement(0, 1, r, covariance=np.eye(3), inlier_count=3),
-                       EdgeMeasurement(1, 2, r, covariance=np.eye(3))])
-    assert default_tree_criterion(mixed) == "inverse_cov_trace"
-    with pytest.raises(ValueError, match=r"^edge \(1, 2\) has no inlier count$"):
-        spanning_tree_init(mixed, "inlier_count")
-    no_cov = ViewGraph([ViewNode(i) for i in range(3)],
-                       [EdgeMeasurement(0, 1, r, covariance=np.eye(3)), EdgeMeasurement(1, 2, r)])
-    with pytest.raises(ValueError, match=r"^edge \(1, 2\) has no covariance$"):
-        spanning_tree_init(no_cov, "inverse_cov_trace")
+                  [EdgeMeasurement(0, 1, Rotation.identity(), covariance=np.eye(3),
+                                   inlier_count=3)])
+    message = rf"^unknown spanning-tree criterion '{criterion}'; choose from \('auto', 'unit'\)$"
+    with pytest.raises(ValueError, match=message):
+        spanning_tree_init(g, criterion)
+    with pytest.raises(ValueError, match=message):
+        maximum_spanning_tree(g, criterion)
 
 
 def test_init_rejects_unknown_criterion_before_any_work():
