@@ -94,13 +94,13 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import kernels
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, SchemaError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
-from .viewgraph import (EDGE_DATA, ViewGraph, _check_records, _quaternion_rules,
-                        check_connected, check_unique_ids, json_records, read_json_object,
-                        refuse_non_finite, write_json)
+from .viewgraph import (EDGE_DATA, ViewGraph, _check_records, _id_rules, _int_column,
+                        _quaternion_rules, check_connected, check_unique_ids, json_records,
+                        read_json_object, refuse_non_finite, write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -169,8 +169,9 @@ def _transform_stack(g: ViewGraph, config: SolverConfig):
     column of ``g``.  ``cov_full`` uses D_e^T,
     ``cov_trace`` and ``cov_fro`` scale the identity by tr(C_e)^{-1/2} and
     (||C_e^{-1}||_F / 3)^{1/2}, ``inlier_count`` by (n_e / mean n)^{1/2},
-    the mean over the edges that have a count.  Edges without the datum get
-    the identity, reported in one warning.
+    the mean over the edges that have a count; when every such count is zero
+    that mean is zero, and the graph is a SchemaError.  Edges without the
+    datum get the identity, reported in one warning.
     """
     datum = WEIGHTINGS[config.weighting][0]
     mats = np.tile(np.eye(3), (len(g.ends), 1, 1))
@@ -183,6 +184,9 @@ def _transform_stack(g: ViewGraph, config: SolverConfig):
             mats[has] = np.swapaxes(whitener_from_covariance(data), 1, 2)
         else:
             if config.weighting == "inlier_count":
+                if not data.any():
+                    raise SchemaError("every inlier count is zero: inlier_count weighting "
+                                      "needs a positive one")
                 scale = np.sqrt(data / np.mean(data))
             elif config.weighting == "cov_trace":
                 scale = 1.0 / np.sqrt(np.trace(data, axis1=1, axis2=2))
@@ -229,7 +233,9 @@ def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> 
     transforms, _ = _transform_stack(g, config)
     res, _ = kernels.edge_terms(_node_quats(g, rotations), g.ends, g.quats)
     rw = np.einsum("eab,eb->ea", transforms, res)
-    return _robust_cost(g, np.vecdot(rw, rw), config.loss)[0]
+    with np.errstate(over="ignore"):  # an overflow is caught in _robust_cost
+        sq = np.vecdot(rw, rw)
+    return _robust_cost(g, sq, config.loss)[0]
 
 
 def _apply_step(quats, delta):
@@ -373,7 +379,8 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
     def residuals(q):
         res, amat = kernels.edge_terms(q, g.ends, g.quats)
         rw = np.einsum("eab,eb->ea", transforms, res)
-        return res, amat, rw, np.vecdot(rw, rw)
+        with np.errstate(over="ignore"):  # an overflow is caught by the checks downstream
+            return res, amat, rw, np.vecdot(rw, rw)
 
     res, amat, rw, sq = residuals(quats)
     robust_cost, lw = _robust_cost(g, sq, config.loss)
@@ -468,11 +475,12 @@ def save_result(result: AveragingResult, path) -> None:
 
 
 def load_result_rotations(path) -> dict[int, Rotation]:
-    """Read back the rotations of a result JSON."""
+    """Read back the rotations of a result JSON, under the graph loader's
+    quaternion and node-id rules."""
     doc = read_json_object(path, ("rotations",))
     records = json_records(doc, "rotations", ("id", "qwxyz"), path, integers=("id",))
     q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "node {id}")
-    _check_records(rules, records, "qwxyz")
-    ids = [rec["id"] for rec in records]
-    check_unique_ids(np.array(ids, dtype=np.int64), f"{path}: ")
-    return dict(zip(ids, checked_rotations(q)))
+    ids = _int_column([rec["id"] for rec in records])
+    _check_records([*rules, *_id_rules(ids)], records, "qwxyz")
+    check_unique_ids(ids, f"{path}: ")
+    return dict(zip(ids.tolist(), checked_rotations(q)))

@@ -660,8 +660,9 @@ def save_pairs(pairs, path) -> None:
     write_json({"pairs": records}, path)
 
 
-def _component_roots(g: ViewGraph) -> np.ndarray:
-    """(N,) row of the first node (the smallest id) of each node's connected component.
+def _component_roots(n: int, ends) -> np.ndarray:
+    """(n,) row of the first node (the smallest row) of each node's connected
+    component in the graph of ``n`` nodes and the (E, 2) edges ``ends``.
 
     Each pass hooks the larger of the two roots of every edge whose ends
     have different roots to the smallest root it meets, then points every
@@ -669,8 +670,8 @@ def _component_roots(g: ViewGraph) -> np.ndarray:
     every component that meets another merges, so the passes are
     logarithmically many.
     """
-    root = np.arange(len(g.ids))
-    a, b = g.ends.T
+    root = np.arange(n)
+    a, b = ends.T
     while True:
         ra, rb = root[a], root[b]
         cross = ra != rb
@@ -679,14 +680,14 @@ def _component_roots(g: ViewGraph) -> np.ndarray:
         np.minimum.at(root, np.maximum(ra, rb)[cross], np.minimum(ra, rb)[cross])
         while True:
             up = root[root]
-            if np.array_equal(up, root):
+            if (up == root).all():
                 break
             root = up
 
 
 def is_connected(g: ViewGraph) -> bool:
     """True when the graph has exactly one connected component."""
-    return bool(len(g.ids)) and not _component_roots(g).any()
+    return bool(len(g.ids)) and not _component_roots(len(g.ids), g.ends).any()
 
 
 def check_connected(g: ViewGraph) -> None:
@@ -702,7 +703,7 @@ def connected_components(g: ViewGraph) -> list[ViewGraph]:
     """Partition into connected components, ordered by smallest node id."""
     if not len(g.ids):
         return []
-    roots = _component_roots(g)
+    roots = _component_roots(len(g.ids), g.ends)
     # nodes and edges grouped by component, each group in the graph's own order
     node_order = np.argsort(roots, kind="stable")
     edge_roots = roots[g.ends[:, 0]]
@@ -716,35 +717,31 @@ def connected_components(g: ViewGraph) -> list[ViewGraph]:
             zip(np.split(node_order, np.cumsum(sizes)[:-1]), np.split(edge_order, edge_splits))]
 
 
-def _find(parent: list[int], a: int) -> int:
-    """Root of ``a`` in the union-find forest ``parent`` (path halving)."""
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    return a
+def _tree_rows(g: ViewGraph, criterion: str) -> np.ndarray:
+    """Edge rows of the maximum spanning tree (a forest, if ``g`` is disconnected)
+    under ``criterion`` (one of :data:`TREE_CRITERIA`), in the order Kruskal's
+    algorithm takes them; ties break on (i, j), the edges' own order.
 
-
-def _union(parent: list[int], a: int, b: int) -> bool:
-    """Join the sets of a and b under the smaller root; False if already one."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
-    parent[max(ra, rb)] = min(ra, rb)
-    return True
-
-
-def _tree_rows(g: ViewGraph, criterion: str) -> list[int]:
-    """Edge rows of the Kruskal maximum spanning tree under ``criterion`` (one of
-    :data:`TREE_CRITERIA`); ties break on (i, j), the edges' own order."""
+    Each edge has a rank of its own in ``order``, so the forest is unique and
+    Borůvka's passes return Kruskal's edges: per pass, every component of the
+    forest taken so far (:func:`_component_roots`) takes its first crossing edge.
+    """
     if criterion not in TREE_CRITERIA:
         raise ValueError(f"unknown spanning-tree criterion {criterion!r}; "
                          f"choose from {TREE_CRITERIA}")
-    parent = list(range(len(g.ids)))
-    a, b = g.ends.T.tolist()
-    ranked = range(len(a))
+    order = np.arange(len(g.ends))
     if criterion == "auto" and g.has_inlier_count.all():
-        ranked = np.argsort(-g.inlier_counts, kind="stable").tolist()
-    return [k for k in ranked if _union(parent, a[k], b[k])]
+        order = np.argsort(-g.inlier_counts, kind="stable")
+    ends = g.ends[order]
+    taken = np.zeros(len(order), dtype=bool)
+    while True:
+        ra, rb = _component_roots(len(g.ids), ends[taken])[ends].T
+        cross = np.flatnonzero(ra != rb)
+        if not len(cross):
+            return order[taken]
+        first = np.full(len(g.ids), len(order))
+        np.minimum.at(first, np.concatenate([ra[cross], rb[cross]]), np.tile(cross, 2))
+        taken[first[first < len(order)]] = True
 
 
 def maximum_spanning_tree(g: ViewGraph, criterion: str) -> list[EdgeMeasurement]:
@@ -764,7 +761,8 @@ def spanning_tree_init(g: ViewGraph, criterion: str = "auto") -> dict[int, Rotat
     graphs.
     """
     tree = _tree_rows(g, criterion)
-    check_connected(g)
+    if len(tree) != len(g.ids) - 1:  # a forest of n - 1 edges spans all n nodes
+        check_connected(g)
     ends = g.ends[tree].reshape(-1, 2)
     q = g.quats[tree].reshape(-1, 4)
     # each tree edge both ways: R_ij = R_i R_j^T  =>  R_j = R_ij^T R_i,  R_i = R_ij R_j

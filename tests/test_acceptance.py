@@ -37,6 +37,7 @@ from rotavg.twoview import (
 from rotavg.viewgraph import spanning_tree_init
 
 from conftest import (
+    marginal_weight_by_quadrature,
     moderate_rotation,
     random_pd_matrix,
     random_rotation,
@@ -104,25 +105,6 @@ def trend_suite():
 # ---------------------------------------------------------------------------
 
 
-def _trimmed_chi_density(r, sigma, nu, k):
-    if r <= 0.0 or r >= k * sigma:
-        return 0.0
-    c = 2.0 ** (1.0 - 0.5 * nu) / math.gamma(0.5 * nu)
-    return c * r ** (nu - 1.0) / sigma ** nu * math.exp(-r * r / (2.0 * sigma * sigma))
-
-
-def _weight_by_quadrature(spec, r):
-    # log-sigma substitution keeps the spike near sigma ~ r resolved
-    lo = r / spec.k
-    if lo >= spec.scale:
-        return 0.0
-    val, _ = scipy.integrate.quad(
-        lambda u: _trimmed_chi_density(r, math.exp(u), spec.nu, spec.k) * math.exp(u),
-        math.log(lo), math.log(spec.scale), limit=400,
-    )
-    return val / spec.scale
-
-
 def test_criterion_01_magsac_quadrature():
     start = time.perf_counter()
     worst = 0.0
@@ -132,7 +114,8 @@ def test_criterion_01_magsac_quadrature():
                 spec = LossSpec("magsac", scale=sigma_max, nu=nu, alpha=alpha)
                 for r in np.linspace(0.0, 1.5 * spec.cutoff, 41):
                     r_eval = max(float(r), 1e-9 * spec.cutoff)
-                    dev = abs(magsac_weight(spec, r_eval) - _weight_by_quadrature(spec, r_eval))
+                    dev = abs(magsac_weight(spec, r_eval)
+                              - marginal_weight_by_quadrature(spec, r_eval))
                     worst = max(worst, dev)
     elapsed = time.perf_counter() - start
     _report(1, "magsac-closed-form-vs-quadrature",

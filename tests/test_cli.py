@@ -157,6 +157,75 @@ def test_duplicate_result_ids_exit_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"data error: {r}: duplicate node id 0\n")
 
 
+def test_negative_result_id_exits_2(tmp_path, capsys):
+    """A result file's node ids pass the graph loader's rules: a view is not dropped."""
+    g = _synth(tmp_path)
+    r = tmp_path / "r.json"
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 0
+    doc = json.loads(r.read_text())
+    doc["rotations"][0]["id"] = -1
+    r.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--est", str(r), "--gt", str(g)]) == 2
+    assert capsys.readouterr() == ("", "data error: node id must be non-negative, got -1\n")
+
+
+def _edited_synth(tmp_path, edit):
+    """The 20-camera synth graph, its JSON document changed in place by ``edit``."""
+    g = tmp_path / "g.json"
+    assert cli.main(["synth", "--cameras", "20", "--density", "0.3", "--seed", "0",
+                     "--out", str(g)]) == 0
+    doc = json.loads(g.read_text())
+    edit(doc)
+    g.write_text(json.dumps(doc))
+    return g
+
+
+def _zero_counts(doc):
+    for e in doc["edges"]:
+        e["inliers"] = 0
+
+
+def _one_zero_count(doc):
+    for e in doc["edges"]:
+        e.pop("inliers")
+    doc["edges"][0]["inliers"] = 0
+
+
+@pytest.mark.parametrize("edit", [_zero_counts, _one_zero_count])
+def test_all_zero_inlier_counts_exit_2(tmp_path, capsys, edit):
+    """inlier_count weighting of counts that are all zero is a data error, not a
+    RuntimeWarning and an edge blamed for a non-finite cost."""
+    g = _edited_synth(tmp_path, edit)
+    r = tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["average", "--in", str(g), "--out", str(r),
+                     "--weighting", "inlier_count"]) == 2
+    assert capsys.readouterr() == (
+        "", "data error: every inlier count is zero: inlier_count weighting needs a "
+            "positive one\n")
+    assert not r.exists()
+
+
+def test_tiny_covariance_under_cov_trace_exits_3(tmp_path, capsys):
+    """A covariance of 1e-320 I passes the positive-definite check; the squared norm its
+    cov_trace scale overflows is a numerical failure naming the edge, with no
+    RuntimeWarning on the way."""
+    def tiny_cov(doc):
+        doc["edges"][0]["cov"] = (1e-320 * np.eye(3)).reshape(9).tolist()
+
+    g = _edited_synth(tmp_path, tiny_cov)
+    r = tmp_path / "r.json"
+    for loss, what in (("magsac", "normal equations"), ("trivial", "cost contribution"),
+                       ("cauchy", "cost contribution")):
+        capsys.readouterr()
+        assert cli.main(["average", "--in", str(g), "--out", str(r), "--loss", loss,
+                         "--weighting", "cov_trace"]) == 3
+        assert capsys.readouterr() == ("", f"numerical failure: non-finite {what} on "
+                                           "edge (0, 7)\n")
+    assert not r.exists()
+
+
 def test_duplicate_graph_ids_exit_2(tmp_path, capsys):
     """The first record in file order whose id repeats an earlier one is named, with its
     file: nodes 0, ..., 4, 9, 3, 5, ... repeat 3 before 9."""

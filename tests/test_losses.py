@@ -21,6 +21,8 @@ from rotavg.losses import (
     upper_incomplete_gamma,
 )
 
+from conftest import marginal_weight_by_quadrature
+
 
 # ---------------------------------------------------------------------------
 # special functions
@@ -136,36 +138,12 @@ def test_loss_spec_validation():
 # ---------------------------------------------------------------------------
 
 
-def _trimmed_chi_density(r, sigma, nu, k):
-    """Chi density with scale sigma, trimmed to zero beyond k * sigma."""
-    if r <= 0.0 or r >= k * sigma:
-        return 0.0
-    c = 2.0 ** (1.0 - 0.5 * nu) / math.gamma(0.5 * nu)
-    return c * r ** (nu - 1.0) / sigma ** nu * math.exp(-r * r / (2.0 * sigma * sigma))
-
-
-def _weight_by_quadrature(spec, r):
-    """Marginal of the trimmed chi density over sigma ~ U(0, sigma_max).
-
-    Integrates in log(sigma) so the spike near sigma ~ r stays resolved
-    even when r is many orders of magnitude below sigma_max.
-    """
-    k = spec.k
-    lo = r / k  # density is zero for sigma < r/k (r beyond the cutoff)
-    if lo >= spec.scale:
-        return 0.0
-    val, _ = scipy.integrate.quad(
-        lambda u: _trimmed_chi_density(r, math.exp(u), spec.nu, k) * math.exp(u),
-        math.log(lo), math.log(spec.scale), limit=400,
-    )
-    return val / spec.scale
-
-
 def test_magsac_weight_matches_quadrature():
     spec = LossSpec("magsac", scale=0.1, nu=3, alpha=0.99)
     for r in np.linspace(0.0, 1.5 * spec.cutoff, 31):
         r_eval = max(float(r), 1e-9 * spec.cutoff)
-        assert abs(magsac_weight(spec, r_eval) - _weight_by_quadrature(spec, r_eval)) < 1e-6
+        oracle = marginal_weight_by_quadrature(spec, r_eval)
+        assert abs(magsac_weight(spec, r_eval) - oracle) < 1e-6
 
 
 def test_magsac_hand_values_nu3_sigma1():

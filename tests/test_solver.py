@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import rotavg.solver as solver_mod
 from rotavg import kernels
-from rotavg.errors import ConfigurationError, NumericalError
+from rotavg.errors import ConfigurationError, NumericalError, SchemaError
 from rotavg.evaluate import align_rotations
 from rotavg.losses import LossSpec, evaluate_loss
 from rotavg.so3 import Rotation, exp_so3, geodesic_angle, relative_residual
@@ -759,6 +759,61 @@ def test_missing_metadata_warns_once_per_solve(caplog, weighting):
     datum = "inlier count" if weighting == "inlier_count" else "covariance"
     assert [rec.message for rec in caplog.records] == [
         f"2 of 5 edges have a missing {datum}; using unit weight for them"]
+
+
+def _counted_square(counts):
+    """A consistent 4-cycle with a diagonal, the edges carrying ``counts`` (None: none)."""
+    rng = np.random.default_rng(12)
+    gt = [random_rotation(rng) for _ in range(4)]
+    edges = [EdgeMeasurement(i, j, gt[i].compose(gt[j].inverse()), inlier_count=n)
+             for (i, j), n in zip(((0, 1), (1, 2), (2, 3), (0, 3), (0, 2)), counts)]
+    return ViewGraph([ViewNode(i, gt[i]) for i in range(4)], edges)
+
+
+@pytest.mark.parametrize("counts", [[0] * 5, [0, None, None, None, None]])
+def test_all_zero_inlier_counts_are_a_schema_error(counts):
+    """Counts that are all zero give inlier_count weighting no mean to scale by: a data
+    error from solve and cost alike, with no warning and no edge blamed."""
+    g = _counted_square(counts)
+    init = spanning_tree_init(g, "unit")
+    config = SolverConfig(weighting="inlier_count")
+    message = r"^every inlier count is zero: inlier_count weighting needs a positive one$"
+    with pytest.raises(SchemaError, match=message):
+        solve(g, init, config)
+    with pytest.raises(SchemaError, match=message):
+        cost(g, init, config)
+
+
+def test_zero_inlier_count_beside_positive_ones_weighs_zero():
+    g = _counted_square([0, 10, 20, 30, 40])
+    result = solve(g, spanning_tree_init(g, "unit"), SolverConfig(weighting="inlier_count"))
+    assert result.converged
+    assert result.edge_weights[(0, 1)] == 1.0  # the trivial loss: every IRLS weight is 1
+    assert _weighted_residual(g.edges, result.rotations, "inlier_count").tolist() == [0.0] * 3
+
+
+def test_tiny_covariance_overflow_names_its_edge():
+    """A covariance of 1e-320 I passes the positive-definite check, but its cov_trace
+    scale overflows the squared residual norm: solve raises NumericalError naming the
+    edge, and so does cost where the loss of an infinite norm is not finite, with no
+    RuntimeWarning on the way."""
+    g = _noisy_scene(3).graph
+    covs = g.covariances.copy()
+    covs[0] = 1e-320 * np.eye(3)
+    tiny = ViewGraph.from_columns(g.ids, *g.edge_ids.T, g.quats, covariances=covs)
+    init = spanning_tree_init(tiny, "unit")
+    gt = {nid: node.gt_rotation for nid, node in g.nodes.items()}  # edge 0 has a residual
+    i, j = tiny.edge_ids[0].tolist()
+    message = rf"^non-finite .* on edge \({i}, {j}\)$"
+    for loss in ("trivial", "cauchy", "magsac"):
+        config = SolverConfig(loss=LossSpec(loss, scale=3.0), weighting="cov_trace")
+        with pytest.raises(NumericalError, match=message):
+            solve(tiny, init, config)
+        if loss == "magsac":  # beyond the cutoff an edge costs a constant, even at inf
+            assert math.isfinite(cost(tiny, gt, config))
+            continue
+        with pytest.raises(NumericalError, match=message):
+            cost(tiny, gt, config)
 
 
 def test_solve_rejects_bad_inputs():

@@ -26,6 +26,7 @@ from rotavg.viewgraph import (
     EdgeMeasurement,
     ViewGraph,
     ViewNode,
+    _tree_rows,
     connected_components,
     load_graph,
     load_pairs,
@@ -805,6 +806,55 @@ def _spanning_trees(g):
                     grew = True
         if len(reached) == len(g.nodes):
             yield combo
+
+
+def _kruskal_rows(g, criterion):
+    """Edge rows Kruskal's algorithm takes, one edge at a time on a list union-find."""
+    parent = list(range(len(g.ids)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    a, b = g.ends.T.tolist()
+    ranked = range(len(a))
+    if criterion == "auto" and g.has_inlier_count.all():
+        ranked = np.argsort(-g.inlier_counts, kind="stable").tolist()
+    rows = []
+    for k in ranked:
+        ra, rb = find(a[k]), find(b[k])
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            rows.append(k)
+    return rows
+
+
+@pytest.mark.parametrize("criterion", ["auto", "unit"])
+def test_tree_rows_match_kruskal_in_order(criterion):
+    """The Borůvka tree takes Kruskal's rows in Kruskal's order: tied counts, counts
+    missing on some graphs, forests of several components, one node and no nodes."""
+    rng = np.random.default_rng(25)
+    shapes = {"several components": 0, "missing counts": 0, "ties": 0}
+    for trial in range(300):
+        n = int(rng.integers(0, 25))
+        pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.15]
+        ids = rng.permutation(10 * n + 1)[:n]  # node rows are not ids
+        i, j = ids[[p for p, _ in pairs]], ids[[q for _, q in pairs]]
+        g = ViewGraph.from_columns(
+            ids, i, j, np.tile([1.0, 0.0, 0.0, 0.0], (len(pairs), 1)),
+            inlier_counts=rng.integers(0, 4, len(pairs)),  # few values: many ties
+            has_inlier_count=rng.random(len(pairs)) < (0.9 if trial % 4 == 0 else 1.0))
+        shapes["several components"] += len(connected_components(g)) > 1
+        shapes["missing counts"] += not g.has_inlier_count.all()
+        shapes["ties"] += len(np.unique(g.inlier_counts)) < len(pairs)
+        assert _tree_rows(g, criterion).tolist() == _kruskal_rows(g, criterion)
+    assert min(shapes.values()) > 10
+    for n in (0, 1):
+        g = ViewGraph([ViewNode(k) for k in range(n)], [])
+        assert _tree_rows(g, criterion).tolist() == _kruskal_rows(g, criterion) == []
 
 
 def test_maximum_spanning_tree_vs_brute_force():
