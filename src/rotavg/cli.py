@@ -27,8 +27,7 @@ from .errors import (
 from .evaluate import align_rotations, auc, check_threshold, export_cdf
 from .losses import ALL_KINDS, LossSpec
 from .so3 import checked_rotations
-from .solver import (WEIGHTING_MODES, SolverConfig, _node_quats, default_loss_scale,
-                     load_result_rotations, save_result, solve)
+from .solver import WEIGHTING_MODES, SolverConfig, _node_quats, default_loss_scale, solve
 from .synth import SynthConfig, generate_graph
 from .twoview import COVARIANCE_MODES, rotation_covariances
 from .viewgraph import (
@@ -36,7 +35,9 @@ from .viewgraph import (
     ViewGraph,
     load_graph,
     load_pairs,
+    load_result_rotations,
     save_graph,
+    save_result,
     spanning_tree_init,
 )
 

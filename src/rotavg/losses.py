@@ -15,7 +15,8 @@ loss itself is ``rho(r) = w(0) - w(r)``: zero at zero, strictly increasing
 up to the cutoff, constant after it.
 
 The incomplete gamma functions and the chi quantile come from
-:mod:`scipy.special` (``gammaincc``, ``gammaincinv``).
+:mod:`scipy.special` (``gammaincc``, ``gammaincinv``), imported where it is
+called, so ``rotavg synth``, ``weigh`` and ``evaluate`` never load scipy.
 
 Every loss function takes a scalar or an array and returns fields shaped
 like its input, so a solver evaluates all edges in one call.  A negative
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "LossSpec",
@@ -52,16 +52,13 @@ ALL_KINDS = CLASSIC_KINDS + ("magsac",)
 # ---------------------------------------------------------------------------
 
 
-def _check_gamma_args(a: float, x: float) -> None:
+def upper_incomplete_gamma(a: float, x: float) -> float:
+    """Gamma(a, x) = integral_x^inf t^(a-1) e^(-t) dt."""
     if a <= 0.0:
         raise ValueError("a must be positive")
     if x < 0.0:
         raise ValueError("x must be non-negative")
-
-
-def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Gamma(a, x) = integral_x^inf t^(a-1) e^(-t) dt."""
-    _check_gamma_args(a, x)
+    from scipy import special
     return float(special.gammaincc(a, x) * special.gamma(a))
 
 
@@ -72,6 +69,7 @@ def chi_quantile(nu: int, alpha: float) -> float:
         raise ValueError("nu must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    from scipy import special
     return math.sqrt(2.0 * float(special.gammaincinv(0.5 * nu, alpha)))
 
 
@@ -203,6 +201,7 @@ def _magsac_constants(spec: LossSpec) -> tuple[float, float, float, float]:
 
 def magsac_weight(spec: LossSpec, r) -> float | np.ndarray:
     """Marginalized inlier weight; zero at and beyond r = k * sigma_max."""
+    from scipy import special
     if spec.kind != "magsac":
         raise ValueError("magsac_weight requires a magsac LossSpec")
     r = _non_negative(r, "residual norm")

@@ -1,4 +1,5 @@
-"""IRLS-wrapped damped Gauss-Newton rotation averaging.
+"""IRLS-wrapped damped Gauss-Newton rotation averaging: numerics only
+(:mod:`rotavg.viewgraph` owns every file format, result files included).
 
 Minimizes  sum_e rho(||W_e L_e(R_i, R_j, R_ij)||^2)  over all absolute
 rotations, where ``W_e`` is the per-edge weighting transform (identity,
@@ -41,17 +42,9 @@ inputs produce bit-identical results.
 The step is array code over slots and one m x m buffer (m = 3n) built
 once per solve (:func:`_normal_pattern`): every per-edge 3x3 block entry
 and gradient entry has a fixed position, and each step computes the blocks
-of all edges at once.  The diagonal blocks are summed with
-``np.bincount``, which sums in input order, so each diagonal entry sums
-its edges in edge order, the i-row before the j-row.  Each off-diagonal
-block belongs to exactly one edge (``ViewGraph`` rejects duplicate pairs),
-so its entries are kept as they are, one value per entry.  The buffer is
-F-contiguous, the order LAPACK reads.  Each trial zeroes it, writes the
-diagonal blocks and, of each off-diagonal block and its mirror, the
-entries below the diagonal, which is all that the lower ``potrf`` reads;
-then it adds lambda to the diagonal and factors there in place.  A damping
-retry writes the kept block values again instead of rebuilding them, and
-no trial allocates or transposes a matrix.  The batched arithmetic is
+of all edges at once (:func:`_edge_blocks`); each trial writes them into the
+F-contiguous buffer and factors it in place (:func:`_solve_normal_equations`),
+and no trial allocates or transposes a matrix.  The batched arithmetic is
 chosen to round exactly like the per-edge and per-node formulas it
 replaced: block products use batched ``np.matmul`` (not ``einsum``),
 squared norms use ``np.vecdot`` (the same dot kernel as a 1-D ``x @ x``),
@@ -91,28 +84,28 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import kernels
 from .errors import ConfigurationError, NumericalError, SchemaError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
-from .viewgraph import (EDGE_DATA, ViewGraph, _check_records, _id_rules, _int_column,
-                        _quaternion_rules, check_connected, check_unique_ids, json_records,
-                        read_json_object, refuse_non_finite, write_json)
+from .viewgraph import ViewGraph, check_connected
 
 logger = logging.getLogger(__name__)
 
+# an optional edge datum: its name in messages, then its ViewGraph mask and value columns
+_COUNTS = ("inlier count", "has_inlier_count", "inlier_counts")
+_COVARIANCES = ("covariance", "has_covariance", "covariances")
 # weighting mode -> (the edge datum it reads, or None; its default loss scale).  Raw
 # residuals are radians, whitened ones (cov_*) unitless with sigma ~ 1 for inliers;
 # inlier-count scaling stretches raw residuals, so its scale is looser.
 WEIGHTINGS = {
     "none": (None, 0.02),
-    "inlier_count": ("inlier_count", 0.06),
-    "cov_trace": ("covariance", 3.0),
-    "cov_fro": ("covariance", 3.0),
-    "cov_full": ("covariance", 3.0),
+    "inlier_count": (_COUNTS, 0.06),
+    "cov_trace": (_COVARIANCES, 3.0),
+    "cov_fro": (_COVARIANCES, 3.0),
+    "cov_full": (_COVARIANCES, 3.0),
 }
 WEIGHTING_MODES = tuple(WEIGHTINGS)
 
@@ -166,7 +159,7 @@ def _transform_stack(g: ViewGraph, config: SolverConfig):
     """(E, 3, 3) weighting transforms W_e plus the unit-fallback count.
 
     Each mode reads the edge datum :data:`WEIGHTINGS` names, from its
-    column of ``g``.  ``cov_full`` uses D_e^T,
+    columns of ``g``.  ``cov_full`` uses D_e^T,
     ``cov_trace`` and ``cov_fro`` scale the identity by tr(C_e)^{-1/2} and
     (||C_e^{-1}||_F / 3)^{1/2}, ``inlier_count`` by (n_e / mean n)^{1/2},
     the mean over the edges that have a count; when every such count is zero
@@ -177,8 +170,9 @@ def _transform_stack(g: ViewGraph, config: SolverConfig):
     mats = np.tile(np.eye(3), (len(g.ends), 1, 1))
     if datum is None:
         return mats, 0
-    has, column = g.edge_datum(datum)
-    data = column[has].astype(np.float64)
+    name, mask, column = datum
+    has = getattr(g, mask)
+    data = getattr(g, column)[has].astype(np.float64)
     if len(data):
         if config.weighting == "cov_full":
             mats[has] = np.swapaxes(whitener_from_covariance(data), 1, 2)
@@ -198,7 +192,7 @@ def _transform_stack(g: ViewGraph, config: SolverConfig):
     fallbacks = len(g.ends) - len(data)
     if fallbacks:
         logger.warning("%d of %d edges have a missing %s; using unit weight for them",
-                       fallbacks, len(g.ends), EDGE_DATA[datum])
+                       fallbacks, len(g.ends), name)
     return mats, fallbacks
 
 
@@ -337,6 +331,8 @@ def _solve_normal_equations(pattern: _Pattern, blocks, grad, lam):
     place; a retry at a larger lam writes ``blocks`` again.  Returns a
     non-finite step when H + lam I is not numerically positive definite.
     """
+    from scipy.linalg import lapack  # on first use, as rotavg.losses imports scipy
+
     work = pattern.work
     work.fill(0.0)
     flat = work.ravel(order="F")  # a view: work is F-contiguous
@@ -450,37 +446,3 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         termination=termination,
         unit_fallback_edges=fallbacks,
     )
-
-
-def save_result(result: AveragingResult, path) -> None:
-    """Write the result JSON (rotations, cost, diagnostics)."""
-    ids = sorted(result.rotations)
-    keys = sorted(result.edge_weights)
-    quats = np.array([result.rotations[nid].quaternion for nid in ids]).reshape(-1, 4)
-    weights = np.array([result.edge_weights[k] for k in keys], dtype=np.float64)
-    norms = np.array([result.edge_residual_norms[k] for k in keys], dtype=np.float64)
-    refuse_non_finite(path, {"qwxyz": quats}, lambda k: f"node {ids[k]}")
-    refuse_non_finite(path, {"final_cost": [result.final_cost]}, lambda k: "the result")
-    refuse_non_finite(path, {"weight": weights, "residual_norm": norms},
-                      lambda k: "edge ({}, {})".format(*keys[k]))
-    write_json({
-        "rotations": [{"id": nid, "qwxyz": q} for nid, q in zip(ids, quats.tolist())],
-        "final_cost": float(result.final_cost),
-        "iterations": result.outer_iterations,
-        "converged": result.converged,
-        "termination": result.termination,
-        "edge_weights": [{"i": i, "j": j, "weight": w, "residual_norm": r}
-                         for (i, j), w, r in zip(keys, weights.tolist(), norms.tolist())],
-    }, path)
-
-
-def load_result_rotations(path) -> dict[int, Rotation]:
-    """Read back the rotations of a result JSON, under the graph loader's
-    quaternion and node-id rules."""
-    doc = read_json_object(path, ("rotations",))
-    records = json_records(doc, "rotations", ("id", "qwxyz"), path, integers=("id",))
-    q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "node {id}")
-    ids = _int_column([rec["id"] for rec in records])
-    _check_records([*rules, *_id_rules(ids)], records, "qwxyz")
-    check_unique_ids(ids, f"{path}: ")
-    return dict(zip(ids.tolist(), checked_rotations(q)))

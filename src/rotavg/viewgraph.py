@@ -1,4 +1,5 @@
-"""View-graph data model, JSON serialization, connectivity and tree init.
+"""View-graph data model, every file format rotavg reads and writes, connectivity
+and tree init.
 
 Graph JSON schema (one UTF-8 document)::
 
@@ -18,15 +19,14 @@ Correspondence-set JSON schema (consumed by :mod:`rotavg.twoview`)::
 
 with pixel coordinates.
 
-A :class:`ViewGraph` holds its nodes and edges as columns, checked once
-when the graph is built; the loaders, :func:`save_graph`, the solver and
-the tree init read and write the columns.  :class:`ViewNode` and
-:class:`EdgeMeasurement` are the one-record constructors, and the records
-``g.nodes`` and ``g.edges`` return, built on first read.
+Result JSON schema (:func:`save_result`; :func:`load_result_rotations` reads it)::
 
-Graph, correspondence-set and result files (:func:`rotavg.solver.save_result`)
-are written by :func:`write_json` as one line of compact JSON with sorted
-keys and a final newline, encoded by orjson; pretty-print one with
+    { "rotations": [ { "id": int, "qwxyz": [4] } ], "final_cost": float, "iterations": int,
+      "converged": bool, "termination": str,
+      "edge_weights": [ { "i": int, "j": int, "weight": float, "residual_norm": float } ] }
+
+All three are written by :func:`write_json` as one line of compact JSON with
+sorted keys and a final newline, encoded by orjson; pretty-print one with
 ``python -m json.tool FILE``.  Every float is written in the shortest form
 that reads back as the same double, so orjson and the stdlib ``json`` both
 decode it bit for bit.  The notation is orjson's, not ``json.dumps``'s:
@@ -37,13 +37,9 @@ infinity, and orjson would write one as ``null``, so the writers refuse a
 non-finite float with a :class:`~rotavg.errors.NumericalError` naming the
 file, the field and the record.  Every loader reads through
 :func:`read_json_object`: orjson decodes the file's bytes, and a document
-it rejects is decoded again by the stdlib ``json``, the reference decoder.
-The fallback reads what the program has always accepted and orjson does
-not (``NaN``, ``Infinity``, ``-Infinity``, numbers that overflow a double,
-lone surrogate escapes), words the error of a malformed document, and is
-chosen by the input alone.  On a document both read they return the same
-values, floats bit for bit.  Bytes that are not UTF-8 are a
-:class:`~rotavg.errors.SchemaError` naming the file.
+it rejects is decoded again by the stdlib ``json``, the reference decoder,
+which reads what the program has always accepted and orjson does not.
+On a document both read they return the same values, floats bit for bit.
 
 Ids (``id``, ``i``, ``j``) and inlier counts must be JSON integers below
 2**63 (:data:`INT_LIMIT`), the range in which both decoders give the same
@@ -51,10 +47,13 @@ int.  The loaders read each
 numeric field of all records into one array and check every record in one
 pass over those arrays, under the rules of the one-record constructors
 (:class:`~rotavg.so3.Rotation`, :class:`EdgeMeasurement`).  The first bad
-record in file order raises the error it raises on its own; a field that
-does not hold the right count of numbers (a string, an object, a ragged
-list) is a :class:`~rotavg.errors.SchemaError` naming its record, like any
-other bad value.
+record in file order raises the error it raises on its own, and a graph
+settles its nodes before its edges, as :meth:`ViewGraph.from_columns`
+does.  A record's structure (an object with the required keys and integer
+ids, :func:`json_records`) and its values rank alike: a field that does not
+hold the right count of numbers (a string, an object, a ragged list) is a
+:class:`~rotavg.errors.SchemaError` naming its record, like any other bad
+value.
 """
 
 from __future__ import annotations
@@ -80,6 +79,9 @@ __all__ = [
     "load_graph",
     "save_graph",
     "load_pairs",
+    "save_pairs",
+    "save_result",
+    "load_result_rotations",
     "connected_components",
     "check_connected",
     "is_connected",
@@ -91,8 +93,6 @@ _NEGATIVE_ID = "node id must be non-negative, got {id}"
 # integer fields must lie below this: orjson reads a larger integer as a float, the stdlib
 # as an int, and numpy stores an int at or above it in an array as a float
 INT_LIMIT = 2**63
-# optional edge datum a weighting reads -> its name in messages
-EDGE_DATA = {"inlier_count": "inlier count", "covariance": "covariance"}
 # spanning-tree weights: "auto" weighs an edge by its inlier count when every edge has
 # one and weighs all edges alike otherwise; "unit" always weighs them alike
 TREE_CRITERIA = ("auto", "unit")
@@ -215,11 +215,6 @@ def _node_rows(ids, values):
     return rows, ids[rows] == values
 
 
-def _frozen(a):
-    a.setflags(write=False)
-    return a
-
-
 class ViewGraph:
     """Immutable view graph held as columns: nodes sorted by id, edges by (i, j).
 
@@ -322,7 +317,8 @@ class ViewGraph:
 
     def _store(self, **columns):
         for name, column in columns.items():
-            setattr(self, name, _frozen(column))
+            column.setflags(write=False)
+            setattr(self, name, column)
 
     def _subgraph(self, node_rows, edge_rows, new_rows) -> "ViewGraph":
         """The nodes ``node_rows`` and edges ``edge_rows`` (both ascending) as a graph,
@@ -344,13 +340,6 @@ class ViewGraph:
     def edge_ids(self) -> np.ndarray:
         """(E, 2) node ids (i, j) of the edges."""
         return self.ids[self.ends]
-
-    def edge_datum(self, datum: str):
-        """The (E,) mask of the edges that carry ``datum`` (a key of :data:`EDGE_DATA`)
-        and its column."""
-        if datum == "inlier_count":
-            return self.has_inlier_count, self.inlier_counts
-        return self.has_covariance, self.covariances
 
     @cached_property
     def nodes(self) -> dict[int, ViewNode]:
@@ -422,15 +411,19 @@ def _raised(build):
     return None
 
 
-def _check_records(rules, records, key, error=None):
+def _check_records(rules, records, fault, key, error=None):
     """Raise the SchemaError of the first of ``records`` that breaks one of
     ``rules``, formatted with its fields, ``why``: what ``Rotation`` says of
-    its quaternion ``key``, and ``error``: what ``error(record)`` raises."""
+    its quaternion ``key``, and ``error``: what ``error(record)`` raises;
+    when none does, raise ``fault``, the structural error of the record after
+    them (from :func:`json_records`), if any."""
     def fields(k):
         rec = records[k]
         return dict(rec, why=_raised(lambda: Rotation(np.asarray(rec.get(key), dtype=np.float64))),
                     error=None if error is None else _raised(lambda: error(rec)))
     raise_first_failure(rules, SchemaError, fields)
+    if fault is not None:
+        raise fault
 
 
 def read_json_object(path, keys) -> dict:
@@ -486,50 +479,59 @@ def refuse_non_finite(path, columns, where) -> None:
                                  "JSON has no non-finite numbers")
 
 
-def json_records(doc, key, fields, path, integers=()) -> list[dict]:
-    """The list ``doc[key]``, checked to hold JSON objects that have ``fields``.
+def _structure_fault(rec, fields, integers):
+    """Why ``rec`` is not a JSON object with ``fields`` and integers ``integers``, or None."""
+    if not isinstance(rec, dict):
+        return f"expected an object, got {type(rec).__name__}"
+    missing = [name for name in fields if name not in rec]
+    if missing:
+        return f"missing key {missing[0]!r}"
+    for name in integers:
+        value = rec.get(name)
+        if value is None and name not in fields:
+            continue
+        if type(value) is not int:
+            return f"{name!r} must be an integer, got {value!r}"
+        if value >= INT_LIMIT:
+            return f"{name!r} must be below 2**63, got {value}"
+    return None
+
+
+def json_records(doc, key, fields, path, integers=()) -> tuple[list[dict], SchemaError | None]:
+    """The records of the list ``doc[key]`` before the first that is not a JSON
+    object with ``fields``, and that record's :class:`SchemaError` naming it by
+    position, e.g. ``g.json: edges[3]`` (None when there is none), which
+    :func:`_check_records` raises unless a record before it has a bad value.
 
     Each name in ``integers`` must hold a JSON integer (not a bool) below
     :data:`INT_LIMIT`; one that is not in ``fields`` may also be absent or
-    null.  A record that is not an object, lacks a field or holds a wrongly
-    typed one raises :class:`SchemaError` naming it by position, e.g.
-    ``g.json: edges[3]``.
+    null.  ``doc[key]`` that is not a list raises at once.
     """
     records = doc[key]
     if not isinstance(records, list):
         raise SchemaError(f"{path}: {key!r} must be a list")
     for k, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise SchemaError(f"{path}: {key}[{k}]: expected an object, got {type(rec).__name__}")
-        missing = [name for name in fields if name not in rec]
-        if missing:
-            raise SchemaError(f"{path}: {key}[{k}]: missing key {missing[0]!r}")
-        for name in integers:
-            value = rec.get(name)
-            if value is None and name not in fields:
-                continue
-            if type(value) is not int:
-                raise SchemaError(
-                    f"{path}: {key}[{k}]: {name!r} must be an integer, got {value!r}")
-            if value >= INT_LIMIT:
-                raise SchemaError(f"{path}: {key}[{k}]: {name!r} must be below 2**63, got {value}")
-    return records
+        fault = _structure_fault(rec, fields, integers)
+        if fault is not None:
+            return records[:k], SchemaError(f"{path}: {key}[{k}]: {fault}")
+    return records, None
 
 
 def load_graph(path) -> ViewGraph:
-    """Read a graph file.  All records are checked in one pass; the first bad
-    one in file order raises the error it would raise on its own."""
+    """Read a graph file.  All records are checked in one pass, the nodes before
+    the edges; the first bad one in file order raises the error it would raise
+    on its own."""
     doc = read_json_object(path, ("nodes", "edges"))
-    nodes = json_records(doc, "nodes", ("id",), path, integers=("id",))
-    edges = json_records(doc, "edges", ("i", "j", "qwxyz"), path, integers=("i", "j", "inliers"))
-
+    nodes, fault = json_records(doc, "nodes", ("id",), path, integers=("id",))
     ids = _int_column([rec["id"] for rec in nodes])
     gt_values = [rec.get("gt_qwxyz") for rec in nodes]
     has_gt = np.array([q is not None for q in gt_values], dtype=bool)
     gt, gt_rules = _quaternion_rules([_IDENTITY if q is None else q for q in gt_values],
                                      "gt_qwxyz", "node {id}")
-    _check_records([*gt_rules, *_id_rules(ids)], nodes, "gt_qwxyz")
+    _check_records([*gt_rules, *_id_rules(ids)], nodes, fault, "gt_qwxyz")
 
+    edges, fault = json_records(doc, "edges", ("i", "j", "qwxyz"), path,
+                                integers=("i", "j", "inliers"))
     i, j = _int_column([rec["i"] for rec in edges]), _int_column([rec["j"] for rec in edges])
     count_values = [rec.get("inliers") for rec in edges]
     has_count = np.array([n is not None for n in count_values], dtype=bool)
@@ -541,7 +543,7 @@ def load_graph(path) -> ViewGraph:
     q, quaternion_rules = _quaternion_rules([rec["qwxyz"] for rec in edges], "qwxyz",
                                             "edge ({i}, {j})")
     _check_records([("edge ({i}, {j}): 'cov' must be 9 row-major floats", cov_ok),
-                    *quaternion_rules, *_edge_checks(i, j, counts, covs)], edges, "qwxyz")
+                    *quaternion_rules, *_edge_checks(i, j, counts, covs)], edges, fault, "qwxyz")
     g = ViewGraph.__new__(ViewGraph)
     g._assemble(ids, gt, has_gt, i, j, q, covs, has_cov, counts, has_count, f"{path}: ")
     return g
@@ -618,8 +620,8 @@ def load_pairs(path) -> list[tuple[tuple[int, int], TwoViewGeometry]]:
     :class:`CameraIntrinsics`, so its K^{-1} is computed once.
     """
     doc = read_json_object(path, ("pairs",))
-    records = json_records(doc, "pairs", ("i", "j", "K_i", "K_j", "qwxyz", "t", "matches"),
-                           path, integers=("i", "j"))
+    records, fault = json_records(
+        doc, "pairs", ("i", "j", "K_i", "K_j", "qwxyz", "t", "matches"), path, integers=("i", "j"))
     q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "pair ({i}, {j})")
     t, t_ok = _float_rows([rec["t"] for rec in records], 3, flat=True)
     with np.errstate(over="ignore"):
@@ -629,7 +631,7 @@ def load_pairs(path) -> list[tuple[tuple[int, int], TwoViewGeometry]]:
     matches, starts, ends, matches_ok = _matches_rows([rec["matches"] for rec in records])
     ok = (t_ok & np.isfinite(t).all(axis=1) & (norm < np.inf) & (norm >= 1e-12)
           & ki_ok & kj_ok & matches_ok)
-    _check_records([*rules, ("pair ({i}, {j}): {error}", ok)], records, "qwxyz",
+    _check_records([*rules, ("pair ({i}, {j}): {error}", ok)], records, fault, "qwxyz",
                    error=_pair_geometry)
     translations = t / norm[:, None]
     cache = {}
@@ -658,6 +660,41 @@ def save_pairs(pairs, path) -> None:
         for rec, value in zip(records, column.tolist()):
             rec[name] = value
     write_json({"pairs": records}, path)
+
+
+def save_result(result, path) -> None:
+    """Write an :class:`~rotavg.solver.AveragingResult` as a result file
+    (rotations, cost, diagnostics)."""
+    ids = sorted(result.rotations)
+    keys = sorted(result.edge_weights)
+    quats = np.array([result.rotations[nid].quaternion for nid in ids]).reshape(-1, 4)
+    weights = np.array([result.edge_weights[k] for k in keys], dtype=np.float64)
+    norms = np.array([result.edge_residual_norms[k] for k in keys], dtype=np.float64)
+    refuse_non_finite(path, {"qwxyz": quats}, lambda k: f"node {ids[k]}")
+    refuse_non_finite(path, {"final_cost": [result.final_cost]}, lambda k: "the result")
+    refuse_non_finite(path, {"weight": weights, "residual_norm": norms},
+                      lambda k: "edge ({}, {})".format(*keys[k]))
+    write_json({
+        "rotations": [{"id": nid, "qwxyz": q} for nid, q in zip(ids, quats.tolist())],
+        "final_cost": float(result.final_cost),
+        "iterations": result.outer_iterations,
+        "converged": result.converged,
+        "termination": result.termination,
+        "edge_weights": [{"i": i, "j": j, "weight": w, "residual_norm": r}
+                         for (i, j), w, r in zip(keys, weights.tolist(), norms.tolist())],
+    }, path)
+
+
+def load_result_rotations(path) -> dict[int, Rotation]:
+    """Read back the rotations of a result file, under the graph loader's
+    quaternion and node-id rules."""
+    doc = read_json_object(path, ("rotations",))
+    records, fault = json_records(doc, "rotations", ("id", "qwxyz"), path, integers=("id",))
+    q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "node {id}")
+    ids = _int_column([rec["id"] for rec in records])
+    _check_records([*rules, *_id_rules(ids)], records, fault, "qwxyz")
+    check_unique_ids(ids, f"{path}: ")
+    return dict(zip(ids.tolist(), checked_rotations(q)))
 
 
 def _component_roots(n: int, ends) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,9 +17,9 @@ from hypothesis import strategies as st
 import rotavg.cli as cli
 from rotavg.errors import NumericalError
 from rotavg.so3 import Rotation
-from rotavg.solver import load_result_rotations
 from rotavg.synth import SynthConfig, generate_graph, generate_two_view_scene
-from rotavg.viewgraph import ViewGraph, ViewNode, load_graph, save_graph, save_pairs
+from rotavg.viewgraph import (ViewGraph, ViewNode, load_graph, load_result_rotations, save_graph,
+                              save_pairs)
 
 from conftest import bad_two_view_geometries, moderate_rotation, random_unit_vector
 
@@ -265,6 +268,22 @@ def test_data_errors_exit_2(tmp_path, capsys):
     apart.write_text(json.dumps({"nodes": [{"id": 0}, {"id": 1}], "edges": []}))
     assert cli.main(["average", "--in", str(apart), "--out", str(r)]) == 2
     assert "disconnected" in capsys.readouterr().err
+    # a record list that is not a list
+    bad.write_text(json.dumps({"nodes": {}, "edges": []}))
+    assert cli.main(["average", "--in", str(bad), "--out", str(r)]) == 2
+    assert capsys.readouterr().err == f"data error: {bad}: 'nodes' must be a list\n"
+    bad.write_text(json.dumps({"pairs": {}}))
+    assert cli.main(["weigh", "--pairs", str(bad), "--out", str(r)]) == 2
+    assert capsys.readouterr().err == f"data error: {bad}: 'pairs' must be a list\n"
+    # a result that shares no node id with the ground truth
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 0
+    doc = json.loads(r.read_text())
+    for rec in doc["rotations"]:
+        rec["id"] += 1000
+    r.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--est", str(r), "--gt", str(g)]) == 2
+    assert capsys.readouterr().err == "data error: estimate and ground truth share no node ids\n"
 
 
 def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -376,6 +395,70 @@ def test_wrongly_typed_ids_exit_2(tmp_path, capsys):
     r.write_text(json.dumps(doc))
     assert cli.main(["evaluate", "--est", str(r), "--gt", str(synth)]) == 2
     assert "rotations[3]: 'id' must be an integer, got '3'" in capsys.readouterr().err
+
+
+ZERO_QUATERNION = "bad quaternion [0, 0, 0, 0]: zero-norm quaternion"
+
+
+def test_bad_edge_value_outranks_a_later_malformed_edge(tmp_path, capsys):
+    """The first bad record in file order is named, whether its fault is a value or
+    its structure: a zero quaternion in edges[0] before a string id in edges[1]."""
+    def edit(doc):
+        doc["edges"][0]["qwxyz"] = [0, 0, 0, 0]
+        doc["edges"][1]["i"] = "x"
+
+    g = _edited_synth(tmp_path, edit)
+    edge = json.loads(g.read_text())["edges"][0]
+    capsys.readouterr()
+    assert cli.main(["average", "--in", str(g), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr() == (
+        "", f"data error: edge ({edge['i']}, {edge['j']}): {ZERO_QUATERNION}\n")
+
+
+def test_bad_node_outranks_a_malformed_edge(tmp_path, capsys):
+    """A graph settles its nodes before its edges, as ViewGraph.from_columns does."""
+    def edit(doc):
+        doc["nodes"][0]["gt_qwxyz"] = [0, 0, 0, 0]
+        doc["edges"][2]["inliers"] = "many"
+
+    g = _edited_synth(tmp_path, edit)
+    capsys.readouterr()
+    assert cli.main(["average", "--in", str(g), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr() == ("", f"data error: node 0: {ZERO_QUATERNION}\n")
+
+
+def test_bad_pair_value_outranks_a_later_malformed_pair(tmp_path, capsys):
+    path = tmp_path / "pairs.json"
+    save_pairs(_pairs(np.random.default_rng(1)), path)
+    doc = json.loads(path.read_text())
+    doc["pairs"][0]["qwxyz"] = [0, 0, 0, 0]
+    doc["pairs"][2]["i"] = 1.5
+    path.write_text(json.dumps(doc))
+    assert cli.main(["weigh", "--pairs", str(path), "--out", str(tmp_path / "g.json")]) == 2
+    assert capsys.readouterr() == ("", f"data error: pair (0, 1): {ZERO_QUATERNION}\n")
+
+
+def test_bad_result_value_outranks_a_later_malformed_rotation(tmp_path, capsys):
+    g, r = _synth(tmp_path), tmp_path / "r.json"
+    assert cli.main(["average", "--in", str(g), "--out", str(r)]) == 0
+    doc = json.loads(r.read_text())
+    doc["rotations"][0]["qwxyz"] = [0, 0, 0, 0]
+    doc["rotations"][3]["id"] = "3"
+    r.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--est", str(r), "--gt", str(g)]) == 2
+    assert capsys.readouterr() == ("", f"data error: node 0: {ZERO_QUATERNION}\n")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy is imported by the functions that use it, so a process that never solves
+    or evaluates a magsac loss (synth, weigh, evaluate) does not pay for loading it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, rotavg.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_bad_result_quaternion_exits_2(tmp_path, capsys):

@@ -51,6 +51,10 @@ def test_gamma_input_validation():
         upper_incomplete_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         upper_incomplete_gamma(1.0, -1.0)
+    with pytest.raises(ValueError, match="nu must be >= 1"):
+        chi_quantile(0, 0.9)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+        chi_quantile(3, 1.0)
 
 
 def test_chi_quantile_values():
@@ -131,6 +135,10 @@ def test_loss_spec_validation():
         LossSpec("magsac", alpha=0.4)
     with pytest.raises(ValueError):
         classic_loss(LossSpec("huber"), -0.1)
+    with pytest.raises(ValueError, match="'magsac' is not a classic loss"):
+        classic_loss(LossSpec("magsac"), 1.0)
+    with pytest.raises(ValueError, match="magsac_weight requires a magsac LossSpec"):
+        magsac_weight(LossSpec("cauchy"), 1.0)
 
 
 # ---------------------------------------------------------------------------

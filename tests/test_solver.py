@@ -23,13 +23,12 @@ from rotavg.solver import (
     SolverConfig,
     WEIGHTING_MODES,
     cost,
-    load_result_rotations,
-    save_result,
     solve,
 )
 from rotavg.synth import SynthConfig, generate_graph
 from rotavg.twoview import whitener_from_covariance
-from rotavg.viewgraph import EdgeMeasurement, ViewGraph, ViewNode, spanning_tree_init
+from rotavg.viewgraph import (EdgeMeasurement, ViewGraph, ViewNode, load_result_rotations,
+                              save_result, spanning_tree_init)
 
 from conftest import random_rotation
 

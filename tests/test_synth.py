@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from rotavg.so3 import geodesic_angle, log_so3, relative_residual
+from rotavg.so3 import Rotation, geodesic_angle, log_so3, relative_residual
 from rotavg.synth import (
     SIGMA_FLOOR_RAD,
     SynthConfig,
@@ -20,6 +20,12 @@ from conftest import moderate_rotation, random_unit_vector
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
+
+
+def test_two_view_scene_behind_camera_j_raises():
+    """A half turn about y puts every point in front of camera i behind camera j."""
+    with pytest.raises(RuntimeError, match="could not place points in front of both cameras"):
+        generate_two_view_scene(8, 1.0, Rotation(np.array([0.0, 0.0, 1.0, 0.0])), [0.0, 0.0, 1.0])
 
 
 def test_config_validation():

@@ -54,6 +54,8 @@ def test_intrinsics_validation():
         CameraIntrinsics(np.diag([-1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         CameraIntrinsics(np.diag([1.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="K must be 3x3"):
+        CameraIntrinsics(np.eye(2))
 
 
 def test_geometry_normalizes_translation():
@@ -175,6 +177,19 @@ def test_sampson_scale_invariance():
 def test_sampson_degenerate_denominator():
     with pytest.raises(DegenerateGeometryError):
         sampson_batch(np.zeros((3, 3)), [[0.0, 0.0, 0.0, 0.0]])
+
+
+def test_rotation_jacobian_rejects_a_match_at_both_epipoles():
+    """A match at the epipoles K t and K R t has a zero Sampson denominator."""
+    r = Rotation(np.array([0.99, 0.05, -0.1, 0.02]))
+    t = np.array([0.3, -0.2, 1.0])
+    k = DEFAULT_INTRINSICS.k
+    e_i, e_j = k @ t, k @ r.matrix @ t
+    matches = np.array([[10.0, 20.0, 30.0, 40.0], [50.0, 60.0, 70.0, 80.0],
+                        [*(e_i[:2] / e_i[2]), *(e_j[:2] / e_j[2])]])
+    geom = TwoViewGeometry(r, t, DEFAULT_INTRINSICS, DEFAULT_INTRINSICS, matches)
+    with pytest.raises(DegenerateGeometryError, match="zero Sampson denominator"):
+        rotation_jacobian(geom)
 
 
 def test_sampson_batch_matches_scalar():

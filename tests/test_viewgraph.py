@@ -18,8 +18,7 @@ import rotavg.cli as cli
 from rotavg.errors import NumericalError, SchemaError
 from rotavg.losses import LossSpec
 from rotavg.so3 import Rotation, exp_so3, relative_residual
-from rotavg.solver import (AveragingResult, SolverConfig, load_result_rotations, save_result,
-                           solve)
+from rotavg.solver import AveragingResult, SolverConfig, solve
 from rotavg.synth import DEFAULT_INTRINSICS, SynthConfig, generate_graph, generate_two_view_scene
 from rotavg.twoview import CameraIntrinsics, TwoViewGeometry, whitener_from_covariance
 from rotavg.viewgraph import (
@@ -30,10 +29,12 @@ from rotavg.viewgraph import (
     connected_components,
     load_graph,
     load_pairs,
+    load_result_rotations,
     maximum_spanning_tree,
     read_json_object,
     save_graph,
     save_pairs,
+    save_result,
     spanning_tree_init,
 )
 
