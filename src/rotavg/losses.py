@@ -52,14 +52,14 @@ ALL_KINDS = CLASSIC_KINDS + ("magsac",)
 # ---------------------------------------------------------------------------
 
 
-def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Gamma(a, x) = integral_x^inf t^(a-1) e^(-t) dt."""
+def upper_incomplete_gamma(a: float, x):
+    """Gamma(a, x) = integral_x^inf t^(a-1) e^(-t) dt, shaped like ``x``:
+    a float for a scalar, an array for an array."""
     if a <= 0.0:
         raise ValueError("a must be positive")
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
+    x = _non_negative(x, "x")
     from scipy import special
-    return float(special.gammaincc(a, x) * special.gamma(a))
+    return (special.gammaincc(a, x) * special.gamma(a))[()]
 
 
 @lru_cache(maxsize=None)
@@ -189,27 +189,23 @@ def classic_loss(spec: LossSpec, s) -> LossEval:
 
 
 @lru_cache(maxsize=128)
-def _magsac_constants(spec: LossSpec) -> tuple[float, float, float, float]:
-    """(amplitude, tail Gamma((nu-1)/2, k^2/2), w(0), cutoff) of a magsac spec."""
+def _magsac_constants(spec: LossSpec) -> tuple[float, float, float, float, float]:
+    """(amplitude, a = (nu-1)/2, tail Gamma(a, k^2/2), w(0), cutoff) of a magsac spec."""
     # (1/sigma_max) * 2^((nu-1)/2) / (2^(nu/2) Gamma(nu/2))
     amplitude = 1.0 / (spec.scale * math.sqrt(2.0) * math.gamma(0.5 * spec.nu))
     a = 0.5 * (spec.nu - 1)
     tail = upper_incomplete_gamma(a, 0.5 * spec.k * spec.k)
     w0 = amplitude * (upper_incomplete_gamma(a, 0.0) - tail)
-    return amplitude, tail, w0, spec.cutoff
+    return amplitude, a, tail, w0, spec.cutoff
 
 
 def magsac_weight(spec: LossSpec, r) -> float | np.ndarray:
     """Marginalized inlier weight; zero at and beyond r = k * sigma_max."""
-    from scipy import special
     if spec.kind != "magsac":
         raise ValueError("magsac_weight requires a magsac LossSpec")
     r = _non_negative(r, "residual norm")
-    amplitude, tail, _, cutoff = _magsac_constants(spec)
-    a = 0.5 * (spec.nu - 1)
-    x = r * r / (2.0 * spec.scale * spec.scale)
-    # Gamma(a, x) = gammaincc(a, x) Gamma(a), as in upper_incomplete_gamma
-    w = amplitude * (special.gammaincc(a, x) * special.gamma(a) - tail)
+    amplitude, a, tail, _, cutoff = _magsac_constants(spec)
+    w = amplitude * (upper_incomplete_gamma(a, r * r / (2.0 * spec.scale * spec.scale)) - tail)
     return np.where(r >= cutoff, 0.0, w)[()]
 
 
@@ -217,9 +213,8 @@ def magsac_loss(spec: LossSpec, r) -> LossEval:
     """rho(r) = w(0) - w(r); IRLS weight = d(rho)/ds at s = r^2."""
     w_r = magsac_weight(spec, r)
     r = np.asarray(r, dtype=np.float64)
-    amplitude, _, w0, cutoff = _magsac_constants(spec)
+    amplitude, a, _, w0, cutoff = _magsac_constants(spec)
     # d(rho)/ds = A x^(a-1) e^(-x) / (2 sigma_max^2),  x = s / (2 sigma_max^2)
-    a = 0.5 * (spec.nu - 1)
     sig2 = spec.scale * spec.scale
     x = r * r / (2.0 * sig2)
     if a < 1.0:

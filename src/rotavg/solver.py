@@ -27,6 +27,9 @@ trip the outer loop's non-decrease guard.  The solve ends when a
 re-weighting changes the robust cost by at most ``cost_rel_tol`` relative,
 for every loss alike: the ``trivial`` loss, whose weights never change,
 stops there too rather than at the least-squares optimum to round-off.
+Whatever ends it, when the edges with a positive final IRLS weight do not
+connect every node, the rotations are undetermined: ``converged`` is False
+and ``termination`` is ``loss_disconnected_graph``.
 
 No node is pinned (free gauge; Triggs et al., section 9).  A common update
 of all nodes leaves the cost unchanged, so it lies in the null space of the
@@ -90,7 +93,7 @@ from .errors import ConfigurationError, NumericalError, SchemaError
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
-from .viewgraph import ViewGraph, check_connected
+from .viewgraph import ViewGraph, _component_roots, check_connected
 
 logger = logging.getLogger(__name__)
 
@@ -222,13 +225,18 @@ def _refuse_non_finite_edges(g: ViewGraph, what: str, bad) -> None:
         raise NumericalError(f"non-finite {what} on edge ({i}, {j})")
 
 
+def _weighted_residuals(g: ViewGraph, quats, transforms):
+    """Every edge's r_e, A_e, W_e r_e and ||W_e r_e||^2 at the (N, 4) node ``quats``."""
+    res, amat = kernels.edge_terms(quats, g.ends, g.quats)
+    rw = np.einsum("eab,eb->ea", transforms, res)
+    with np.errstate(over="ignore"):  # an overflow is caught by the checks downstream
+        return res, amat, rw, np.vecdot(rw, rw)
+
+
 def cost(g: ViewGraph, rotations: dict[int, Rotation], config: SolverConfig) -> float:
     """Robust objective sum_e rho(||W_e r_e||^2), summed in edge-key order."""
     transforms, _ = _transform_stack(g, config)
-    res, _ = kernels.edge_terms(_node_quats(g, rotations), g.ends, g.quats)
-    rw = np.einsum("eab,eb->ea", transforms, res)
-    with np.errstate(over="ignore"):  # an overflow is caught in _robust_cost
-        sq = np.vecdot(rw, rw)
+    sq = _weighted_residuals(g, _node_quats(g, rotations), transforms)[3]
     return _robust_cost(g, sq, config.loss)[0]
 
 
@@ -371,14 +379,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
     quats = _node_quats(g, init)
     transforms, fallbacks = _transform_stack(g, config)
     pattern = _normal_pattern(g.ends, len(node_ids))
-
-    def residuals(q):
-        res, amat = kernels.edge_terms(q, g.ends, g.quats)
-        rw = np.einsum("eab,eb->ea", transforms, res)
-        with np.errstate(over="ignore"):  # an overflow is caught by the checks downstream
-            return res, amat, rw, np.vecdot(rw, rw)
-
-    res, amat, rw, sq = residuals(quats)
+    res, amat, rw, sq = _weighted_residuals(g, quats, transforms)
     robust_cost, lw = _robust_cost(g, sq, config.loss)
 
     converged = False
@@ -410,9 +411,9 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
                 if predicted <= np.finfo(float).eps * ls_cost:
                     break
                 trial = _apply_step(quats, delta.reshape(-1, 3))
-                res_trial, amat_trial, rw_trial, sq_trial = residuals(trial)
-                if float(np.sum(lw * sq_trial)) <= ls_cost:
-                    quats, res, amat, rw, sq = trial, res_trial, amat_trial, rw_trial, sq_trial
+                terms = _weighted_residuals(g, trial, transforms)
+                if float(np.sum(lw * terms[3])) <= ls_cost:
+                    quats, (res, amat, rw, sq) = trial, terms
                     break
                 lam *= 10.0
 
@@ -422,7 +423,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             # not a verified optimum, so converged stays False (robust_cost
             # and lw are still its own)
             quats = prev_quats
-            res = residuals(quats)[0]
+            res = _weighted_residuals(g, quats, transforms)[0]
             termination = "irls_non_decrease_guard"
             break
         robust_cost, lw = new_cost, new_lw
@@ -430,6 +431,10 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             converged = True
             termination = "cost_rel_tol"
             break
+
+    if _component_roots(len(node_ids), g.ends[lw > 0]).any():
+        # the edges the loss keeps do not determine every rotation
+        converged, termination = False, "loss_disconnected_graph"
 
     rotations = dict(zip(node_ids, checked_rotations(quats)))
     keys = list(map(tuple, g.edge_ids.tolist()))

@@ -168,6 +168,10 @@ def generate_two_view_scene(
     constraint matches ``F = K_j^{-T} R [t]x K_i^{-1}``.  Gaussian pixel
     noise of ``pixel_sigma`` is added to all four coordinates.  The larger
     ``scene_depth``, the narrower the relative baseline.
+    Points are drawn in array calls of as many as are still missing, at most
+    ``100 * n_points`` in all (else ``RuntimeError``): no call draws past the
+    point that completes the set, so the random stream is the one a loop
+    drawing one candidate point at a time gives.
     """
     if n_points < 8:
         raise ValueError("need at least 8 points")
@@ -178,21 +182,13 @@ def generate_two_view_scene(
     rng = np.random.Generator(np.random.Philox(seed))
     r = rotation.matrix
     half = 0.4 * scene_depth
-    pts = np.empty((n_points, 3))
-    count = 0
-    for _ in range(100 * n_points):
-        x = np.array([
-            rng.uniform(-half, half),
-            rng.uniform(-half, half),
-            rng.uniform(0.7 * scene_depth, 1.3 * scene_depth),
-        ])
-        xj = r @ (x + t)
-        if x[2] > 0.1 and xj[2] > 0.1:
-            pts[count] = x
-            count += 1
-            if count == n_points:
-                break
-    if count < n_points:
+    low, high = [-half, -half, 0.7 * scene_depth], [half, half, 1.3 * scene_depth]
+    pts, drawn, budget = np.empty((0, 3)), 0, 100 * n_points
+    while len(pts) < n_points and drawn < budget:
+        x = rng.uniform(low, high, size=(min(n_points - len(pts), budget - drawn), 3))
+        drawn += len(x)
+        pts = np.concatenate([pts, x[(x[:, 2] > 0.1) & ((r @ (x + t).T)[2] > 0.1)]])
+    if len(pts) < n_points:
         raise RuntimeError("could not place points in front of both cameras")
     k = intrinsics.k
     pi = (pts / pts[:, 2:]) @ k.T

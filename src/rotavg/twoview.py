@@ -8,10 +8,11 @@ residual into a 3x3 covariance of the relative rotation:
 with ``J`` the stacked Jacobian of the signed Sampson residuals w.r.t. a
 right-multiplied axis-angle perturbation of ``R_ij``.
 
-:func:`rotation_covariances` makes one array pass over the concatenated
-matches of all pairs: the Sampson gradients of every match in the rank-two
-form ``dS/dF = u p^T + p' w^T``, then each pair's ``J^T J``, condition check
-and inverse.  A pair that cannot be weighted gets its error instead of a
+:func:`_jacobians` makes one array pass over the matches of all pairs: the
+Sampson gradients of every match in the rank-two form ``dS/dF = u p^T + p' w^T``,
+times each pair's generators; :func:`rotation_jacobian` is its one-pair case.
+:func:`rotation_covariances` then forms each pair's ``J^T J``, condition check
+and inverse; a pair that cannot be weighted gets its error instead of a
 covariance, so one bad pair never stops the others.
 :func:`covariance_of_rotation` is its one-pair case.  Each
 :class:`CameraIntrinsics` computes ``K^{-1}`` once.  The whitening matrix
@@ -65,6 +66,16 @@ def _intrinsics_checks(k):
     yield "focal lengths must be positive", (k[..., 0, 0] > 0) & (k[..., 1, 1] > 0)
 
 
+def _translation_checks(t):
+    """The norm of one (3,) translation or of each row of an (N, 3) stack (it
+    rounds as ``np.linalg.norm``), and (message, passed) for each rule, in check order."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.vecdot(t, t))
+    return norm, (("non-finite translation", np.isfinite(t).all(axis=-1)),
+                  ("translation norm overflows", norm < np.inf),
+                  ("zero-baseline translation", norm >= 1e-12))
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Upper-triangular calibration matrix K (pixels), read-only."""
@@ -109,15 +120,11 @@ class TwoViewGeometry:
 
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("non-finite translation")
-        with np.errstate(over="ignore"):
-            n = np.linalg.norm(t)
-        if n == np.inf:
-            raise ValueError("translation norm overflows")
-        if n < 1e-12:
-            raise ValueError("zero-baseline translation")
-        object.__setattr__(self, "translation", t / n)
+        norm, rules = _translation_checks(t)
+        for message, passed in rules:
+            if not passed:
+                raise ValueError(message)
+        object.__setattr__(self, "translation", t / norm)
         m = np.asarray(self.matches, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] != 4:
             raise ValueError("matches must be an (N, 4) array [x, y, x', y']")
@@ -234,12 +241,20 @@ def _generators(ki_inv, kj_inv, r, t, marginalize):
     return gens.reshape(len(t), -1, 9)
 
 
-def _pose_stacks(geoms):
-    """K_i^{-1}, K_j^{-1}, R and t of every pair, stacked."""
-    return (np.array([g.intrinsics_i.inverse for g in geoms]),
-            np.array([g.intrinsics_j.inverse for g in geoms]),
-            quat_to_matrix(np.array([g.rotation.quaternion for g in geoms])),
-            np.array([g.translation for g in geoms]))
+def _jacobians(geoms, marginalize):
+    """Each pair's (K, N) J^T, K as in :func:`_generators`, and the (P,) mask of the
+    pairs with a degenerate match (their J^T has finite placeholder columns)."""
+    stacks = (np.array([g.intrinsics_i.inverse for g in geoms]),
+              np.array([g.intrinsics_j.inverse for g in geoms]),
+              quat_to_matrix(np.array([g.rotation.quaternion for g in geoms])),
+              np.array([g.translation for g in geoms]))
+    counts = np.array([len(g.matches) for g in geoms])
+    starts = np.cumsum(counts) - counts
+    grad, degenerate = _sampson_gradients(
+        _fundamental(*stacks), np.concatenate([g.matches.T for g in geoms], axis=1), counts)
+    gens = _generators(*stacks, marginalize)
+    return ([gens[q] @ grad[:, s:s + n] for q, (s, n) in enumerate(zip(starts, counts))],
+            np.logical_or.reduceat(degenerate, starts))
 
 
 def rotation_jacobian(geom: TwoViewGeometry) -> np.ndarray:
@@ -250,12 +265,10 @@ def rotation_jacobian(geom: TwoViewGeometry) -> np.ndarray:
     """
     if len(geom.matches) < 3:
         raise InsufficientDataError("need at least 3 inliers for the rotation Jacobian")
-    stacks = _pose_stacks([geom])
-    grad, degenerate = _sampson_gradients(_fundamental(*stacks), geom.matches.T,
-                                          [len(geom.matches)])
-    if degenerate.any():
+    (jt,), bad = _jacobians([geom], marginalize=False)
+    if bad[0]:
         raise DegenerateGeometryError(_DEGENERATE_MATCH)
-    return (_generators(*stacks, marginalize=False)[0] @ grad).T
+    return jt.T
 
 
 def rotation_covariances(geoms, residual_sigma: float = 1.0, mode: str = "rotation_only"):
@@ -278,25 +291,13 @@ def rotation_covariances(geoms, residual_sigma: float = 1.0, mode: str = "rotati
         raise ValueError(f"residual sigma must be positive and finite, not {residual_sigma:g}")
     geoms = list(geoms)
     covs = np.full((len(geoms), 3, 3), np.nan)
-    errors = [None] * len(geoms)
-    for p, g in enumerate(geoms):
-        if len(g.matches) < 3:
-            errors[p] = InsufficientDataError("need at least 3 inliers for covariance estimation")
+    errors = [InsufficientDataError("need at least 3 inliers for covariance estimation")
+              if len(g.matches) < 3 else None for g in geoms]
     live = [p for p, err in enumerate(errors) if err is None]
     if not live:
         return covs, errors
-    stacks = _pose_stacks([geoms[p] for p in live])
-    counts = np.array([len(geoms[p].matches) for p in live])
-    starts = np.cumsum(counts) - counts
-    grad, degenerate = _sampson_gradients(
-        _fundamental(*stacks), np.concatenate([geoms[p].matches.T for p in live], axis=1),
-        counts)
-    gens = _generators(*stacks, marginalize=mode == "marginalize_translation")
-    jtj = np.empty((len(live), gens.shape[1], gens.shape[1]))
-    for q, (s, n) in enumerate(zip(starts, counts)):
-        j = gens[q] @ grad[:, s:s + n]
-        jtj[q] = j @ j.T
-    bad = np.logical_or.reduceat(degenerate, starts)
+    jts, bad = _jacobians([geoms[p] for p in live], mode == "marginalize_translation")
+    jtj = np.array([jt @ jt.T for jt in jts])
     ok = ~bad & np.all(np.isfinite(jtj), axis=(1, 2))
     sv = np.linalg.svd(jtj[ok], compute_uv=False)
     ok[ok] = (sv[:, -1] > 0.0) & (sv[:, 0] <= COND_LIMIT * sv[:, -1])

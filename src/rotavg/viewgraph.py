@@ -70,7 +70,7 @@ import orjson
 from .errors import DisconnectedGraphError, NumericalError, SchemaError, raise_first_failure
 from .so3 import (Rotation, _quaternion_checks, canonical_quats, checked_rotations, quat_conj,
                   quat_mul)
-from .twoview import CameraIntrinsics, TwoViewGeometry, _intrinsics_checks
+from .twoview import CameraIntrinsics, TwoViewGeometry, _intrinsics_checks, _translation_checks
 
 __all__ = [
     "ViewNode",
@@ -624,13 +624,11 @@ def load_pairs(path) -> list[tuple[tuple[int, int], TwoViewGeometry]]:
         doc, "pairs", ("i", "j", "K_i", "K_j", "qwxyz", "t", "matches"), path, integers=("i", "j"))
     q, rules = _quaternion_rules([rec["qwxyz"] for rec in records], "qwxyz", "pair ({i}, {j})")
     t, t_ok = _float_rows([rec["t"] for rec in records], 3, flat=True)
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(np.vecdot(t, t))  # rounds as np.linalg.norm of one row does
+    norm, t_rules = _translation_checks(t)
     ki, ki_ok = _intrinsics_rows([rec["K_i"] for rec in records])
     kj, kj_ok = _intrinsics_rows([rec["K_j"] for rec in records])
     matches, starts, ends, matches_ok = _matches_rows([rec["matches"] for rec in records])
-    ok = (t_ok & np.isfinite(t).all(axis=1) & (norm < np.inf) & (norm >= 1e-12)
-          & ki_ok & kj_ok & matches_ok)
+    ok = np.logical_and.reduce([t_ok, *(p for _, p in t_rules), ki_ok, kj_ok, matches_ok])
     _check_records([*rules, ("pair ({i}, {j}): {error}", ok)], records, fault, "qwxyz",
                    error=_pair_geometry)
     translations = t / norm[:, None]

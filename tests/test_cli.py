@@ -773,12 +773,27 @@ def test_report_ranks_covariance_weighted_magsac_first(tmp_path, capsys):
     assert len(csv_lines) == 7
 
 
+@pytest.mark.parametrize("density", ["0.25", "0.3"])
+def test_average_reports_a_graph_the_loss_cut_apart(tmp_path, density):
+    """A loss scale that cuts the graph apart still exits 0, but the result file
+    says the solve did not converge and why; the default scale converges."""
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    assert cli.main(["synth", "--cameras", "20", "--density", density, "--outliers", "0.1",
+                     "--seed", "0", "--out", str(g)]) == 0
+    assert cli.main(["average", "--in", str(g), "--out", str(r), "--loss", "magsac",
+                     "--loss-scale", "1e-100"]) == 0
+    doc = json.loads(r.read_text())
+    assert (doc["converged"], doc["termination"]) == (False, "loss_disconnected_graph")
+    assert cli.main(["average", "--in", str(g), "--out", str(r), "--loss", "magsac"]) == 0
+    doc = json.loads(r.read_text())
+    assert (doc["converged"], doc["termination"]) == (True, "cost_rel_tol")
+
+
 def test_bench_runs(tmp_path, capsys):
     g = _synth(tmp_path, cameras=10)
     assert cli.main(["bench", "--in", str(g), "--repeats", "3"]) == 0
     out = capsys.readouterr().out
-    assert "edge_terms numpy" in out
-    assert "full solve" in out
+    assert "full solve: median" in out and "of 3" in out
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,19 @@ def test_upper_gamma_vs_quadrature():
         assert abs(upper_incomplete_gamma(a, x) - oracle) < 1e-9
 
 
+def test_upper_gamma_array_matches_scalar_calls_bitwise():
+    """The magsac weight calls Gamma(a, x) on arrays, the constants on scalars: one path."""
+    x = np.concatenate([[0.0], np.geomspace(1e-12, 60.0, 200)]).reshape(3, 67)
+    for a in (0.5, 1.0, 1.5):
+        batch = upper_incomplete_gamma(a, x)
+        assert batch.shape == x.shape
+        scalars = np.array([upper_incomplete_gamma(a, float(v)) for v in x.ravel()])
+        assert batch.tobytes() == scalars.reshape(x.shape).tobytes()
+        assert isinstance(upper_incomplete_gamma(a, 2.0), float)
+    with pytest.raises(ValueError, match="x must be non-negative"):
+        upper_incomplete_gamma(1.5, np.array([1.0, -1e-300, 2.0]))
+
+
 def test_gamma_input_validation():
     with pytest.raises(ValueError):
         upper_incomplete_gamma(0.0, 1.0)

@@ -1,6 +1,7 @@
 """Averaging solver: recovery, monotone IRLS, gauge, determinism."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -441,6 +442,27 @@ def test_non_decrease_guard_returns_previous_iterate(monkeypatch):
         assert (result.rotations[nid].quaternion.tobytes()
                 == previous.rotations[nid].quaternion.tobytes())
     assert result.final_cost == previous.final_cost
+
+
+@pytest.mark.parametrize("density", [0.25, 0.3])
+def test_a_loss_that_cuts_the_graph_apart_does_not_converge(tmp_path, density):
+    """magsac at scale 1e-100 keeps only the tree edges whose init residual is
+    exactly zero, too few to connect the 20 nodes: the weighted problem does
+    not determine the rotations, whatever the cost change says.  At the
+    default scale the same graph converges."""
+    g = generate_graph(SynthConfig(n_cameras=20, edge_density=density,
+                                   noise_sigmas_deg=((0.5, 0.5), (0.5, 5.0)),
+                                   outlier_fraction=0.1, seed=0)).graph
+    init = spanning_tree_init(g, "auto")
+    cut = solve(g, init, SolverConfig(loss=LossSpec("magsac", scale=1e-100),
+                                      weighting="cov_full"))
+    assert sum(w > 0.0 for w in cut.edge_weights.values()) < len(g.node_ids) - 1
+    assert (cut.converged, cut.termination) == (False, "loss_disconnected_graph")
+    save_result(cut, tmp_path / "r.json")
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert (doc["converged"], doc["termination"]) == (False, "loss_disconnected_graph")
+    kept = solve(g, init, SolverConfig(loss=LossSpec("magsac", scale=3.0), weighting="cov_full"))
+    assert (kept.converged, kept.termination) == (True, "cost_rel_tol")
 
 
 def test_indefinite_system_gives_non_finite_step():

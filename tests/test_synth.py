@@ -185,6 +185,72 @@ def test_two_view_scene_validation_and_determinism():
     assert np.array_equal(a.matches, b.matches)
 
 
+def _two_view_points_one_at_a_time(n_points, rotation, t, seed, scene_depth):
+    """The reference for generate_two_view_scene's point draws: one candidate
+    point per iteration, at most 100 n_points of them.  Returns the points (or
+    None when too few land in front of both cameras), the number of candidates
+    drawn and the generator."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    r = rotation.matrix
+    half = 0.4 * scene_depth
+    pts = np.empty((n_points, 3))
+    count = drawn = 0
+    for _ in range(100 * n_points):
+        x = np.array([
+            rng.uniform(-half, half),
+            rng.uniform(-half, half),
+            rng.uniform(0.7 * scene_depth, 1.3 * scene_depth),
+        ])
+        drawn += 1
+        if x[2] > 0.1 and (r @ (x + t))[2] > 0.1:
+            pts[count] = x
+            count += 1
+            if count == n_points:
+                return pts, drawn, rng
+    return None, drawn, rng
+
+
+def test_two_view_scene_draws_the_one_point_at_a_time_stream(monkeypatch):
+    """The array draws place the points, leave the generator where, and fail
+    where, the point-by-point loop does.  Rotations up to 90 degrees and
+    depths down to 0.16 baselines make some scenes need a second batch and
+    some fail."""
+    made = []
+    real_generator = np.random.Generator
+
+    def recording_generator(bit_generator):
+        made.append(real_generator(bit_generator))
+        return made[-1]
+
+    rng = np.random.default_rng(2027)
+    second_batch = failed = 0
+    for seed in range(320):
+        n = int(rng.integers(8, 40))
+        rot = moderate_rotation(rng, 0.0, 90.0)
+        t = random_unit_vector(rng)
+        depth = float(10.0 ** rng.uniform(-0.8, 0.8))
+        pts, drawn, ref_rng = _two_view_points_one_at_a_time(n, rot, t, seed, depth)
+        second_batch += drawn > n
+        monkeypatch.setattr(np.random, "Generator", recording_generator)
+        try:
+            if pts is None:
+                failed += 1
+                with pytest.raises(RuntimeError,
+                                   match="could not place points in front of both cameras"):
+                    generate_two_view_scene(n, 0.5, rot, t, seed=seed, scene_depth=depth)
+                assert made[-1].random() == ref_rng.random()
+                continue
+            geom, clean, got = generate_two_view_scene(n, 0.5, rot, t, seed=seed,
+                                                       scene_depth=depth, return_clean=True)
+        finally:
+            monkeypatch.setattr(np.random, "Generator", real_generator)
+        assert got.tobytes() == pts.tobytes()
+        noise = ref_rng.normal(scale=0.5, size=clean.shape)
+        assert geom.matches.tobytes() == (clean + noise).tobytes()
+        assert made[-1].random() == ref_rng.random()
+    assert second_batch > 50 and failed > 20
+
+
 def test_doubling_points_roughly_halves_trace():
     rng = np.random.default_rng(13)
     ratios = []

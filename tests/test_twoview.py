@@ -367,6 +367,17 @@ def test_rotation_covariances_match_per_pair(mode, sigma):
         assert np.max(np.abs(cov - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("sigma", [1.0, 1.7])
+def test_covariance_of_rotation_is_built_from_rotation_jacobian(sigma):
+    """Both read one Jacobian pass: sigma^2 (J^T J)^{-1} from rotation_jacobian,
+    symmetrized, is covariance_of_rotation bit for bit."""
+    for geom in _batch(np.random.default_rng(17), [8, 25, 60, 140, 33]):
+        j = rotation_jacobian(geom)
+        c = sigma ** 2 * np.linalg.inv(j.T @ j)
+        assert (covariance_of_rotation(geom, residual_sigma=sigma).tobytes()
+                == (0.5 * (c + c.T)).tobytes())
+
+
 def test_rotation_covariances_reject_bad_sigma():
     geoms = _batch(np.random.default_rng(13), [8, 25])
     for sigma in (-1.0, 0.0, np.nan, np.inf):
