@@ -209,8 +209,8 @@ def _cmd_average(args) -> int:
     init = spanning_tree_init(g, args.init_criterion)
     result = solve(g, init, config)
     save_result(result, args.out)
-    print(f"final cost {result.final_cost:.6g} after {result.outer_iterations} "
-          f"outer iterations (converged={result.converged})", file=sys.stderr)
+    print(f"final cost {result.final_cost:.6g} after {result.outer_iterations} outer iterations "
+          f"(converged={result.converged}, termination={result.termination})", file=sys.stderr)
     return EXIT_OK
 
 

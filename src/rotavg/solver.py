@@ -24,12 +24,14 @@ guarantees the robust cost never increases across outer iterations.
 Every classic loss is; ``magsac`` is for ``nu <= 3``, and
 :class:`SolverConfig` takes it at ``nu = 3`` only, so only round-off can
 trip the outer loop's non-decrease guard.  The solve ends when a
-re-weighting changes the robust cost by at most ``cost_rel_tol`` relative,
-for every loss alike: the ``trivial`` loss, whose weights never change,
-stops there too rather than at the least-squares optimum to round-off.
-Whatever ends it, when the edges with a positive final IRLS weight do not
-connect every node, the rotations are undetermined: ``converged`` is False
-and ``termination`` is ``loss_disconnected_graph``.
+re-weighting changes the robust cost by at most :data:`COST_REL_TOL`
+relative, for every loss alike: the ``trivial`` loss, whose weights never
+change, stops there too rather than at the least-squares optimum to
+round-off.  Whatever ends it, when the edges with a positive final IRLS
+weight do not connect every node, the rotations are undetermined and
+``termination`` is ``loss_disconnected_graph``.  ``termination`` is the one
+record of why the solve stopped; ``converged`` is derived from it and holds
+exactly for ``cost_rel_tol`` and ``no_edges``.
 
 No node is pinned (free gauge; Triggs et al., section 9).  A common update
 of all nodes leaves the cost unchanged, so it lies in the null space of the
@@ -37,7 +39,9 @@ of all nodes leaves the cost unchanged, so it lies in the null space of the
 ``DAMPING_INIT`` makes H + lambda I positive definite, so no step adds a
 common rotation (sum_i delta_i = 0 up to round-off): from one initialization,
 node labels and edge directions change the result only by round-off.
-``gradient_tol`` bounds the gradient's infinity-norm over all 3n entries.
+An outer iteration whose gradient has an infinity-norm over all 3n entries
+below :data:`GRADIENT_TOL` takes no step: at an exact or near-exact
+solution a step would only move the rotations by round-off.
 
 All traversal and summation is in sorted edge-key order, so identical
 inputs produce bit-identical results.
@@ -113,6 +117,8 @@ WEIGHTINGS = {
 WEIGHTING_MODES = tuple(WEIGHTINGS)
 
 DAMPING_INIT = 1e-4  # Levenberg lambda at the start of every outer iteration
+GRADIENT_TOL = 1e-10  # an outer iteration steps only at a gradient infinity-norm this large
+COST_REL_TOL = 1e-9  # the solve converges at a re-weighting's relative cost change this small
 
 
 @dataclass(frozen=True)
@@ -120,8 +126,6 @@ class SolverConfig:
     loss: LossSpec = field(default_factory=lambda: LossSpec("trivial"))
     weighting: str = "none"
     max_outer_irls: int = 32
-    gradient_tol: float = 1e-10
-    cost_rel_tol: float = 1e-9
 
     def __post_init__(self):
         default_loss_scale(self.weighting)  # rejects an unknown mode
@@ -133,9 +137,6 @@ class SolverConfig:
             )
         if self.max_outer_irls < 1:
             raise ConfigurationError("max_outer_irls must be >= 1")
-        for name in ("gradient_tol", "cost_rel_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,15 @@ class AveragingResult:
     rotations: dict[int, Rotation]
     final_cost: float
     outer_iterations: int
-    converged: bool
     edge_weights: dict[tuple[int, int], float]
     edge_residual_norms: dict[tuple[int, int], float]
     termination: str = ""
     unit_fallback_edges: int = 0
+
+    @property
+    def converged(self) -> bool:
+        """Whether the solve ended at a verified end point, read from ``termination``."""
+        return self.termination in ("cost_rel_tol", "no_edges")
 
 
 def default_loss_scale(weighting: str) -> float:
@@ -371,7 +376,6 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
             rotations={nid: init[nid] for nid in node_ids},
             final_cost=0.0,
             outer_iterations=0,
-            converged=True,
             edge_weights={},
             edge_residual_norms={},
             termination="no_edges",
@@ -382,7 +386,6 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
     res, amat, rw, sq = _weighted_residuals(g, quats, transforms)
     robust_cost, lw = _robust_cost(g, sq, config.loss)
 
-    converged = False
     termination = "max_outer_irls"
     outer_done = 0
 
@@ -397,7 +400,7 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         with np.errstate(all="ignore"):  # an overflow is caught just below
             blocks, grad = _edge_blocks(transforms @ amat, rw, lw, pattern)
         _check_normal_equations(g, blocks, grad)
-        if np.max(np.abs(grad)) >= config.gradient_tol:
+        if np.max(np.abs(grad)) >= GRADIENT_TOL:
             lam = DAMPING_INIT
             ls_cost = float(np.sum(lw * sq))
             for _ in range(12):
@@ -420,21 +423,19 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         new_cost, new_lw = _robust_cost(g, sq, config.loss)
         if new_cost > prev_cost + 1e-12:
             # IRLS safeguard: reject and stop at the previous iterate, which is
-            # not a verified optimum, so converged stays False (robust_cost
-            # and lw are still its own)
+            # not a verified optimum (robust_cost and lw are still its own)
             quats = prev_quats
             res = _weighted_residuals(g, quats, transforms)[0]
             termination = "irls_non_decrease_guard"
             break
         robust_cost, lw = new_cost, new_lw
-        if abs(prev_cost - robust_cost) <= config.cost_rel_tol * max(1.0, prev_cost):
-            converged = True
+        if abs(prev_cost - robust_cost) <= COST_REL_TOL * max(1.0, prev_cost):
             termination = "cost_rel_tol"
             break
 
     if _component_roots(len(node_ids), g.ends[lw > 0]).any():
         # the edges the loss keeps do not determine every rotation
-        converged, termination = False, "loss_disconnected_graph"
+        termination = "loss_disconnected_graph"
 
     rotations = dict(zip(node_ids, checked_rotations(quats)))
     keys = list(map(tuple, g.edge_ids.tolist()))
@@ -445,7 +446,6 @@ def solve(g: ViewGraph, init: dict[int, Rotation], config: SolverConfig) -> Aver
         rotations=rotations,
         final_cost=robust_cost,
         outer_iterations=outer_done,
-        converged=converged,
         edge_weights=edge_weights,
         edge_residual_norms=edge_residual_norms,
         termination=termination,

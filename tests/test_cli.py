@@ -774,9 +774,9 @@ def test_report_ranks_covariance_weighted_magsac_first(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("density", ["0.25", "0.3"])
-def test_average_reports_a_graph_the_loss_cut_apart(tmp_path, density):
+def test_average_reports_a_graph_the_loss_cut_apart(tmp_path, capsys, density):
     """A loss scale that cuts the graph apart still exits 0, but the result file
-    says the solve did not converge and why; the default scale converges."""
+    and stderr say the solve did not converge and why; the default scale converges."""
     g, r = tmp_path / "g.json", tmp_path / "r.json"
     assert cli.main(["synth", "--cameras", "20", "--density", density, "--outliers", "0.1",
                      "--seed", "0", "--out", str(g)]) == 0
@@ -784,9 +784,11 @@ def test_average_reports_a_graph_the_loss_cut_apart(tmp_path, density):
                      "--loss-scale", "1e-100"]) == 0
     doc = json.loads(r.read_text())
     assert (doc["converged"], doc["termination"]) == (False, "loss_disconnected_graph")
+    assert "(converged=False, termination=loss_disconnected_graph)\n" in capsys.readouterr().err
     assert cli.main(["average", "--in", str(g), "--out", str(r), "--loss", "magsac"]) == 0
     doc = json.loads(r.read_text())
     assert (doc["converged"], doc["termination"]) == (True, "cost_rel_tol")
+    assert "(converged=True, termination=cost_rel_tol)\n" in capsys.readouterr().err
 
 
 def test_bench_runs(tmp_path, capsys):

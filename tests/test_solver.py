@@ -62,8 +62,19 @@ def test_config_validation():
         SolverConfig(weighting="nope")
     with pytest.raises(ConfigurationError):
         SolverConfig(max_outer_irls=0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(gradient_tol=0.0)
+
+
+def test_converged_follows_from_termination():
+    """termination is the one record of why a solve stopped; converged is read from it."""
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == \
+        ["loss", "weighting", "max_outer_irls"]
+    assert "converged" not in {f.name for f in dataclasses.fields(AveragingResult)}
+    result = AveragingResult(rotations={}, final_cost=0.0, outer_iterations=0,
+                             edge_weights={}, edge_residual_norms={})
+    for termination, converged in (("cost_rel_tol", True), ("no_edges", True),
+                                   ("max_outer_irls", False), ("irls_non_decrease_guard", False),
+                                   ("loss_disconnected_graph", False)):
+        assert dataclasses.replace(result, termination=termination).converged is converged
 
 
 @pytest.mark.parametrize("nu", [2, 4])
@@ -185,6 +196,7 @@ def test_one_loss_call_per_reweighting(monkeypatch):
     monkeypatch.setattr(solver_mod, "evaluate_loss", loss_spy)
     result = solve(scene.graph, init, config)
     assert result.termination == "cost_rel_tol"
+    assert result.converged is True
     assert len(calls) == result.outer_iterations + 1
     assert calls == [(len(scene.graph.edges),)] * len(calls)
 
@@ -194,6 +206,18 @@ def test_cost_without_edges_is_zero():
     assert cost(g, {0: Rotation.identity()}, SolverConfig(loss=MAGSAC_RAW)) == 0.0
     quats = solver_mod._node_quats(g, {0: Rotation.identity()})
     assert (quats.shape, g.ends.shape, g.quats.shape) == ((1, 4), (0, 2), (0, 4))
+
+
+def test_one_node_graph_returns_its_init_converged(tmp_path):
+    g = ViewGraph([ViewNode(5)], [])
+    init = {5: random_rotation(np.random.default_rng(2))}
+    result = solve(g, init, SolverConfig(loss=MAGSAC_RAW))
+    assert (result.termination, result.converged, result.outer_iterations) == \
+        ("no_edges", True, 0)
+    assert result.rotations[5].quaternion.tobytes() == init[5].quaternion.tobytes()
+    save_result(result, tmp_path / "r.json")
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert (doc["converged"], doc["termination"]) == (True, "no_edges")
 
 
 def test_solve_reduces_cost_from_init():
@@ -413,6 +437,29 @@ def test_damping_does_not_grow_on_round_off(monkeypatch):
     assert max(lams) <= solver_mod.DAMPING_INIT
 
 
+def test_gradient_below_tolerance_takes_no_step(monkeypatch):
+    """From the ground truth of a noise-free graph the gradient is below
+    GRADIENT_TOL: no linear solve runs and the first re-weighting ends the
+    solve.  A step there would only move the rotations by round-off."""
+    g = generate_graph(SynthConfig(15, 0.4, ((1.0, 0.0),), seed=3)).graph
+    gt = {nid: node.gt_rotation for nid, node in g.nodes.items()}
+    calls = []
+    real_solve = solver_mod._solve_normal_equations
+
+    def solve_spy(*args):
+        calls.append(args[-1])
+        return real_solve(*args)
+
+    monkeypatch.setattr(solver_mod, "_solve_normal_equations", solve_spy)
+    config = SolverConfig(loss=LossSpec("magsac", scale=solver_mod.default_loss_scale("none")),
+                          weighting="none")
+    result = solve(g, gt, config)
+    assert calls == []
+    for nid in g.node_ids:
+        assert result.rotations[nid].quaternion.tobytes() == gt[nid].quaternion.tobytes(), nid
+    assert (result.termination, result.outer_iterations) == ("cost_rel_tol", 1)
+
+
 def test_non_decrease_guard_returns_previous_iterate(monkeypatch):
     """A re-weighted robust cost above the previous one stops the solve there.
 
@@ -424,6 +471,7 @@ def test_non_decrease_guard_returns_previous_iterate(monkeypatch):
     config = SolverConfig(loss=LossSpec("soft_l1", scale=0.02))
     previous = solve(scene.graph, init, dataclasses.replace(config, max_outer_irls=1))
     assert previous.termination == "max_outer_irls"
+    assert previous.converged is False
     calls = [0]
     real_cost = solver_mod._robust_cost
 
@@ -723,12 +771,13 @@ def test_edge_residual_norms_match_linalg_norm():
         assert result.edge_residual_norms[e.key] == float(np.linalg.norm(res[k])), e.key
 
 
-def test_stationarity_matches_finite_difference_gradient():
+def test_stationarity_matches_finite_difference_gradient(monkeypatch):
     """At convergence the unweighted GN objective has a vanishing gradient."""
     scene = generate_graph(SynthConfig(6, 0.9, ((1.0, 1.5),), seed=9))
     g = scene.graph
-    config = SolverConfig(loss=LossSpec("trivial"), weighting="none",
-                          gradient_tol=1e-14, cost_rel_tol=1e-15, max_outer_irls=64)
+    monkeypatch.setattr(solver_mod, "GRADIENT_TOL", 1e-14)
+    monkeypatch.setattr(solver_mod, "COST_REL_TOL", 1e-15)
+    config = SolverConfig(loss=LossSpec("trivial"), weighting="none", max_outer_irls=64)
     result = solve(g, spanning_tree_init(g, "auto"), config)
 
     def total_cost(rotations):

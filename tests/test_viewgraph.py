@@ -1003,7 +1003,7 @@ def test_save_graph_refuses_non_finite_floats(tmp_path):
 
 def test_save_result_refuses_non_finite_floats(tmp_path):
     result = AveragingResult(rotations={0: Rotation.identity(), 1: Rotation.identity()},
-                             final_cost=0.5, outer_iterations=1, converged=True,
+                             final_cost=0.5, outer_iterations=1,
                              edge_weights={(0, 1): np.nan}, edge_residual_norms={(0, 1): 0.1})
     path = tmp_path / "r.json"
     with pytest.raises(NumericalError, match=r"cannot write 'weight' of edge \(0, 1\)"):
@@ -1093,7 +1093,7 @@ def test_result_files_round_trip_bit_exact(ids, data):
     rotations = {nid: Rotation(q) for nid, q in zip(ids, quats)}
     keys = sorted({(a, b) for a in ids for b in ids if a < b})
     result = AveragingResult(
-        rotations=rotations, final_cost=data.draw(_FLOATS), outer_iterations=3, converged=False,
+        rotations=rotations, final_cost=data.draw(_FLOATS), outer_iterations=3,
         edge_weights=dict(zip(keys, data.draw(st.lists(_FLOATS, min_size=len(keys),
                                                         max_size=len(keys))))),
         edge_residual_norms=dict(zip(keys, data.draw(st.lists(_FLOATS, min_size=len(keys),
