@@ -87,8 +87,8 @@ def _add_thresholds_flag(p):
 def _add_scale_flags(p):
     p.add_argument("--loss-scale", type=float, default=None,
                    help="residual-norm scale / sigma_max (default depends on weighting)")
-    p.add_argument("--magsac-alpha", type=float, default=LossSpec.alpha,
-                   help="chi quantile of the magsac cutoff")
+    p.add_argument("--magsac-alpha", type=float, default=None,
+                   help=f"chi quantile of the magsac cutoff (magsac only, default {LossSpec.alpha})")
 
 
 def _add_loss_flags(p):
@@ -109,10 +109,11 @@ def _build_parser() -> _Parser:
                    help="mixture 'frac:sigma_deg,...'")
     p.add_argument("--outliers", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-covariance", action="store_true",
-                   help="omit the true covariance from the edges")
-    p.add_argument("--honest-outlier-covariance", action="store_true",
-                   help="report a large covariance on outlier edges instead of a confident one")
+    cov = p.add_mutually_exclusive_group()  # honest outlier covariances need covariances
+    cov.add_argument("--no-covariance", action="store_true",
+                     help="omit the true covariance from the edges")
+    cov.add_argument("--honest-outlier-covariance", action="store_true",
+                     help="report a large covariance on outlier edges instead of a confident one")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("weigh", help="fill edge covariances from two-view correspondences")
@@ -156,11 +157,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _solver_config(args, loss: str, weighting: str, **caps) -> SolverConfig:
-    """The config of one (loss, weighting) with the scale flags of ``args``."""
-    scale = args.loss_scale if args.loss_scale is not None else default_loss_scale(weighting)
-    spec = LossSpec(loss, scale=scale, alpha=args.magsac_alpha)  # only magsac reads alpha
-    return SolverConfig(loss=spec, weighting=weighting, **caps)
+def _solver_configs(args, losses, weightings, **caps) -> list[SolverConfig]:
+    """The config of each (loss, weighting), losses outermost, with the scale flags
+    of ``args``; ``--magsac-alpha`` is a usage error unless some loss is magsac."""
+    if args.magsac_alpha is not None and "magsac" not in losses:
+        raise _UsageError("--magsac-alpha applies only to the magsac loss")
+    alpha = LossSpec.alpha if args.magsac_alpha is None else args.magsac_alpha
+    return [SolverConfig(loss=LossSpec(loss, alpha=alpha, scale=default_loss_scale(w)
+                                       if args.loss_scale is None else args.loss_scale),
+                         weighting=w, **caps) for loss in losses for w in weightings]
 
 
 def _cmd_synth(args) -> int:
@@ -205,7 +210,7 @@ def _cmd_weigh(args) -> int:
 
 def _cmd_average(args) -> int:
     g = load_graph(args.infile)
-    config = _solver_config(args, args.loss, args.weighting, max_outer_irls=args.max_outer)
+    [config] = _solver_configs(args, [args.loss], [args.weighting], max_outer_irls=args.max_outer)
     init = spanning_tree_init(g, args.init_criterion)
     result = solve(g, init, config)
     save_result(result, args.out)
@@ -240,17 +245,16 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     # every name is checked before the first solve
-    configs = [(loss, weighting, _solver_config(args, loss, weighting))
-               for loss in args.losses.split(",") for weighting in args.weightings.split(",")]
+    configs = _solver_configs(args, args.losses.split(","), args.weightings.split(","))
     g = load_graph(args.infile)
     gt = _gt_rotations(g)
     init = spanning_tree_init(g, "auto")
     rows = []
-    for loss, weighting, config in configs:
+    for config in configs:
         result = solve(g, init, config)
         alignment = align_rotations(result.rotations, gt)
         errors = list(alignment.per_view_errors.values())
-        rows.append((loss, weighting, [auc(errors, t) for t in args.thresholds]))
+        rows.append((config.loss.kind, config.weighting, [auc(errors, t) for t in args.thresholds]))
     name_w = max(len(f"{l}+{w}") for l, w, _ in rows) + 2
     head = "setting".ljust(name_w) + "".join(f"AUC@{t:g}".rjust(9) for t in args.thresholds)
     print(head)
@@ -269,7 +273,7 @@ def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise _UsageError("--repeats must be >= 1")
     g = load_graph(args.infile)
-    config = _solver_config(args, args.loss, args.weighting)
+    [config] = _solver_configs(args, [args.loss], [args.weighting])
     init = spanning_tree_init(g, "auto")
     seconds = []
     for _ in range(args.repeats):

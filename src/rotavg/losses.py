@@ -62,6 +62,16 @@ def upper_incomplete_gamma(a: float, x):
     return (special.gammaincc(a, x) * special.gamma(a))[()]
 
 
+def check_scale(value, name, unfit) -> None:
+    """Raise ValueError(``unfit``) unless ``value`` is positive and finite, and one naming
+    ``name`` unless its square is a finite normal float, which scales without overflow."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(unfit)
+    if not sys.float_info.min <= float(value) * float(value) < math.inf:
+        raise ValueError(f"{name} {value!r} is out of range: its square must be finite and at "
+                         f"least the smallest normal float {sys.float_info.min!r}")
+
+
 @lru_cache(maxsize=None)
 def chi_quantile(nu: int, alpha: float) -> float:
     """k with CDF_chi(nu)(k) = alpha, from the inverse regularized gamma."""
@@ -96,12 +106,7 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; choose from {ALL_KINDS}")
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError("loss scale must be positive and finite")
-        # every loss divides by scale^2: it must neither overflow nor underflow
-        if not sys.float_info.min <= self.scale * self.scale < math.inf:
-            raise ValueError(f"loss scale {self.scale!r} is out of range: its square must be "
-                             f"finite and at least the smallest normal float {sys.float_info.min!r}")
+        check_scale(self.scale, "loss scale", "loss scale must be positive and finite")
         if self.kind == "magsac":
             if self.nu < 2 or int(self.nu) != self.nu:
                 raise ValueError("nu must be an integer >= 2")

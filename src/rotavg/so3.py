@@ -158,9 +158,7 @@ class Rotation:
         q = np.asarray(wxyz, dtype=np.float64)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have 4 entries, got shape {q.shape}")
-        for message, passed in _quaternion_checks(q):
-            if not passed:
-                raise ValueError(message)
+        raise_first_failure(_quaternion_checks(q), ValueError)
         q = canonical_quats(q)
         q.setflags(write=False)
         self._q = q

@@ -93,7 +93,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, NumericalError, SchemaError
+from .errors import ConfigurationError, NumericalError, SchemaError, raise_first_failure
 from .losses import LossSpec, evaluate_loss
 from .so3 import Rotation, canonical_quats, checked_rotations, quat_exp, quat_mul
 from .twoview import whitener_from_covariance
@@ -219,15 +219,14 @@ def _robust_cost(g: ViewGraph, sq, loss: LossSpec):
     with np.errstate(all="ignore"):
         ev = evaluate_loss(loss, sq)
     for what, values in (("cost contribution", ev.value), ("IRLS weight", ev.weight)):
-        _refuse_non_finite_edges(g, what, ~np.isfinite(values))
+        _refuse_non_finite_edges(g, what, np.isfinite(values))
     return float(np.sum(ev.value)), ev.weight
 
 
-def _refuse_non_finite_edges(g: ViewGraph, what: str, bad) -> None:
-    """Raise NumericalError naming the first edge of the (E,) mask ``bad``, if any."""
-    if bad.any():
-        i, j = g.edge_ids[np.argmax(bad)].tolist()
-        raise NumericalError(f"non-finite {what} on edge ({i}, {j})")
+def _refuse_non_finite_edges(g: ViewGraph, what: str, finite) -> None:
+    """Raise NumericalError naming the first edge the (E,) mask ``finite`` clears, if any."""
+    raise_first_failure([("non-finite {what} on edge ({i}, {j})", finite)], NumericalError,
+                        lambda k: dict(zip("ij", g.edge_ids[k].tolist()), what=what))
 
 
 def _weighted_residuals(g: ViewGraph, quats, transforms):
@@ -326,12 +325,12 @@ def _check_normal_equations(g: ViewGraph, blocks, grad) -> None:
     diag, off = blocks
     if np.isfinite(diag).all() and np.isfinite(grad).all():
         return
-    bad_edge = ~np.isfinite(off.reshape(-1, 9)).all(axis=1)
-    if not bad_edge.any():  # every block is finite: a diagonal sum or the gradient is not
-        bad_node = ~(np.isfinite(diag.reshape(-1, 9)).all(axis=1)
-                     & np.isfinite(grad.reshape(-1, 3)).all(axis=1))
-        bad_edge = bad_node[g.ends].any(axis=1)
-    _refuse_non_finite_edges(g, "normal equations", bad_edge)
+    finite_edge = np.isfinite(off.reshape(-1, 9)).all(axis=1)
+    if finite_edge.all():  # every block is finite: a diagonal sum or the gradient is not
+        finite_node = (np.isfinite(diag.reshape(-1, 9)).all(axis=1)
+                       & np.isfinite(grad.reshape(-1, 3)).all(axis=1))
+        finite_edge = finite_node[g.ends].all(axis=1)
+    _refuse_non_finite_edges(g, "normal equations", finite_edge)
 
 
 def _solve_normal_equations(pattern: _Pattern, blocks, grad, lam):

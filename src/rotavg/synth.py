@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, raise_first_failure
 from .so3 import Rotation, canonical_quats, quat_conj, quat_exp, quat_mul
-from .twoview import CameraIntrinsics, TwoViewGeometry
+from .twoview import CameraIntrinsics, TwoViewGeometry, _translation_checks
 from .viewgraph import ViewGraph, is_connected
 
 __all__ = ["SynthConfig", "SynthScene", "generate_graph", "generate_two_view_scene"]
@@ -74,11 +74,6 @@ class SynthScene:
     edge_sigmas_rad: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
-def _unit_rows(q):
-    """Rows of ``q`` divided by their norms: uniformly random rotations for Gaussian ``q``."""
-    return q / np.sqrt(np.vecdot(q, q))[:, None]
-
-
 def generate_graph(config: SynthConfig) -> SynthScene:
     """Sample a connected heteroscedastic view graph with ground truth.
 
@@ -91,7 +86,7 @@ def generate_graph(config: SynthConfig) -> SynthScene:
     sigma_min = max(float(sigmas_rad.min()), SIGMA_FLOOR_RAD)
 
     for _ in range(64):
-        gt_q = canonical_quats(_unit_rows(rng.normal(size=(config.n_cameras, 4))))
+        gt_q = canonical_quats(rng.normal(size=(config.n_cameras, 4)))  # uniformly random
         # the loop draws every random number in order; the edge rotations
         # are formed afterwards, all at once
         keys, covs, counts = [], [], []
@@ -127,7 +122,7 @@ def generate_graph(config: SynthConfig) -> SynthScene:
         truth = canonical_quats(quat_mul(gt_q[ij[:, 0]], gt_j_inv))
         edge_q = np.empty((len(keys), 4))
         edge_q[inlier_rows] = quat_mul(quat_exp(np.reshape(noise, (-1, 3))), truth)
-        edge_q[outlier_rows] = _unit_rows(np.reshape(outlier_q, (-1, 4)))
+        edge_q[outlier_rows] = canonical_quats(np.reshape(outlier_q, (-1, 4)))
         graph = ViewGraph.from_columns(
             np.arange(config.n_cameras), ends[:, 0], ends[:, 1], edge_q, gt_quats=gt_q,
             covariances=np.reshape(covs, (-1, 3, 3)) if config.report_true_covariance else None,
@@ -164,10 +159,11 @@ def generate_two_view_scene(
 
     Points are drawn uniformly in a box in front of camera i (centered at
     ``scene_depth`` along the optical axis); camera j sees
-    ``x_j = R (x_i + t)`` with unit-norm baseline ``t``, so the epipolar
-    constraint matches ``F = K_j^{-T} R [t]x K_i^{-1}``.  Gaussian pixel
-    noise of ``pixel_sigma`` is added to all four coordinates.  The larger
-    ``scene_depth``, the narrower the relative baseline.
+    ``x_j = R (x_i + t)`` with ``t`` the unit ``translation``, so the epipolar
+    constraint matches ``F = K_j^{-T} R [t]x K_i^{-1}``.  A translation that
+    breaks a rule of :class:`TwoViewGeometry` raises its ``ValueError`` before
+    any draw.  Gaussian pixel noise of ``pixel_sigma`` is added to all four
+    coordinates.  The larger ``scene_depth``, the narrower the relative baseline.
     Points are drawn in array calls of as many as are still missing, at most
     ``100 * n_points`` in all (else ``RuntimeError``): no call draws past the
     point that completes the set, so the random stream is the one a loop
@@ -176,9 +172,9 @@ def generate_two_view_scene(
     if n_points < 8:
         raise ValueError("need at least 8 points")
     t = np.asarray(translation, dtype=np.float64).reshape(3)
-    if np.linalg.norm(t) < 1e-12:
-        raise ValueError("zero-baseline pose rejected for covariance synthesis")
-    t = t / np.linalg.norm(t)
+    norm, rules = _translation_checks(t)
+    raise_first_failure(rules, ValueError)
+    t = t / norm
     rng = np.random.Generator(np.random.Philox(seed))
     r = rotation.matrix
     half = 0.4 * scene_depth

@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InsufficientDataError
+from .errors import DegenerateGeometryError, InsufficientDataError, raise_first_failure
+from .losses import check_scale
 from .so3 import Rotation, hat, quat_to_matrix
 
 __all__ = [
@@ -57,7 +58,7 @@ def _intrinsics_checks(k):
     """(message, passed) for each rule a 3x3 K must pass, in check order.
 
     ``k`` is one (3, 3) matrix or an (N, 3, 3) stack; ``passed`` is a bool or
-    an (N,) mask.  One matrix stops at the first rule it fails.
+    an (N,) mask.
     """
     yield "K must be finite", np.isfinite(k).all(axis=(-2, -1))
     yield ("K must be upper-triangular with K[2][2] = 1",
@@ -86,9 +87,7 @@ class CameraIntrinsics:
         k = np.array(self.k, dtype=np.float64)
         if k.shape != (3, 3):
             raise ValueError("K must be 3x3")
-        for message, passed in _intrinsics_checks(k):
-            if not passed:
-                raise ValueError(message)
+        raise_first_failure(_intrinsics_checks(k), ValueError)
         k.flags.writeable = False
         object.__setattr__(self, "k", k)
 
@@ -120,18 +119,13 @@ class TwoViewGeometry:
 
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        norm, rules = _translation_checks(t)
-        for message, passed in rules:
-            if not passed:
-                raise ValueError(message)
-        object.__setattr__(self, "translation", t / norm)
         m = np.asarray(self.matches, dtype=np.float64)
-        if m.ndim != 2 or m.shape[1] != 4:
-            raise ValueError("matches must be an (N, 4) array [x, y, x', y']")
-        if len(m) == 0:
-            raise ValueError("matches must hold at least one row")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite match coordinates")
+        norm, rules = _translation_checks(t)
+        raise_first_failure([*rules, ("matches must be an (N, 4) array [x, y, x', y']",
+                                      m.ndim == 2 and m.shape[1] == 4),
+                             ("matches must hold at least one row", m.size > 0),
+                             ("non-finite match coordinates", np.isfinite(m).all())], ValueError)
+        object.__setattr__(self, "translation", t / norm)
         object.__setattr__(self, "matches", m)
 
     @classmethod
@@ -283,12 +277,12 @@ def rotation_covariances(geoms, residual_sigma: float = 1.0, mode: str = "rotati
     system over rotation + unit-translation tangent and keep the top-left
     3x3 block.  Each pair's result depends on that pair alone.  A mode not
     in ``COVARIANCE_MODES`` or a ``residual_sigma`` (pixels) that is not
-    positive and finite raises ``ValueError``.
+    positive with a finite normal square raises ``ValueError``.
     """
     if mode not in COVARIANCE_MODES:
         raise ValueError(f"unknown covariance mode {mode!r}")
-    if not 0.0 < residual_sigma < np.inf:
-        raise ValueError(f"residual sigma must be positive and finite, not {residual_sigma:g}")
+    check_scale(residual_sigma, "residual sigma",
+                f"residual sigma must be positive and finite, not {residual_sigma:g}")
     geoms = list(geoms)
     covs = np.full((len(geoms), 3, 3), np.nan)
     errors = [InsufficientDataError("need at least 3 inliers for covariance estimation")

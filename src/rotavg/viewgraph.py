@@ -111,9 +111,8 @@ def _repeats(values):
 def check_unique_ids(ids, origin="") -> None:
     """Raise SchemaError naming the first of the (N,) node ``ids`` that repeats an
     earlier one, after ``origin`` (such as ``"g.json: "``)."""
-    repeat = _repeats(ids)
-    if repeat.any():
-        raise SchemaError(f"{origin}duplicate node id {ids[np.argmax(repeat)]}")
+    raise_first_failure([("{origin}duplicate node id {id}", ~_repeats(ids))], SchemaError,
+                        lambda k: {"origin": origin, "id": ids[k]})
 
 
 def _id_rules(ids):
@@ -127,17 +126,15 @@ class ViewNode:
     gt_rotation: Optional[Rotation] = None
 
     def __post_init__(self):
-        for message, passed in _id_rules(self.id):
-            if not passed:
-                raise SchemaError(message.format(id=self.id))
+        raise_first_failure(_id_rules(self.id), SchemaError, lambda _: {"id": self.id})
 
 
 class EdgeMeasurement:
     """Relative-rotation measurement R_ij ~ R_i R_j^T with optional covariance.
 
-    The covariance must be finite, symmetric and positive definite, and the
-    inlier count non-negative and below 2**63.  A :class:`ViewGraph` checks
-    all its edges at once under the same rules (:func:`_edge_checks`).
+    Its rules, in check order: i != j, an inlier count in [0, 2**63), and a 3x3
+    finite, symmetric, positive-definite covariance; the first one broken raises.
+    A :class:`ViewGraph` checks all its edges at once under them (:func:`_edge_checks`).
     """
 
     __slots__ = ("i", "j", "rotation", "covariance", "inlier_count")
@@ -145,9 +142,8 @@ class EdgeMeasurement:
     def __init__(self, i, j, rotation, covariance=None, inlier_count=None):
         count = None if inlier_count is None else int(inlier_count)
         c = None if covariance is None else np.asarray(covariance, dtype=np.float64)
-        for message, passed in _edge_checks(i, j, 0 if count is None else count, c):
-            if not passed:
-                raise SchemaError(message.format(i=i, j=j))
+        raise_first_failure(_edge_checks(i, j, 0 if count is None else count, c), SchemaError,
+                            lambda _: {"i": i, "j": j})
         self.i, self.j, self.rotation, self.covariance, self.inlier_count = (
             int(i), int(j), rotation, c, count)
 
@@ -156,26 +152,28 @@ class EdgeMeasurement:
         return (self.i, self.j)
 
 
-def _edge_checks(i, j, inlier_count, covariance):
+def _edge_checks(i, j, inlier_count, c):
     """Yield (message, passed) for each rule an edge must pass, in check order.
 
-    One edge passes scalars and a covariance that is None or an array, and
-    stops at the first rule it fails.  A batch passes (E,) arrays and an
-    (E, 3, 3) stack, and gets (E,) masks; its matrices that are not finite
-    are left out of the later rules.  ``message`` is formatted with ``i``
+    One edge passes scalars and a covariance ``c`` that is None or an array and
+    gets bools; a batch passes (E,) arrays and an (E, 3, 3) stack and gets (E,)
+    masks, each rule computed alike.  A misshapen ``c`` ends the rules; matrices
+    that are not finite are left out of the later ones.  ``message`` takes ``i``
     and ``j``.
     """
     yield "self-loop edge ({i}, {j})", i != j
     yield "edge ({i}, {j}): negative inlier count", inlier_count >= 0
     yield "edge ({i}, {j}): inlier count must be below 2**63", inlier_count < INT_LIMIT
-    c = covariance
     if c is None:
         return
-    yield "edge ({i}, {j}): covariance must be 3x3", c.shape == getattr(i, "shape", ()) + (3, 3)
+    shaped = c.shape == np.shape(i) + (3, 3)
+    yield "edge ({i}, {j}): covariance must be 3x3", shaped
+    if not shaped:
+        return
     finite = np.isfinite(c).all(axis=(-2, -1))
     yield "edge ({i}, {j}): covariance has non-finite entries", finite
-    if finite.ndim and not finite.all():  # one matrix gets here only when finite
-        c = np.where(finite[:, None, None], c, np.eye(3))
+    if not finite.all():
+        c = np.where(finite[..., None, None], c, np.eye(3))
     asym = np.abs(c - c.swapaxes(-2, -1)).max(axis=(-2, -1))
     yield ("edge ({i}, {j}): covariance is not symmetric",
            asym <= 1e-12 * np.abs(c).max(axis=(-2, -1), initial=1.0))
@@ -473,10 +471,10 @@ def refuse_non_finite(path, columns, where) -> None:
     """
     for name, values in columns.items():
         values = np.asarray(values, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))))
-        if len(bad):
-            raise NumericalError(f"{path}: cannot write {name!r} of {where(int(bad[0]))}: "
-                                 "JSON has no non-finite numbers")
+        raise_first_failure(
+            [("{path}: cannot write {name!r} of {where}: JSON has no non-finite numbers",
+              np.isfinite(values).all(axis=tuple(range(1, values.ndim))))],
+            NumericalError, lambda k: {"path": path, "name": name, "where": where(k)})
 
 
 def _structure_fault(rec, fields, integers):

@@ -135,7 +135,8 @@ def test_init_criterion_takes_auto_or_unit(tmp_path, capsys, criterion):
 
 
 def test_bad_weigh_sigma_exits_1(tmp_path, capsys):
-    """--sigma must be positive and finite; the flag is blamed, not an edge."""
+    """--sigma must be positive and finite, and its square too (the loss scale's
+    rule); the flag is blamed, not an edge."""
     pairs_path = tmp_path / "pairs.json"
     save_pairs(_pairs(np.random.default_rng(0)), pairs_path)
     out = tmp_path / "weighted.json"
@@ -144,7 +145,49 @@ def test_bad_weigh_sigma_exits_1(tmp_path, capsys):
                          f"--sigma={sigma}"]) == 1
         assert capsys.readouterr() == (
             "", f"usage error: residual sigma must be positive and finite, not {sigma}\n")
+    for sigma in ("1e200", "1e-200"):
+        assert cli.main(["weigh", "--pairs", str(pairs_path), "--out", str(out),
+                         f"--sigma={sigma}"]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith(f"usage error: residual sigma {float(sigma)!r} is out of range")
     assert not out.exists()
+
+
+def test_synth_covariance_flags_are_exclusive(tmp_path, capsys):
+    """--honest-outlier-covariance picks the covariance written on outlier edges, so
+    it is a usage error beside --no-covariance, which writes none; each alone works."""
+    out = tmp_path / "g.json"
+    assert cli.main(["synth", "--cameras", "12", "--no-covariance",
+                     "--honest-outlier-covariance", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "usage error: argument --honest-outlier-covariance: "
+                                       "not allowed with argument --no-covariance\n")
+    assert not out.exists()
+    for flag in ("--no-covariance", "--honest-outlier-covariance"):
+        assert cli.main(["synth", "--cameras", "12", flag, "--out", str(out)]) == 0
+
+
+def test_magsac_alpha_needs_a_magsac_loss(tmp_path, capsys):
+    """Only the magsac loss reads --magsac-alpha: in a run with no magsac loss it is
+    a usage error before any file is read or written; with magsac it moves the result."""
+    g = _synth(tmp_path, cameras=12)
+    r = tmp_path / "r.json"
+    capsys.readouterr()
+    for argv in (["average", "--in", str(g), "--out", str(r), "--loss", "soft_l1"],
+                 ["bench", "--in", str(g), "--loss", "cauchy"],
+                 ["report", "--in", str(g), "--losses", "soft_l1,huber", "--weightings", "none"]):
+        assert cli.main([*argv, "--magsac-alpha", "0.7"]) == 1
+        assert capsys.readouterr() == (
+            "", "usage error: --magsac-alpha applies only to the magsac loss\n")
+    assert not r.exists()
+    costs = []
+    for alpha in ((), ("--magsac-alpha", "0.95")):
+        assert cli.main(["average", "--in", str(g), "--out", str(r), "--loss", "magsac",
+                         *alpha]) == 0
+        costs.append(json.loads(r.read_text())["final_cost"])
+    assert costs[0] != costs[1]
+    assert cli.main(["report", "--in", str(g), "--losses", "soft_l1,magsac", "--weightings",
+                     "none", "--magsac-alpha", "0.95"]) == 0
 
 
 def test_duplicate_result_ids_exit_2(tmp_path, capsys):

@@ -185,6 +185,23 @@ def test_two_view_scene_validation_and_determinism():
     assert np.array_equal(a.matches, b.matches)
 
 
+@pytest.mark.parametrize("t, rule", [
+    ([np.nan, 0.0, 0.0], "non-finite translation"),
+    ([np.inf, 0.0, 0.0], "non-finite translation"),
+    ([1e200, 1e200, 0.0], "translation norm overflows"),
+    ([0.0, 0.0, 0.0], "zero-baseline translation"),
+], ids=["nan", "inf", "overflow", "zero"])
+def test_two_view_scene_refuses_a_bad_translation_before_any_draw(monkeypatch, t, rule):
+    """The translation rules are TwoViewGeometry's: a translation that breaks one
+    raises its ValueError before a generator is made, and with no RuntimeWarning
+    (tier-1 takes those as errors), not after drawing the whole point budget."""
+    made = []
+    monkeypatch.setattr(np.random, "Generator", lambda *args: made.append(args))
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        generate_two_view_scene(20, 1.0, Rotation.identity(), t)
+    assert made == []
+
+
 def _two_view_points_one_at_a_time(n_points, rotation, t, seed, scene_depth):
     """The reference for generate_two_view_scene's point draws: one candidate
     point per iteration, at most 100 n_points of them.  Returns the points (or

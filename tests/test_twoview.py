@@ -385,6 +385,21 @@ def test_rotation_covariances_reject_bad_sigma():
             rotation_covariances(geoms, residual_sigma=sigma)
 
 
+@pytest.mark.parametrize("sigma", [1e200, 1e-200, 1e-160, np.float64(1e200)],
+                         ids=["overflow", "underflow", "subnormal", "numpy-overflow"])
+def test_rotation_covariances_reject_sigma_whose_square_is_out_of_range(sigma):
+    """The loss scale's rule: C = sigma^2 (J^T J)^{-1} needs sigma^2 to be a finite
+    normal float.  Outside it both entry points raise a ValueError naming the
+    residual sigma, without a RuntimeWarning, instead of an OverflowError or a
+    covariance that underflows to zero."""
+    geoms = _batch(np.random.default_rng(13), [8, 25])
+    for call in (lambda: rotation_covariances(geoms, residual_sigma=sigma),
+                 lambda: covariance_of_rotation(geoms[0], residual_sigma=sigma)):
+        with pytest.raises(ValueError, match=r"^residual sigma .* is out of range: its square "
+                                             r"must be finite and at least the smallest normal"):
+            call()
+
+
 @pytest.mark.parametrize("mode", ["rotation_only", "marginalize_translation"])
 def test_sampson_terms_that_overflow_raise_no_warning(mode):
     """A finite match coordinate of 1e155 overflows its Sampson denominator

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import struct
 import sys
 import tempfile
@@ -73,6 +74,29 @@ def test_node_and_edge_validation():
     bad_sym[0, 1] = 1e-6
     with pytest.raises(SchemaError):
         EdgeMeasurement(0, 1, Rotation.identity(), covariance=bad_sym)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: EdgeMeasurement(2, 2, Rotation.identity(), covariance=np.eye(2)),
+     SchemaError, "self-loop edge (2, 2)"),
+    (lambda: EdgeMeasurement(0, 1, Rotation.identity(), covariance=np.zeros((2, 3, 3))),
+     SchemaError, "edge (0, 1): covariance must be 3x3"),
+    (lambda: EdgeMeasurement(0, 1, Rotation.identity(), inlier_count=-1,
+                             covariance=np.full((3, 3), np.nan)),
+     SchemaError, "edge (0, 1): negative inlier count"),
+    (lambda: TwoViewGeometry(Rotation.identity(), [np.nan, 0.0, 0.0], DEFAULT_INTRINSICS,
+                             DEFAULT_INTRINSICS, np.empty((0, 4))),
+     ValueError, "non-finite translation"),
+    (lambda: Rotation([np.nan, 1e308, 1e308, 0.0]), ValueError, "non-finite quaternion entries"),
+], ids=["self-loop-and-shape", "stack-of-covariances", "count-and-nan-covariance",
+        "translation-and-empty-matches", "nan-and-overflowing-norm"])
+def test_a_record_breaking_two_rules_names_the_first(build, error, message):
+    """A one-record constructor raises the first rule its record breaks, in check
+    order: a self-loop outranks a misshapen covariance, a misshapen one is not
+    read by the later rules, a bad count outranks a NaN covariance, a translation
+    outranks the matches, and a NaN entry outranks an overflowing norm."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_graph_rejects_duplicates_and_dangling_edges():
